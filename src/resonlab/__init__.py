@@ -12,12 +12,13 @@ from .hadamard import (
     ContourCountError, ConvergenceCurve, CountDifference,
     ProductOverflowError, StabilityRow, StabilityTable, TruncatedProduct,
     build_product, convergence_curve, count_difference, eval_product,
-    fit_prefactor, perturb_zeros, stability_experiment,
+    fit_prefactor, mirrored_reconstruction, perturb_zeros,
+    stability_experiment,
 )
 from .ftransform import (
     ExpansionResult, FourierEval, PairEval, asymptotic_residual,
     conj_symmetry_residual, erdelyi_expansion, fourier, fourier_many,
-    fourier_pair, fourier_pair_many, indicator_estimate,
+    fourier_pair, fourier_pair_many, indicator_estimate, pair_function,
 )
 from .potential import (
     NormalizationReport, Potential, RelativeDistance,

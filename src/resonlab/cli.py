@@ -18,16 +18,18 @@ import sys
 import time
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
 from .dickson import (containment_exceptions, curvilinear_count,
                       dickson_geometry, recommended_H, recommended_alpha0,
                       strip_membership, two_cosine_model)
-from .ftransform import fourier_pair_many
+from .ftransform import pair_function
+# fit_prefactor is no longer called here; perfbench/tracing.py hooks it by
+# this module's name and fails when the name is missing
 from .hadamard import (StabilityTable, build_product, convergence_curve,
-                       eval_product, fit_prefactor, stability_experiment)
+                       eval_product, fit_prefactor, mirrored_reconstruction,
+                       stability_experiment)
 from .potential import (Potential, load_table, make_poly_bump,
                         make_truncated_gaussian)
 from .rootscan import Rectangle, ZeroSet, locate_zeros
@@ -223,15 +225,6 @@ def emit_plot_data(obj, out_dir, stem: str = "plot") -> list[Path]:
 
 # ------------------------------------------------------------ subcommands
 
-def _pair_function(v: Potential, quad_rtol: float) -> Callable:
-    def f(zs):
-        arr = np.asarray(zs, dtype=complex)
-        vals, _ = fourier_pair_many(v, arr.ravel(), quad_rtol)
-        return vals.reshape(arr.shape)
-
-    return f
-
-
 def _write(path: Path, text: str) -> Path:
     path.write_text(text)
     return path
@@ -251,7 +244,7 @@ def _run_resonances(cfg: ExperimentConfig, out: Path) -> list[Path]:
 
 
 def _run_fourier_zeros(cfg: ExperimentConfig, out: Path) -> list[Path]:
-    f = _pair_function(cfg.potential(), cfg.quad_rtol)
+    f = pair_function(cfg.potential(), cfg.quad_rtol)
     zs = locate_zeros(f, cfg.rectangle(), cfg.root_tol)
     prov = {"kind": "fourier-pair zeros", "family": cfg.family,
             "tol": _g(cfg.root_tol)}
@@ -334,38 +327,23 @@ def _run_dickson_check(cfg: ExperimentConfig, out: Path) -> list[Path]:
     return [membership, exc_path, windows]
 
 
-def _reconstruction(cfg: ExperimentConfig):
-    rect = cfg.rectangle()
-    if rect.re_min <= 0.0:
-        raise ValueError("reconstruction scans need a positive-real "
-                         "rectangle; the mirror half comes from evenness")
-    v = cfg.potential()
-    f = _pair_function(v, cfg.quad_rtol)
-    zpos = locate_zeros(f, rect, cfg.root_tol)
-    z1 = ZeroSet.from_pairs(
-        list(zpos) + [(-z, m) for z, m in zpos], resolution=0.0)
-    hi = 0.9 * min(cfg.radius, rect.re_max)
-    fit_xs = np.linspace(0.05 * hi, hi, 9)
-    samples = list(zip(fit_xs, f(fit_xs.astype(complex))))
-    prefactor = fit_prefactor(samples, z1, cfg.radius)
-    return v, f, z1, prefactor
-
-
 def _run_reconstruct(cfg: ExperimentConfig, out: Path) -> list[Path]:
-    _, f, z1, prefactor = _reconstruction(cfg)
+    f = pair_function(cfg.potential(), cfg.quad_rtol)
+    z1, prefactor = mirrored_reconstruction(f, cfg.rectangle(), cfg.radius,
+                                            cfg.root_tol)
     c, m, kappa = prefactor
     product = build_product(z1, cfg.radius, c, m, kappa)
 
     grid = cfg.grid()
     targets = f(grid.astype(complex))
+    values = eval_product(product, grid)
     lines = ["# truncated-product reconstruction on the real axis",
              f"# prefactor: c = {_g(c.real)} + {_g(c.imag)}i, m = {m:d}, "
              f"kappa = {_g(kappa)}",
              f"# truncation radius: {_g(cfg.radius)}; retained zeros: "
              f"{product.zeros.total_multiplicity()}",
              "# columns: x recon_re recon_im target_re target_im abs_err"]
-    for x, t in zip(grid, targets):
-        val = eval_product(product, complex(x))
+    for x, val, t in zip(grid, values, targets):
         lines.append(" ".join(_g(u) for u in (
             x, val.real, val.imag, t.real, t.imag, abs(val - t))))
     recon = _write(out / "reconstruction.txt", "\n".join(lines) + "\n")
@@ -393,7 +371,7 @@ def _run_stability(cfg: ExperimentConfig, out: Path) -> list[Path]:
     table = stability_experiment(
         cfg.potential(), cfg.rectangle(), deltas, cfg.radius, cfg.grid(),
         K=cfg.strip_height, mode=cfg.perturb_mode, seed=cfg.seed,
-        scan_tol=cfg.root_tol)
+        scan_tol=cfg.root_tol, quad_rtol=cfg.quad_rtol)
     written = [
         _write(out / "stability.txt", table.to_text()),
         _write(out / "stability_zeros.txt",
@@ -409,8 +387,12 @@ def _run_scatter_matrix(cfg: ExperimentConfig, out: Path) -> list[Path]:
     lines = ["# scattering matrix on the real momentum grid",
              "# columns: k t_re t_im r_re r_im l_re l_im unitarity_defect"]
     for k in cfg.grid():
-        sm = scattering_matrix(v, float(k), rtol=cfg.ode_rtol,
-                               atol=cfg.ode_atol)
+        try:
+            sm = scattering_matrix(v, float(k), rtol=cfg.ode_rtol,
+                                   atol=cfg.ode_atol)
+        except ValueError as exc:  # a rejected momentum keeps its row
+            lines.append(f"# failed: k = {_g(k)}: {exc}")
+            continue
         lines.append(" ".join(_g(x) for x in (
             k, sm.t.real, sm.t.imag, sm.r_right.real, sm.r_right.imag,
             sm.l_left.real, sm.l_left.imag, sm.unitarity_defect)))

@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .rootscan import BoundaryZeroError, RootScanError, _winding_along
+from .rootscan import Rectangle, RootScanError, wind_count
 
 __all__ = [
     "ExpTerm", "ExpPolynomial", "StripData", "SideData", "DicksonGeometry",
@@ -317,8 +317,9 @@ def curvilinear_count(f, g: DicksonGeometry, k: int, j: int, alpha: float,
     """Zero count of f in the window R_kj(alpha, s, H) along strip (k, j).
 
     The window is a rectangle [-H, H] x [alpha, alpha+s] in the straightened
-    coordinate zeta = z/e_k + mu Log z; its boundary is mapped back and the
-    winding number of f along the image contour gives the count. bound_ok
+    coordinate zeta = z/e_k + mu Log z; the count is the rectangle winding
+    count of f composed with the inverse map, so the window gets the same
+    boundary jitter and density-agreement certificate as rootscan. bound_ok
     reports the window-count inequality |N - s*|d omega|/(2 pi)| < n_tau - 1
     + 0.5, and stays None when alpha is below the supplied floor where the
     inequality is not asserted.
@@ -329,37 +330,9 @@ def curvilinear_count(f, g: DicksonGeometry, k: int, j: int, alpha: float,
         raise ValueError("window offset must be positive")
     side = g.sides[k]
     strip = side.strips[j]
-    count = None
-    for attempt in range(9):
-        if attempt == 0:
-            eps = 0.0
-        else:
-            sign = 1.0 if attempt % 2 == 1 else -1.0
-            eps = sign * ((attempt + 1) // 2) * 1e-6 * math.hypot(2 * H, s)
-        lo, hi = -H - eps, H + eps
-        a0, a1 = alpha - eps, alpha + s + eps
-
-        def path(ts, lo=lo, hi=hi, a0=a0, a1=a1):
-            ts = np.mod(np.asarray(ts, dtype=float), 1.0)
-            width, height = hi - lo, a1 - a0
-            per = 2.0 * (width + height)
-            breaks = np.array([0.0, width, width + height,
-                               2 * width + height, per]) / per
-            corners = np.array([complex(lo, a0), complex(hi, a0),
-                                complex(hi, a1), complex(lo, a1)])
-            seg = np.clip(np.searchsorted(breaks, ts, side="right") - 1, 0, 3)
-            local = (ts - breaks[seg]) / (breaks[seg + 1] - breaks[seg])
-            w = corners[seg] + local * (corners[(seg + 1) % 4] - corners[seg])
-            return _invert_zeta(w, side.e, strip.mu, side.phi)
-
-        try:
-            count, _, _ = _winding_along(f, path, n_initial=n_initial)
-            break
-        except BoundaryZeroError:
-            continue
-    if count is None:
-        raise BoundaryZeroError(
-            "window boundary kept hitting zeros after 8 jitter retries")
+    count = wind_count(
+        lambda w: f(_invert_zeta(w, side.e, strip.mu, side.phi)),
+        Rectangle(-H, H, alpha, alpha + s), n_initial=n_initial)
     if alpha_floor is not None and alpha < alpha_floor:
         return CurvilinearCount(count, None)
     expected = s * strip.delta_omega / (2.0 * math.pi)

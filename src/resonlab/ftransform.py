@@ -14,13 +14,13 @@ Gauss-Kronrod panels pre-split to the oscillation rate. Once |Re z| exceeds
 50/L oscillations' worth (|Re z| >= 50 L), two integrations by parts peel off
 the endpoint contributions analytically and the quadrature only sees the
 second-derivative remainder, scaled down by |z|^2. Both routes report an
-absolute error bound from the nested-rule differences.
+absolute error estimate from the nested-rule differences.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,8 +30,8 @@ from .quadrature import adaptive_quadrature
 __all__ = [
     "FourierEval", "PairEval", "ExpansionResult",
     "fourier", "fourier_many", "fourier_pair", "fourier_pair_many",
-    "erdelyi_expansion", "asymptotic_residual", "conj_symmetry_residual",
-    "indicator_estimate",
+    "pair_function", "erdelyi_expansion", "asymptotic_residual",
+    "conj_symmetry_residual", "indicator_estimate",
 ]
 
 DEFAULT_RTOL = 1e-12
@@ -101,8 +101,8 @@ def _boundary_batch(v: Potential, zs: np.ndarray, atol: np.ndarray):
 def fourier_many(v: Potential, zs, rtol: float = DEFAULT_RTOL):
     """Vectorized transform evaluation.
 
-    Returns (values, error_bounds, boundary_route_mask) over the flat input.
-    The requested absolute tolerance per point is
+    Returns (values, error_estimates, boundary_route_mask) over the flat
+    input. The requested absolute tolerance per point is
     rtol * exp(L * max(0, Im z)) * integral |V|, the natural scale of the
     integrand.
     """
@@ -125,14 +125,14 @@ def fourier_many(v: Potential, zs, rtol: float = DEFAULT_RTOL):
 
 
 def fourier(v: Potential, z: complex, rtol: float = DEFAULT_RTOL) -> FourierEval:
-    """Transform at a single point with a certified error bound."""
+    """Transform at a single point with a Gauss-Kronrod error estimate."""
     vals, errs, routes = fourier_many(v, [z], rtol)
     method = "boundary-expansion" if routes[0] else "adaptive-quadrature"
     return FourierEval(complex(vals[0]), float(errs[0]), method)
 
 
 def fourier_pair_many(v: Potential, zs, rtol: float = DEFAULT_RTOL):
-    """F(z) = Vhat(2z) Vhat(-2z) for a batch, with propagated error bounds."""
+    """F(z) = Vhat(2z) Vhat(-2z) for a batch, with propagated error estimates."""
     zs = np.asarray(zs, dtype=complex).ravel()
     stacked = np.concatenate([2.0 * zs, -2.0 * zs])
     vals, errs, _ = fourier_many(v, stacked, rtol)
@@ -145,6 +145,16 @@ def fourier_pair_many(v: Potential, zs, rtol: float = DEFAULT_RTOL):
 def fourier_pair(v: Potential, z: complex, rtol: float = DEFAULT_RTOL) -> PairEval:
     vals, errs = fourier_pair_many(v, [z], rtol)
     return PairEval(complex(vals[0]), float(errs[0]))
+
+
+def pair_function(v: Potential, rtol: float) -> Callable:
+    """F(z) = Vhat(2z) Vhat(-2z) at tolerance rtol, shape in = shape out."""
+    def f(zs):
+        arr = np.asarray(zs, dtype=complex)
+        vals, _ = fourier_pair_many(v, arr.ravel(), rtol)
+        return vals.reshape(arr.shape)
+
+    return f
 
 
 def erdelyi_expansion(v: Potential, x: float, order: int) -> ExpansionResult:

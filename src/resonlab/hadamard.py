@@ -19,11 +19,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .ftransform import fourier_pair_many
+from .ftransform import pair_function
 from .potential import Potential
 from .quadrature import quad_scalar
 from .rootscan import Rectangle, ZeroSet, locate_zeros, match_zero_sets
@@ -32,8 +32,8 @@ __all__ = [
     "ContourCountError", "ConvergenceCurve", "CountDifference",
     "ProductOverflowError", "StabilityRow", "StabilityTable",
     "TruncatedProduct", "build_product", "convergence_curve",
-    "count_difference", "eval_product", "fit_prefactor", "perturb_zeros",
-    "stability_experiment",
+    "count_difference", "eval_product", "fit_prefactor",
+    "mirrored_reconstruction", "perturb_zeros", "stability_experiment",
 ]
 
 # exp() is exact garbage past the double range; the guard keeps the log
@@ -48,6 +48,8 @@ _RESCALE = 512
 REAL_AXIS_RTOL = 1e-9
 # conjugate partners are paired up to this relative mismatch
 CONJ_PAIR_RTOL = 1e-7
+# real-axis samples behind the prefactor fit of a mirrored reconstruction
+FIT_POINTS = 9
 
 PERTURB_MODES = ("uniform-shift", "random-in-disk")
 
@@ -107,51 +109,81 @@ def build_product(zero_set: ZeroSet, radius: float, c: complex = 1.0,
                             ZeroSet(retained), float(radius))
 
 
-def eval_product(p: TruncatedProduct, z: complex) -> complex:
-    """Value of the truncated product at z.
+def _cmul(ar, ai, br, bi):
+    """CPython's complex product, on real and imaginary parts."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def eval_product(p: TruncatedProduct, z):
+    """Value of the truncated product at z, a point or an array of points.
 
     Factors are multiplied in ascending modulus with exact power-of-two
     rescaling, so appending a largest-modulus zero multiplies the returned
     value by its factor with zero rounding discrepancy.  Evaluation at a
     retained zero returns 0 exactly.  A value whose log-magnitude exceeds
     the guard range raises ProductOverflowError carrying the log-domain
-    result.
+    result of the first such point.  A scalar z gives a complex, an array an
+    array of its shape, bit for bit equal to the scalar calls: the factors
+    follow CPython's complex product and Smith quotient, not numpy's.
     """
-    z = complex(z)
+    zs = np.asarray(z, dtype=complex)
+    flat = zs.ravel()
+    zr, zi = flat.real, flat.imag
     locs = p.zeros.locations(expand=True)  # canonical order is modulus-ascending
-    for z_n in locs:
-        if z == z_n:
-            return 0j
 
-    off = 0
-    ex = 1j * p.kappa * z
     # pre-split an extreme exponential seed so exp() itself cannot overflow
-    if abs(ex.real) > 600.0:
-        off = int(round(ex.real / _LN2))
-    acc = cmath.exp(ex - off * _LN2) * complex(p.c)
+    ik = 1j * p.kappa
+    exr, exi = _cmul(ik.real, ik.imag, zr, zi)
+    off = np.where(np.abs(exr) > 600.0, np.rint(exr / _LN2), 0.0).astype(int)
+    seed = np.empty_like(flat)
+    seed.real, seed.imag = exr - off * _LN2, exi
+    seed = np.exp(seed)
+    c = complex(p.c)
+    acc_r, acc_i = _cmul(seed.real, seed.imag, c.real, c.imag)
     if p.m:
-        acc *= z ** p.m
+        zm = np.array([complex(w) ** p.m for w in flat], dtype=complex)
+        acc_r, acc_i = _cmul(acc_r, acc_i, zm.real, zm.imag)
 
+    at_zero = np.zeros(flat.shape, dtype=bool)
     for z_n in locs:
-        acc *= 1.0 - z / complex(z_n)
-        mag = abs(acc)
-        if mag > _SCALE_HI:
-            acc *= 2.0 ** -_RESCALE
-            off += _RESCALE
-        elif 0.0 < mag < _SCALE_LO:
-            acc *= 2.0 ** _RESCALE
-            off -= _RESCALE
+        at_zero |= flat == z_n
+        # z / z_n by CPython's Smith quotient, whose branch depends on z_n
+        # alone; 1.0 - q as CPython forms it (0.0 - qi keeps signed zeros)
+        br, bi = z_n.real, z_n.imag
+        if abs(br) >= abs(bi):
+            ratio = bi / br
+            denom = br + bi * ratio
+            qr, qi = (zr + zi * ratio) / denom, (zi - zr * ratio) / denom
+        else:
+            ratio = br / bi
+            denom = br * ratio + bi
+            qr, qi = (zr * ratio + zi) / denom, (zi * ratio - zr) / denom
+        acc_r, acc_i = _cmul(acc_r, acc_i, 1.0 - qr, 0.0 - qi)
+        mag = np.hypot(acc_r, acc_i)
+        for rescale, shift in ((mag > _SCALE_HI, _RESCALE),
+                               ((0.0 < mag) & (mag < _SCALE_LO), -_RESCALE)):
+            if rescale.any():
+                acc_r[rescale], acc_i[rescale] = _cmul(
+                    acc_r[rescale], acc_i[rescale], 2.0 ** -shift, 0.0)
+                off[rescale] += shift
 
-    mag = abs(acc)
-    if mag == 0.0:
-        return 0j
-    log_mag = math.log(mag) + off * _LN2
-    if abs(log_mag) > LOG_GUARD:
+    mag = np.hypot(acc_r, acc_i)
+    live = ~at_zero & (mag != 0.0)
+    with np.errstate(divide="ignore"):
+        log_mag = np.log(mag) + off * _LN2
+    over = live & (np.abs(log_mag) > LOG_GUARD)
+    if over.any():
+        i = int(np.argmax(over))
         raise ProductOverflowError(
-            f"product at z = {z:.6g} has log-magnitude {log_mag:.6g} "
-            f"beyond the +-{LOG_GUARD:.0f} guard",
-            cmath.log(acc) + off * _LN2)
-    return complex(math.ldexp(acc.real, off), math.ldexp(acc.imag, off))
+            f"product at z = {complex(flat[i]):.6g} has log-magnitude "
+            f"{log_mag[i]:.6g} beyond the +-{LOG_GUARD:.0f} guard",
+            cmath.log(complex(acc_r[i], acc_i[i])) + int(off[i]) * _LN2)
+    vals = np.zeros(flat.shape, dtype=complex)
+    vals.real[live] = np.ldexp(acc_r[live], off[live])
+    vals.imag[live] = np.ldexp(acc_i[live], off[live])
+    if zs.ndim == 0:
+        return complex(vals[0])
+    return vals.reshape(zs.shape)
 
 
 def fit_prefactor(samples: Iterable[tuple[complex, complex]],
@@ -177,7 +209,7 @@ def fit_prefactor(samples: Iterable[tuple[complex, complex]],
 
     m = 0  # no origin root under the standing normalization
     base = build_product(zero_set, radius, 1.0, m, 0.0)
-    pi_vals = np.array([eval_product(base, complex(x)) for x in xs])
+    pi_vals = eval_product(base, xs)
     if np.any(pi_vals == 0.0) or np.any(targets == 0.0):
         raise ValueError("fit sample sits on a zero of the product or target")
 
@@ -395,25 +427,41 @@ class StabilityTable:
         return "\n".join(lines) + "\n"
 
 
-def stability_experiment(v: Potential, rect: Rectangle,
-                         deltas: Sequence[float], R: float, grid, *,
-                         K: float = 1.0, mode: str = "random-in-disk",
-                         seed: int = 0, scan_tol: float = 1e-9,
-                         fit_points: int = 9) -> StabilityTable:
-    """Reconstruction drift when the zero set of F = Vhat(2z)Vhat(-2z) moves.
+def mirrored_reconstruction(f: Callable, rect: Rectangle, R: float,
+                            tol: float):
+    """(zero set, (c, m, kappa)) of the truncated product of an even f.
 
-    The zero set is scanned on a positive-real rectangle and mirrored to
-    negative real parts through the evenness of F.  Both truncated products
-    carry the prefactor fitted once from real-axis samples of F, so each
-    row isolates the effect of zero displacement.  On the real axis the
-    product values are the reconstructed squared-modulus data, and sup_diff
-    is the sup of their difference over the grid.  Rows that fail keep
-    their slot with the error recorded; the table is ordered by descending
-    delta.
+    Zeros scanned on a positive-real rectangle to tolerance tol are mirrored
+    through evenness; the prefactor at radius R is fitted from FIT_POINTS
+    real-axis samples of f spread over [0.05, 1] * 0.9 min(R, re_max).
     """
     if rect.re_min <= 0.0:
         raise ValueError("scan rectangle must lie at positive real parts; "
                          "the mirrored half comes from evenness")
+    zpos = locate_zeros(f, rect, tol)
+    zeros = ZeroSet.from_pairs(
+        list(zpos) + [(-z, mult) for z, mult in zpos], resolution=0.0)
+    hi = 0.9 * min(R, rect.re_max)
+    fit_xs = np.linspace(0.05 * hi, hi, FIT_POINTS)
+    samples = zip(fit_xs, f(fit_xs.astype(complex)))
+    return zeros, fit_prefactor(samples, zeros, R)
+
+
+def stability_experiment(v: Potential, rect: Rectangle,
+                         deltas: Sequence[float], R: float, grid, *,
+                         K: float = 1.0, mode: str = "random-in-disk",
+                         seed: int = 0, scan_tol: float = 1e-9,
+                         quad_rtol: float = 1e-12) -> StabilityTable:
+    """Reconstruction drift when the zero set of F = Vhat(2z)Vhat(-2z) moves.
+
+    F is evaluated at quadrature tolerance quad_rtol; its zero set and
+    prefactor come from mirrored_reconstruction.  Both truncated products
+    carry that prefactor, so each row isolates the effect of zero
+    displacement.  On the real axis the product values are the
+    reconstructed squared-modulus data, and sup_diff is the sup of their
+    difference over the grid.  Rows that fail keep their slot with the
+    error recorded; the table is ordered by descending delta.
+    """
     grid = np.asarray(grid, dtype=float).ravel()
     if grid.size == 0:
         raise ValueError("empty evaluation grid")
@@ -421,29 +469,17 @@ def stability_experiment(v: Potential, rect: Rectangle,
     if deltas and deltas[-1] < 0.0:
         raise ValueError("deltas must be nonnegative")
 
-    def f(zs):
-        arr = np.asarray(zs, dtype=complex)
-        vals, _ = fourier_pair_many(v, arr.ravel())
-        return vals.reshape(arr.shape)
-
-    zpos = locate_zeros(f, rect, scan_tol)
-    z1 = ZeroSet.from_pairs(
-        list(zpos) + [(-z, mult) for z, mult in zpos], resolution=0.0)
-
-    hi = 0.9 * min(R, rect.re_max)
-    fit_xs = np.linspace(0.05 * hi, hi, fit_points)
-    fit_targets = f(fit_xs.astype(complex))
-    c, m, kappa = fit_prefactor(zip(fit_xs, fit_targets), z1, R)
-
+    z1, (c, m, kappa) = mirrored_reconstruction(pair_function(v, quad_rtol),
+                                                rect, R, scan_tol)
     p1 = build_product(z1, R, c, m, kappa)
-    g1 = np.array([eval_product(p1, complex(x)) for x in grid])
+    g1 = eval_product(p1, grid)
 
     rows = []
     for d in deltas:
         try:
             z2 = perturb_zeros(z1, d, mode, seed)
             p2 = build_product(z2, R, c, m, kappa)
-            g2 = np.array([eval_product(p2, complex(x)) for x in grid])
+            g2 = eval_product(p2, grid)
             sup = float(np.max(np.abs(g1 - g2)))
             nd = count_difference(p1.zeros, p2.zeros, R, K)
             zdist = match_zero_sets(z1, z2).sup_distance

@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .ftransform import fourier_pair_many
+from .ftransform import pair_function
 from .potential import Potential
 from .rootscan import Rectangle, ZeroSet, locate_zeros, match_zero_sets
 
@@ -201,13 +201,7 @@ def froese_compare(v: Potential, rect: Rectangle, tol: float = 1e-9, *,
         nan = float("nan")
         return FroeseComparison(empty, empty, (), nan, nan, nan, nan)
     res = resonances(v, rect, tol, rtol=rtol, atol=atol)
-
-    def f(ks):
-        arr = np.asarray(ks, dtype=complex)
-        vals, _ = fourier_pair_many(v, arr.ravel(), fourier_rtol)
-        return vals.reshape(arr.shape)
-
-    fz = locate_zeros(f, rect, tol)
+    fz = locate_zeros(pair_function(v, fourier_rtol), rect, tol)
     a = res.locations(expand=True)
     b = fz.locations(expand=True)
     n = min(a.size, b.size)

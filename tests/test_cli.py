@@ -1,5 +1,7 @@
 """Config round trips, subcommand runners, and the plot-data emitter."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -211,6 +213,31 @@ def test_scatter_matrix_grid_and_unitarity(tmp_path):
     assert all(float(r[7]) < 1e-8 for r in rows)
 
 
+def test_scatter_matrix_default_grid_records_failed_row(tmp_path):
+    # the default grid starts at k = 0, which scattering_matrix rejects
+    cfg = ExperimentConfig(out_dir=str(tmp_path))
+    assert run_subcommand("scatter-matrix", cfg) == 0
+    lines = (tmp_path / "scatter_matrix.txt").read_text().splitlines()
+    failed = [l for l in lines if l.startswith("# failed:")]
+    assert len(failed) == 1 and failed[0].startswith("# failed: k = 0:")
+    assert len([l for l in lines if not l.startswith("#")]) == 200
+
+
+def test_stability_honors_quad_rtol(tmp_path):
+    # stability and reconstruct scan the same F, so at any quad_rtol they
+    # must write the same zeros
+    cfg = ExperimentConfig(quad_rtol=1e-5, grid_points=21)
+    zero_rows = {}
+    for name in ("reconstruct", "stability"):
+        out = tmp_path / name
+        assert run_subcommand(name, replace(cfg, out_dir=str(out))) == 0
+        text = (out / f"{name}_zeros.txt").read_text()
+        zero_rows[name] = [l for l in text.splitlines()
+                           if not l.startswith("#")]
+    assert zero_rows["reconstruct"]
+    assert zero_rows["stability"] == zero_rows["reconstruct"]
+
+
 def test_unknown_subcommand_name_rejected():
     with pytest.raises(ValueError, match="unknown subcommand"):
         run_subcommand("transmogrify", ExperimentConfig())
@@ -279,13 +306,12 @@ def test_main_runs_and_honors_out_and_seed(tmp_path):
 
 def test_main_pipeline_error_reports_module(tmp_path, capsys):
     path = tmp_path / "c.ini"
-    # k = 0 on the grid makes the transmission coefficient degenerate
-    path.write_text("[grid]\ngrid_start = 0.0\ngrid_stop = 1.0\n"
-                    "grid_points = 3\n")
-    rc = main(["scatter-matrix", "--config", str(path), "--out",
+    # a mirrored reconstruction needs a scan at positive real parts
+    path.write_text("[rectangle]\nre_min = -1.0\n")
+    rc = main(["reconstruct", "--config", str(path), "--out",
                str(tmp_path / "o")])
     assert rc == 1
     err = capsys.readouterr().err
-    assert "scatter-matrix failed" in err
+    assert "reconstruct failed" in err
     assert "module:" in err
-    assert "k = 0" in err
+    assert "positive real parts" in err

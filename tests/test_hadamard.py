@@ -87,14 +87,22 @@ def test_sin_model_value_against_partial_product_oracle():
                                    allow_nan=False, allow_infinity=False),
                 min_size=0, max_size=8),
        st.complex_numbers(max_magnitude=3.0, allow_nan=False,
-                          allow_infinity=False))
-def test_appending_a_zero_multiplies_exactly(zeros, z):
+                          allow_infinity=False),
+       st.lists(st.complex_numbers(max_magnitude=30.0, allow_nan=False,
+                                   allow_infinity=False), max_size=8))
+def test_appending_a_zero_multiplies_exactly(zeros, z, points):
     base = ZeroSet.from_pairs([(w, 1) for w in zeros], resolution=0.0)
     z0 = 9.0 + 1.5j  # strictly largest modulus, so it is the final factor
     ext = ZeroSet.from_pairs(list(base) + [(z0, 1)], resolution=0.0)
-    lhs = eval_product(build_product(ext, 20.0), z)
+    product = build_product(ext, 20.0)
+    lhs = eval_product(product, z)
     rhs = eval_product(build_product(base, 20.0), z) * (1.0 - z / z0)
+    assert type(lhs) is complex
     assert lhs == rhs
+    # an array of points, the zeros included, carries the scalar bits
+    pts = np.array([z, z0, *zeros, *points], dtype=complex)
+    scalar = np.array([eval_product(product, w) for w in pts])
+    assert eval_product(product, pts).tobytes() == scalar.tobytes()
 
 
 def test_eval_rescale_keeps_huge_magnitudes_honest():
