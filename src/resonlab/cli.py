@@ -391,7 +391,7 @@ def _run_scatter_matrix(cfg: ExperimentConfig, out: Path) -> list[Path]:
             sm = scattering_matrix(v, float(k), rtol=cfg.ode_rtol,
                                    atol=cfg.ode_atol)
         except ValueError as exc:  # a rejected momentum keeps its row
-            lines.append(f"# failed: k = {_g(k)}: {exc}")
+            lines.append(f"# failed: {exc}")
             continue
         lines.append(" ".join(_g(x) for x in (
             k, sm.t.real, sm.t.imag, sm.r_right.real, sm.r_right.imag,

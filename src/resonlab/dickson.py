@@ -312,8 +312,8 @@ class CurvilinearCount(NamedTuple):
 
 
 def curvilinear_count(f, g: DicksonGeometry, k: int, j: int, alpha: float,
-                      s: float, H: float, *, alpha_floor: float | None = None,
-                      n_initial: int = 128) -> CurvilinearCount:
+                      s: float, H: float, *,
+                      alpha_floor: float | None = None) -> CurvilinearCount:
     """Zero count of f in the window R_kj(alpha, s, H) along strip (k, j).
 
     The window is a rectangle [-H, H] x [alpha, alpha+s] in the straightened
@@ -332,7 +332,7 @@ def curvilinear_count(f, g: DicksonGeometry, k: int, j: int, alpha: float,
     strip = side.strips[j]
     count = wind_count(
         lambda w: f(_invert_zeta(w, side.e, strip.mu, side.phi)),
-        Rectangle(-H, H, alpha, alpha + s), n_initial=n_initial)
+        Rectangle(-H, H, alpha, alpha + s), n_initial=128)
     if alpha_floor is not None and alpha < alpha_floor:
         return CurvilinearCount(count, None)
     expected = s * strip.delta_omega / (2.0 * math.pi)

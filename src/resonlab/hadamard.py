@@ -50,6 +50,8 @@ REAL_AXIS_RTOL = 1e-9
 CONJ_PAIR_RTOL = 1e-7
 # real-axis samples behind the prefactor fit of a mirrored reconstruction
 FIT_POINTS = 9
+# relative and absolute tolerance of each side of a contour count
+COUNT_TOL = 1e-9
 
 PERTURB_MODES = ("uniform-shift", "random-in-disk")
 
@@ -255,15 +257,15 @@ def _boundary_distance(rect: Rectangle, z: complex) -> float:
                z.imag - rect.im_min, rect.im_max - z.imag)
 
 
-def count_difference(z1: ZeroSet, z2: ZeroSet, R: float, K: float, *,
-                     quad_rtol: float = 1e-9,
-                     quad_atol: float = 1e-9) -> CountDifference:
+def count_difference(z1: ZeroSet, z2: ZeroSet, R: float,
+                     K: float) -> CountDifference:
     """N1(R) - N2(R) over the strip S_R = [0, R] x i[-K, K].
 
     Integrates the difference of the logarithmic derivatives of the two
     truncated products (zeros of modulus < R only) around the strip
     boundary; the shared prefactor drops out of the closed-contour
-    integral.  raw is the contour value over 2 pi i and must land within
+    integral, taken side by side to relative and absolute tolerance
+    COUNT_TOL.  raw is the contour value over 2 pi i and must land within
     1e-6 of an integer.  A zero too close to the contour triggers the
     jitter ladder; if no jittered contour clears every zero, the count is
     refused rather than guessed.
@@ -308,8 +310,8 @@ def count_difference(z1: ZeroSet, z2: ZeroSet, R: float, K: float, *,
         def side(ts, za=za, seg=seg):
             return logdiff(za + np.asarray(ts) * seg) * seg
 
-        val, _ = quad_scalar(side, 0.0, 1.0, atol=quad_atol / 4.0,
-                             rtol=quad_rtol, max_panels=16384)
+        val, _ = quad_scalar(side, 0.0, 1.0, atol=COUNT_TOL / 4.0,
+                             rtol=COUNT_TOL, max_panels=16384)
         total += val
 
     raw = total / (2.0j * np.pi)

@@ -6,6 +6,11 @@ adaptive boundary sampling that refines until every phase step is below
 pi/2; zero sets come from recursive quadrisection of the rectangle guided by
 those winding numbers, with a multiplicity-aware Newton polish and a final
 small-circle winding count as the multiplicity certificate.
+
+The scan settings are module constants: FLOOR_RATIO (a boundary sample below
+it times the sampled maximum is a zero on the boundary), MAX_BOUNDARY_POINTS
+samples per sweep, MAX_DEPTH subdivision levels and MERGE_RESOLUTION (zeros
+closer than it times |z| merge into one multiple zero).
 """
 
 from __future__ import annotations
@@ -28,6 +33,8 @@ JITTER_SCALE = 1e-6
 JITTER_RETRIES = 8
 DENSITY_ESCALATIONS = 6
 MERGE_RESOLUTION = 1e-8
+MAX_DEPTH = 64
+MAX_BOUNDARY_POINTS = 262144
 
 
 class BoundaryZeroError(RuntimeError):
@@ -115,15 +122,13 @@ class Rectangle:
         return path
 
 
-def _winding_along(f: Callable, path: Callable, *, n_initial: int = 64,
-                   floor_ratio: float = FLOOR_RATIO,
-                   max_points: int = 262144):
+def _winding_along(f: Callable, path: Callable, *, n_initial: int = 64):
     """Winding number of f along a closed path, with boundary diagnostics.
 
     Returns (winding, max |f| on the path, min |f| on the path). Raises
-    BoundaryZeroError when the sampled |f| dips below floor_ratio times the
-    sampled maximum, or when refinement cannot bring all phase steps below
-    the pi/2 limit (both indicate a zero on or near the path).
+    BoundaryZeroError when the sampled |f| dips below FLOOR_RATIO times the
+    sampled maximum, or when MAX_BOUNDARY_POINTS samples cannot bring all
+    phase steps below pi/2 (both indicate a zero on or near the path).
     """
     ts = np.linspace(0.0, 1.0, n_initial, endpoint=False)
     fs = np.asarray(f(path(ts)))
@@ -133,10 +138,10 @@ def _winding_along(f: Callable, path: Callable, *, n_initial: int = 64,
         mags = np.abs(fs)
         amax = float(np.max(mags))
         amin = float(np.min(mags))
-        if amax == 0.0 or amin < floor_ratio * amax:
+        if amax == 0.0 or amin < FLOOR_RATIO * amax:
             raise BoundaryZeroError(
                 f"boundary sample magnitude {amin:.3e} below floor "
-                f"({floor_ratio:.1e} * {amax:.3e})")
+                f"({FLOOR_RATIO:.1e} * {amax:.3e})")
         steps = np.angle(np.roll(fs, -1) / fs)
         # Phase aliasing guard: a zero of multiplicity >= 2 (or a tight
         # cluster) close to the path can sweep almost 2*pi between samples
@@ -157,7 +162,7 @@ def _winding_along(f: Callable, path: Callable, *, n_initial: int = 64,
                 raise RootScanError(
                     f"phase sum {total:.6f} is not close to a multiple of 2*pi")
             return int(n), amax, amin
-        if ts.size + int(bad.sum()) > max_points:
+        if ts.size + int(bad.sum()) > MAX_BOUNDARY_POINTS:
             raise BoundaryZeroError(
                 "phase steps not resolvable within the sampling budget "
                 "(zero on or very near the path)")
@@ -170,7 +175,6 @@ def _winding_along(f: Callable, path: Callable, *, n_initial: int = 64,
 
 
 def _rect_winding(f: Callable, rect: Rectangle, *, n_initial: int = 64,
-                  floor_ratio: float = FLOOR_RATIO,
                   jitter_retries: int = JITTER_RETRIES):
     """Winding count over a rectangle with the inflate/deflate jitter policy.
 
@@ -196,12 +200,10 @@ def _rect_winding(f: Callable, rect: Rectangle, *, n_initial: int = 64,
             # takes over.
             path = candidate.boundary_path()
             n_cur = n_initial
-            n, amax, _ = _winding_along(f, path, n_initial=n_cur,
-                                        floor_ratio=floor_ratio)
+            n, amax, _ = _winding_along(f, path, n_initial=n_cur)
             for _ in range(DENSITY_ESCALATIONS):
                 n_cur = 2 * n_cur + 17
-                n2, amax2, _ = _winding_along(f, path, n_initial=n_cur,
-                                              floor_ratio=floor_ratio)
+                n2, amax2, _ = _winding_along(f, path, n_initial=n_cur)
                 if n2 == n:
                     return n, max(amax, amax2)
                 n, amax = n2, amax2
@@ -214,10 +216,13 @@ def _rect_winding(f: Callable, rect: Rectangle, *, n_initial: int = 64,
         f"boundary jitter exhausted after {jitter_retries} retries: {last}")
 
 
-def wind_count(f: Callable, rect: Rectangle, *, n_initial: int = 64,
-               floor_ratio: float = FLOOR_RATIO) -> int:
-    """Number of zeros of f inside the rectangle, counted with multiplicity."""
-    n, _ = _rect_winding(f, rect, n_initial=n_initial, floor_ratio=floor_ratio)
+def wind_count(f: Callable, rect: Rectangle, *, n_initial: int = 64) -> int:
+    """Number of zeros of f inside the rectangle, counted with multiplicity.
+
+    The first sweep takes n_initial samples; FLOOR_RATIO decides a zero on
+    the boundary, which moves the rectangle along the jitter ladder.
+    """
+    n, _ = _rect_winding(f, rect, n_initial=n_initial)
     return n
 
 
@@ -238,60 +243,57 @@ def _newton_polish(f: Callable, z0: complex, multiplicity: int,
     # duplicates that zero and leaves the cell's own zero unclaimed
     accept_pad = 1e-5 * region.diameter
 
-    def fd_step(z):
-        # must stay comparable to the cell: cluster cells can sit many
-        # orders of magnitude below |z|, where 1e-7*|z| samples the
-        # derivative at the wrong scale and Newton stalls
-        return max(1e-7 * abs(z), 1e-4 * region.diameter)
-
-    def polish(z):
-        # one extra full step once the residual target is met, so the
-        # location error is the square of the already-small residual error
-        h = fd_step(z)
+    def newton_step(z):
+        # the finite-difference step must stay comparable to the cell:
+        # cluster cells can sit many orders of magnitude below |z|, where
+        # 1e-7*|z| samples the derivative at the wrong scale and Newton stalls
+        h = max(1e-7 * abs(z), 1e-4 * region.diameter)
         vals = np.asarray(f(np.array([z, z + h, z - h])))
         deriv = (vals[1] - vals[2]) / (2.0 * h)
         if deriv == 0.0 or not np.isfinite(deriv):
-            return z
-        znew = z - complex(multiplicity * vals[0] / deriv)
-        if not np.isfinite(znew) or not region.contains(znew, pad=accept_pad):
-            return z
-        return znew
+            return complex(vals[0]), None
+        return complex(vals[0]), complex(multiplicity * vals[0] / deriv)
 
-    def accept(z):
+    def owns(z):
         # the root must belong to the cell whose winding count it inherits;
         # the small pad covers the boundary jitter band
-        return polish(z) if region.contains(z, pad=accept_pad) else None
+        return region.contains(z, pad=accept_pad)
+
+    def polished(z, step):
+        # one extra full step once the residual target is met, so the
+        # location error is the square of the already-small residual error
+        if step is None:
+            return z
+        znew = z - step
+        return znew if np.isfinite(znew) and owns(znew) else z
 
     z = complex(z0)
     for _ in range(80):
-        h = fd_step(z)
-        vals = np.asarray(f(np.array([z, z + h, z - h])))
-        fz = complex(vals[0])
+        fz, step = newton_step(z)
         if abs(fz) <= target:
-            return accept(z)
-        deriv = (vals[1] - vals[2]) / (2.0 * h)
-        if deriv == 0.0 or not np.isfinite(deriv):
+            return polished(z, step) if owns(z) else None
+        if step is None:
             return None
-        step = multiplicity * fz / deriv
-        z = z - complex(step)
+        z = z - step
         if not region.contains(z, pad=wander_pad):
             return None
         if abs(step) <= 1e-16 * max(1.0, abs(z)):
-            fz = complex(np.asarray(f(np.array([z])))[0])
-            return accept(z) if abs(fz) <= target else None
+            break
+    # a separate one-point call, not the next three-point one: X and F depend
+    # in their last bits on the batch they are evaluated in
     fz = complex(np.asarray(f(np.array([z])))[0])
-    return accept(z) if abs(fz) <= target else None
+    if abs(fz) > target or not owns(z):
+        return None
+    return polished(z, newton_step(z)[1])
 
 
-def _circle_multiplicity(f: Callable, center: complex, radius: float,
-                         floor_ratio: float) -> int:
+def _circle_multiplicity(f: Callable, center: complex, radius: float) -> int:
     def circle(r):
         return lambda ts: center + r * np.exp(2j * math.pi * np.asarray(ts))
 
     for scale in (1.0, 1.7, 0.59, 2.9, 0.34):
         try:
-            n, _, _ = _winding_along(f, circle(radius * scale),
-                                     n_initial=32, floor_ratio=floor_ratio)
+            n, _, _ = _winding_along(f, circle(radius * scale), n_initial=32)
             return n
         except BoundaryZeroError:
             continue
@@ -299,25 +301,20 @@ def _circle_multiplicity(f: Callable, center: complex, radius: float,
         f"could not certify multiplicity near {center:.6g} by circle winding")
 
 
-def locate_zeros(f: Callable, rect: Rectangle, tol: float = 1e-10, *,
-                 resolution: float = MERGE_RESOLUTION,
-                 floor_ratio: float = FLOOR_RATIO,
-                 n_initial: int = 64,
-                 max_depth: int = 64) -> "ZeroSet":
+def locate_zeros(f: Callable, rect: Rectangle, tol: float = 1e-10) -> ZeroSet:
     """All zeros of f in the rectangle as a canonical ZeroSet.
 
     tol is the residual target relative to the local boundary magnitude of f
-    on the isolating cell. Zeros closer together than resolution * |z| merge
-    into one entry with summed multiplicity, so clusters tighter than the
-    resolution are reported as a single multiple zero.
+    on the isolating cell. Zeros closer together than MERGE_RESOLUTION * |z|
+    merge into one entry with summed multiplicity. Subdivision deeper than
+    MAX_DEPTH levels is an error; FLOOR_RATIO acts as in wind_count.
     """
-    total, top_scale = _rect_winding(f, rect, n_initial=n_initial,
-                                     floor_ratio=floor_ratio)
+    total, top_scale = _rect_winding(f, rect)
     scale0 = rect.diameter
     found: list[_Candidate] = []
 
     def cluster_stop(cell: Rectangle) -> bool:
-        return cell.diameter <= max(resolution * abs(cell.center),
+        return cell.diameter <= max(MERGE_RESOLUTION * abs(cell.center),
                                     1e-12 * scale0)
 
     def refine_in(cell: Rectangle, count: int, local_scale: float):
@@ -334,7 +331,7 @@ def locate_zeros(f: Callable, rect: Rectangle, tol: float = 1e-10, *,
     def recurse(cell: Rectangle, count: int, local_scale: float, depth: int):
         if count == 0:
             return
-        if depth > max_depth:
+        if depth > MAX_DEPTH:
             raise RootScanError("subdivision exceeded the depth budget")
         if count == 1 or cluster_stop(cell):
             if refine_in(cell, count, local_scale):
@@ -344,9 +341,7 @@ def locate_zeros(f: Callable, rect: Rectangle, tol: float = 1e-10, *,
             try:
                 results = []
                 for child in children:
-                    n, amax = _rect_winding(f, child, n_initial=n_initial,
-                                            floor_ratio=floor_ratio,
-                                            jitter_retries=0)
+                    n, amax = _rect_winding(f, child, jitter_retries=0)
                     results.append((child, n, amax))
             except BoundaryZeroError:
                 continue
@@ -368,13 +363,13 @@ def locate_zeros(f: Callable, rect: Rectangle, tol: float = 1e-10, *,
         others = [abs(cand.location - w) for j, w in enumerate(locs) if j != i]
         if others:
             r = min(r, 0.45 * min(others)) if min(others) > 0 else r
-        m = _circle_multiplicity(f, cand.location, r, floor_ratio)
+        m = _circle_multiplicity(f, cand.location, r)
         if m <= 0:
             raise RootScanError(
                 f"confirmation circle near {cand.location:.6g} found no zero")
         certified.append((cand.location, m))
 
-    zs = ZeroSet.from_pairs(certified, resolution=resolution)
+    zs = ZeroSet.from_pairs(certified)
     if zs.total_multiplicity() != total:
         raise RootScanError(
             f"located multiplicities sum to {zs.total_multiplicity()} "

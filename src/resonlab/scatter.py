@@ -61,8 +61,10 @@ def _solve_m(v: Potential, ks: np.ndarray, rtol: float, atol: float):
     """Batched m(0), m'(0) for all momenta in ks (flat complex array).
 
     One adaptive solve carries the whole batch; the state is (m, m') stacked
-    over momenta, so the controller holds every momentum to the same
-    tolerance. Integration restarts at interior breakpoints of V to keep the
+    over momenta, and DOP853 controls an RMS norm of the error over that
+    whole state, so one momentum's error can exceed rtol while the batch
+    passes, and each result depends in its last bits on the batch it was
+    solved in. Integration restarts at interior breakpoints of V to keep the
     high-order method on smooth segments.
     """
     nk = ks.size
@@ -133,7 +135,8 @@ def scattering_matrix(v: Potential, k: float, *, rtol: float = DEFAULT_RTOL,
     plus = jost_solve(v, k, rtol=rtol, atol=atol)
     minus = jost_solve(v, -k, rtol=rtol, atol=atol)
     if abs(plus.x_hat) <= POLE_FLOOR * max(1.0, abs(k)):
-        raise ValueError(f"transmission pole proximity: |X({k:g})| = {abs(plus.x_hat):.3e}")
+        raise ValueError(f"k = {k:.15g}: transmission pole proximity, "
+                         f"|X(k)| = {abs(plus.x_hat):.3e}")
     t = 1j * k / plus.x_hat
     r_right = minus.y_hat_minus / plus.x_hat
     l_left = plus.y_hat_minus / plus.x_hat
@@ -142,14 +145,12 @@ def scattering_matrix(v: Potential, k: float, *, rtol: float = DEFAULT_RTOL,
 
 
 def resonances(v: Potential, rect: Rectangle, tol: float = 1e-10, *,
-               rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
-               exclusion: float = EXCLUSION_RADIUS, **scan_kwargs) -> ZeroSet:
+               rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL) -> ZeroSet:
     """Zeros of X over the rectangle, canonically ordered by modulus."""
-    if rect.distance_to(0.0) < exclusion:
-        raise ValueError(f"rectangle comes within {exclusion:g} of k = 0; "
-                         "shift it or lower the exclusion radius")
-    return locate_zeros(xhat_function(v, rtol=rtol, atol=atol), rect, tol,
-                        **scan_kwargs)
+    if rect.distance_to(0.0) < EXCLUSION_RADIUS:
+        raise ValueError(f"rectangle comes within {EXCLUSION_RADIUS:g} of "
+                         "k = 0; shift it")
+    return locate_zeros(xhat_function(v, rtol=rtol, atol=atol), rect, tol)
 
 
 class FroesePair(NamedTuple):

@@ -219,7 +219,8 @@ def test_scatter_matrix_default_grid_records_failed_row(tmp_path):
     assert run_subcommand("scatter-matrix", cfg) == 0
     lines = (tmp_path / "scatter_matrix.txt").read_text().splitlines()
     failed = [l for l in lines if l.startswith("# failed:")]
-    assert len(failed) == 1 and failed[0].startswith("# failed: k = 0:")
+    assert failed == [
+        "# failed: k = 0: the transmission coefficient divides by ik"]
     assert len([l for l in lines if not l.startswith("#")]) == 200
 
 

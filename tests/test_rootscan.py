@@ -146,6 +146,23 @@ def test_locate_cosine_zeros():
     assert_matches(zs, expected, 1e-10)
 
 
+def test_locate_zeros_never_repeats_a_newton_call():
+    # the polish step after an accepted residual reuses the samples the
+    # Newton loop just took instead of evaluating f on them again
+    calls = []
+
+    def f(z):
+        calls.append(np.array(z, copy=True))
+        return np.cos(z)
+
+    rect = Rectangle(0.0, 10.0, -1.0, 1.0)
+    zs = locate_zeros(f, rect)
+    assert zs == locate_zeros(np.cos, rect)
+    newton = [i for i, z in enumerate(calls) if z.size == 3]
+    assert len(newton) >= len(zs)
+    assert [i for i in newton if np.array_equal(calls[i], calls[i - 1])] == []
+
+
 def test_locate_exponential_factor_does_not_disturb():
     f = lambda z: (z * z + 1.0) * np.exp(z)
     zs = locate_zeros(f, Rectangle(-2.0, 2.0, -2.0, 2.0))
