@@ -9,12 +9,13 @@ comparisons, zero scans, truncated products) consumes either Vhat directly or
 the symmetrized product F(z) = Vhat(2z) * Vhat(-2z), which is even and equals
 |Vhat(2z)|^2 on the real axis.
 
-Two evaluation routes are used. Moderate frequencies go straight to adaptive
-Gauss-Kronrod panels pre-split to the oscillation rate. Once |Re z| exceeds
-50/L oscillations' worth (|Re z| >= 50 L), two integrations by parts peel off
-the endpoint contributions analytically and the quadrature only sees the
-second-derivative remainder, scaled down by |z|^2. Both routes report an
-absolute error estimate from the nested-rule differences.
+There is one evaluation route. Each Potential holds the Legendre
+coefficients c_n of V on every piece [m - h, m + h] between its breakpoints,
+and integral_{-1}^{1} P_n(t) exp(-i w t) dt = 2 (-i)^n j_n(w) gives a piece
+as h exp(-i z m) sum_n 2 (-i)^n c_n j_n(z h). rtol fixes how many orders are
+summed. As |P_n| <= 1, the error estimate is the dropped 2 h |c_n| plus a
+roundoff floor _ROUNDOFF integral |V|, both times exp(L max(0, Im z)). Every
+step is elementwise, so a point has the same bits alone and in any batch.
 """
 
 from __future__ import annotations
@@ -23,8 +24,10 @@ import math
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
+from scipy.special import spherical_jn
 
 from .potential import Potential
+# not called here; perfbench/tracing.py hooks this name in this module
 from .quadrature import adaptive_quadrature
 
 __all__ = [
@@ -35,14 +38,14 @@ __all__ = [
 ]
 
 DEFAULT_RTOL = 1e-12
-_OSC_SWITCH = 50.0  # boundary-expansion route beyond |Re z| = 50 * L
-_EXP_CAP = 700.0    # exp() guard; beyond this the scale itself overflows
+_ROUNDOFF = 1e-14       # relative roundoff floor of the Legendre sum
+_SERIES_CUTOFF = 1e-4   # below this |w|, j_n(w) comes from its series
+_EXP_CAP = 700.0        # exp() guard; beyond this the scale itself overflows
 
 
 class FourierEval(NamedTuple):
     value: complex
     abs_error_estimate: float
-    method: str  # "adaptive-quadrature" | "boundary-expansion"
 
 
 class PairEval(NamedTuple):
@@ -58,87 +61,55 @@ class ExpansionResult(NamedTuple):
     order: int
 
 
-def _osc_panels(re_max: float, length: float) -> int:
-    # one initial panel per ~1.5 oscillation periods, capped; refinement
-    # handles the rest adaptively
-    return min(512, max(2, int(re_max * length / (3.0 * math.pi)) + 1))
-
-
-def _direct_batch(v: Potential, zs: np.ndarray, atol: np.ndarray):
-    length = v.support_length
-
-    def integrand(x):
-        return v(x)[None, :] * np.exp(-1j * zs[:, None] * x[None, :])
-
-    return adaptive_quadrature(
-        integrand, 0.0, length, atol=atol,
-        breakpoints=v.breakpoints,
-        min_panels=_osc_panels(float(np.max(np.abs(zs.real))), length))
-
-
-def _boundary_batch(v: Potential, zs: np.ndarray, atol: np.ndarray):
-    # Two integrations by parts against exp(-izx); D = -iz:
-    #   Vhat(z) = (V(L) e^{DL} - V(0))/D - (V'(L) e^{DL} - V'(0))/D^2
-    #             + (1/D^2) * integral V'' e^{Dx} dx
-    length = v.support_length
-    d = -1j * zs
-    edge = np.exp(d * length)
-    v0, vL = v.left_value, v.right_value
-    s0, sL = v.left_slope, v.right_slope
-    boundary = (vL * edge - v0) / d - (sL * edge - s0) / d ** 2
-
-    def integrand(x):
-        return v.derivative(x, 2)[None, :] * np.exp(-1j * zs[:, None] * x[None, :])
-
-    zsq = np.abs(zs) ** 2
-    rem, err = adaptive_quadrature(
-        integrand, 0.0, length, atol=atol * zsq,
-        breakpoints=v.breakpoints,
-        min_panels=_osc_panels(float(np.max(np.abs(zs.real))), length))
-    return boundary + rem / d ** 2, err / zsq
-
-
 def fourier_many(v: Potential, zs, rtol: float = DEFAULT_RTOL):
-    """Vectorized transform evaluation.
+    """Vectorized transform: (values, error_estimates, mask), flat.
 
-    Returns (values, error_estimates, boundary_route_mask) over the flat
-    input. The requested absolute tolerance per point is
-    rtol * exp(L * max(0, Im z)) * integral |V|, the natural scale of the
-    integrand.
+    The fewest orders are summed whose dropped tails sum_{n>=N} |c_n| stay
+    within rtol * integral |V| / L on every piece. The mask is all False;
+    perfbench/tracing.py reads it as the retired boundary-route mask.
     """
     zs = np.asarray(zs, dtype=complex).ravel()
     length = v.support_length
-    mass = max(v.abs_moments[0], 1e-300)
-    grow = np.minimum(length * np.maximum(0.0, zs.imag), _EXP_CAP)
-    atol = rtol * mass * np.exp(grow)
+    edges = np.array((0.0, *v.breakpoints, length))
+    half, mid = 0.5 * np.diff(edges), 0.5 * (edges[:-1] + edges[1:])
+    mags = np.pad(np.abs(v.legendre), ((0, 0), (0, 1)))
+    tails = np.cumsum(mags[:, ::-1], axis=1)[:, ::-1]
+    kept = int(np.count_nonzero(
+        np.any(tails > rtol * v.abs_moments[0] / length, axis=0)))
+    dropped = 2.0 * float(half @ tails[:, kept])
+    rows = 2.0 * v.legendre[:, :kept] * (-1j) ** np.arange(kept)
 
+    # one column per piece; a multiply-add loop over the orders, not `@`,
+    # keeps every point's bits independent of its batch
+    w = zs[:, None] * half[None, :]
+    tiny = np.abs(w) < _SERIES_CUTOFF  # spherical_jn gives nan on subnormals
+    series = np.ones_like(w)           # w^n / (2n+1)!!
+    acc = np.zeros_like(w)
+    for n in range(rows.shape[1]):
+        jn = np.where(tiny, series * (1.0 - w * w / (2.0 * (2 * n + 3))),
+                      spherical_jn(n, w))
+        acc = acc + rows[:, n] * jn
+        series = series * w / (2 * n + 3)
     values = np.zeros(zs.shape, dtype=complex)
-    errors = np.zeros(zs.shape, dtype=float)
-    boundary_mask = np.abs(zs.real) >= _OSC_SWITCH * length
-    if np.any(~boundary_mask):
-        idx = ~boundary_mask
-        values[idx], errors[idx] = _direct_batch(v, zs[idx], atol[idx])
-    if np.any(boundary_mask):
-        idx = boundary_mask
-        values[idx], errors[idx] = _boundary_batch(v, zs[idx], atol[idx])
-    return values, errors, boundary_mask
+    for p in range(half.size):
+        values = values + half[p] * np.exp(-1j * zs * mid[p]) * acc[:, p]
+
+    grow = np.minimum(length * np.maximum(0.0, zs.imag), _EXP_CAP)
+    errors = (dropped + _ROUNDOFF * v.abs_moments[0]) * np.exp(grow)
+    return values, errors, np.zeros(zs.shape, dtype=bool)
 
 
 def fourier(v: Potential, z: complex, rtol: float = DEFAULT_RTOL) -> FourierEval:
-    """Transform at a single point with a Gauss-Kronrod error estimate."""
-    vals, errs, routes = fourier_many(v, [z], rtol)
-    method = "boundary-expansion" if routes[0] else "adaptive-quadrature"
-    return FourierEval(complex(vals[0]), float(errs[0]), method)
+    """Transform at a single point with its truncation error estimate."""
+    vals, errs, _ = fourier_many(v, [z], rtol)
+    return FourierEval(complex(vals[0]), float(errs[0]))
 
 
 def fourier_pair_many(v: Potential, zs, rtol: float = DEFAULT_RTOL):
     """F(z) = Vhat(2z) Vhat(-2z) for a batch, with propagated error estimates."""
     zs = np.asarray(zs, dtype=complex).ravel()
-    stacked = np.concatenate([2.0 * zs, -2.0 * zs])
-    vals, errs, _ = fourier_many(v, stacked, rtol)
-    n = zs.size
-    a, b = vals[:n], vals[n:]
-    ea, eb = errs[:n], errs[n:]
+    vals, errs, _ = fourier_many(v, np.concatenate([2.0 * zs, -2.0 * zs]), rtol)
+    (a, b), (ea, eb) = np.split(vals, 2), np.split(errs, 2)
     return a * b, np.abs(a) * eb + np.abs(b) * ea + ea * eb
 
 

@@ -8,10 +8,11 @@ constructors record whether that normalization holds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
+from numpy.polynomial import legendre as npleg
 from scipy.interpolate import CubicSpline
 
 from .quadrature import adaptive_quadrature
@@ -23,6 +24,7 @@ __all__ = [
 ]
 
 _NORMALIZATION_TOL = 1e-12
+_EPS = float(np.finfo(float).eps)
 
 
 class NormalizationReport(NamedTuple):
@@ -43,7 +45,9 @@ class Potential:
 
     Instances are immutable; the callable core is set once by a constructor
     and the absolute moments (integrals of |V|, |V'|, |V''|) are precomputed
-    for tolerance scaling and expansion remainder bounds.
+    for tolerance scaling and expansion remainder bounds. Row p of
+    ``legendre`` holds the c_n of V(mid + half t) = sum c_n P_n(t) on the
+    p-th piece between the points (0, *breakpoints, L).
     """
 
     support_length: float
@@ -55,6 +59,7 @@ class Potential:
     normalization: NormalizationReport
     breakpoints: tuple = ()
     abs_moments: tuple = (0.0, 0.0, 0.0)
+    legendre: np.ndarray = None
     _core: Callable[[np.ndarray, int], np.ndarray] = field(repr=False, default=None)
 
     def _evaluate(self, x, order: int):
@@ -100,6 +105,25 @@ def _abs_moment(core: Callable, length: float, order: int,
     return float(np.real(val))
 
 
+def _legendre_table(v: Potential, edges: np.ndarray) -> np.ndarray:
+    """Legendre coefficients of V, one zero-padded row per piece.
+
+    Gauss-Legendre node counts double until every row's last four sums sink
+    below their roundoff floor 16 (n + 1) eps max|V|, which then zeroes them.
+    """
+    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
+    for m in (16, 32, 64, 128, 256):
+        t, w = npleg.leggauss(m)
+        vals = v(mid[:, None] + half[:, None] * t)
+        c = (vals * w) @ npleg.legvander(t, m - 1) * (np.arange(m) + 0.5)
+        floor = (16.0 * _EPS * np.max(np.abs(vals), axis=1, keepdims=True)
+                 * np.arange(1, m + 1))
+        if np.all(np.abs(c[:, -4:]) <= floor[:, -4:]):
+            c[np.abs(c) <= floor] = 0.0
+            return c[:, :np.max(np.flatnonzero(c.any(axis=0)), initial=-1) + 1]
+    raise ValueError(f"{m} Legendre terms do not resolve V on every piece")
+
+
 def _build(kind: str, length: float, core: Callable,
            breakpoints: Sequence[float] = ()) -> Potential:
     if not length > 0.0:
@@ -111,12 +135,13 @@ def _build(kind: str, length: float, core: Callable,
     report = NormalizationReport(
         v0, s0,
         abs(v0 - 1.0) <= _NORMALIZATION_TOL and abs(s0) <= _NORMALIZATION_TOL)
-    return Potential(
+    v = Potential(
         support_length=length, kind=kind,
         left_value=v0, left_slope=s0,
         right_value=float(core(np.array([length]), 0)[0]),
         right_slope=float(core(np.array([length]), 1)[0]),
         normalization=report, breakpoints=bp, abs_moments=moments, _core=core)
+    return replace(v, legendre=_legendre_table(v, np.array((0.0, *bp, length))))
 
 
 def make_poly_bump(support_length: float = 1.0) -> Potential:
@@ -184,6 +209,7 @@ def load_table(samples, support_length: float = 1.0) -> Potential:
     Requires at least 4 samples with strictly increasing abscissae inside
     [0, support_length]. The spline extends to the full support interval;
     endpoint data and the normalization report come from the interpolant.
+    Every interior sample is a breakpoint, so each piece is one cubic.
     """
     pts = np.asarray(samples, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -202,8 +228,7 @@ def load_table(samples, support_length: float = 1.0) -> Potential:
     def core(xx, order):
         return spline(xx, nu=order)
 
-    knots = tuple(float(t) for t in x[1:-1]) if len(x) <= 18 else ()
-    return _build("table", L, core, breakpoints=knots)
+    return _build("table", L, core, breakpoints=x[1:-1])
 
 
 def relative_sup_distance(v1: Potential, v2: Potential, grid,

@@ -1,7 +1,7 @@
 """Adaptive Gauss-Kronrod quadrature for batches of complex integrands.
 
 The integrand is sampled once per panel for a whole batch of integrals that
-share the integration variable (e.g. Fourier transforms at many frequencies).
+share the integration variable (one integrand at many parameter values).
 Each panel carries a per-batch-element error estimate given by the difference
 between the embedded 7-point Gauss rule and the 15-point Kronrod rule; the
 worst panel is bisected until every batch element meets its tolerance.
@@ -88,8 +88,8 @@ def adaptive_quadrature(
         Interior points where the integrand loses smoothness; panel edges are
         pinned there.
     min_panels : int
-        Lower bound on the initial uniform panelization. Callers integrating
-        oscillatory kernels set this from the oscillation rate.
+        Lower bound on the initial uniform panelization, for integrands whose
+        features a single panel's samples could miss.
 
     Returns
     -------

@@ -234,9 +234,12 @@ class _Candidate(NamedTuple):
     multiplicity: int
 
 
-def _newton_polish(f: Callable, z0: complex, multiplicity: int,
+def _newton_polish(f: Callable, z0: complex, multiplicity: int, tol: float,
                    target: float, region: Rectangle) -> complex | None:
-    """Multiplicity-aware Newton iteration; None when it fails to settle."""
+    """Multiplicity-aware Newton iteration; None when it fails to settle.
+
+    Accepts once |step| <= tol * max(1, |z|); a stalled run needs |f| <= target.
+    """
     wander_pad = region.diameter
     # strict containment up to the boundary-jitter band: anything looser lets
     # a cell adopt the neighbouring cell's zero through the pad, which both
@@ -251,8 +254,8 @@ def _newton_polish(f: Callable, z0: complex, multiplicity: int,
         vals = np.asarray(f(np.array([z, z + h, z - h])))
         deriv = (vals[1] - vals[2]) / (2.0 * h)
         if deriv == 0.0 or not np.isfinite(deriv):
-            return complex(vals[0]), None
-        return complex(vals[0]), complex(multiplicity * vals[0] / deriv)
+            return None
+        return complex(multiplicity * vals[0] / deriv)
 
     def owns(z):
         # the root must belong to the cell whose winding count it inherits;
@@ -260,8 +263,8 @@ def _newton_polish(f: Callable, z0: complex, multiplicity: int,
         return region.contains(z, pad=accept_pad)
 
     def polished(z, step):
-        # one extra full step once the residual target is met, so the
-        # location error is the square of the already-small residual error
+        # one extra full step once the step is small enough, so the location
+        # error is the square of the already-small step
         if step is None:
             return z
         znew = z - step
@@ -269,22 +272,20 @@ def _newton_polish(f: Callable, z0: complex, multiplicity: int,
 
     z = complex(z0)
     for _ in range(80):
-        fz, step = newton_step(z)
-        if abs(fz) <= target:
-            return polished(z, step) if owns(z) else None
+        step = newton_step(z)
         if step is None:
-            return None
+            break
+        if abs(step) <= tol * max(1.0, abs(z)):
+            return polished(z, step) if owns(z) else None
         z = z - step
         if not region.contains(z, pad=wander_pad):
             return None
-        if abs(step) <= 1e-16 * max(1.0, abs(z)):
-            break
-    # a separate one-point call, not the next three-point one: X and F depend
-    # in their last bits on the batch they are evaluated in
+    # a separate one-point call, not the next three-point one: X depends in
+    # its last bits on the batch it is evaluated in
     fz = complex(np.asarray(f(np.array([z])))[0])
     if abs(fz) > target or not owns(z):
         return None
-    return polished(z, newton_step(z)[1])
+    return polished(z, newton_step(z))
 
 
 def _circle_multiplicity(f: Callable, center: complex, radius: float) -> int:
@@ -304,10 +305,12 @@ def _circle_multiplicity(f: Callable, center: complex, radius: float) -> int:
 def locate_zeros(f: Callable, rect: Rectangle, tol: float = 1e-10) -> ZeroSet:
     """All zeros of f in the rectangle as a canonical ZeroSet.
 
-    tol is the residual target relative to the local boundary magnitude of f
-    on the isolating cell. Zeros closer together than MERGE_RESOLUTION * |z|
-    merge into one entry with summed multiplicity. Subdivision deeper than
-    MAX_DEPTH levels is an error; FLOOR_RATIO acts as in wind_count.
+    tol is the Newton acceptance: a zero is located once its Newton step is
+    at most tol * max(1, |z|), and then takes one more step; a stalled run
+    needs |f| within tol times the boundary maximum of f on its cell. Zeros
+    closer together than MERGE_RESOLUTION * |z| merge into one entry with
+    summed multiplicity. Subdivision deeper than MAX_DEPTH levels is an
+    error; FLOOR_RATIO acts as in wind_count.
     """
     total, top_scale = _rect_winding(f, rect)
     scale0 = rect.diameter
@@ -319,7 +322,7 @@ def locate_zeros(f: Callable, rect: Rectangle, tol: float = 1e-10) -> ZeroSet:
 
     def refine_in(cell: Rectangle, count: int, local_scale: float):
         target = tol * local_scale
-        z = _newton_polish(f, cell.center, count, target, cell)
+        z = _newton_polish(f, cell.center, count, tol, target, cell)
         if z is None and count == 1 and cell.diameter > 1e-12 * scale0:
             return False
         if z is None:

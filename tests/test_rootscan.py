@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
+from resonlab.ftransform import pair_function
+from resonlab.potential import make_poly_bump
 from resonlab.rootscan import (
     BoundaryZeroError, CartwrightStats, Rectangle, RootScanError, ZeroSet,
     _winding_along, cartwright_stats, locate_zeros, match_zero_sets,
@@ -277,3 +279,14 @@ def test_cartwright_stats_off_axis_fraction():
 def test_cartwright_rejects_zero_at_origin():
     with pytest.raises(ValueError):
         cartwright_stats(ZeroSet.from_pairs([(0.0, 1)]), radii=[1.0])
+
+
+def test_tall_window_accepts_newton_on_its_step():
+    # |F| is ~1e-2 near these zeros while the boundary maximum of their cell
+    # is ~7e4, so a residual target relative to the boundary accepted a
+    # point outside the 1e-6 |z| confirmation circle
+    f = pair_function(make_poly_bump(1.0), 1e-12)
+    zs = locate_zeros(f, Rectangle(0.5, 12.5, -12.0, 12.0), 1e-9)
+    assert zs.total_multiplicity() == 6
+    for z in zs.locations():
+        assert abs(f(np.array([z]))[0]) < 1e-9
