@@ -13,7 +13,7 @@ from .hadamard import (
     ProductOverflowError, StabilityRow, StabilityTable, TruncatedProduct,
     build_product, convergence_curve, count_difference, eval_product,
     fit_prefactor, mirrored_reconstruction, perturb_zeros,
-    stability_experiment,
+    stability_experiment, tail_factor,
 )
 from .ftransform import (
     ExpansionResult, FourierEval, PairEval, asymptotic_residual,

@@ -25,11 +25,11 @@ from .dickson import (containment_exceptions, curvilinear_count,
                       dickson_geometry, recommended_H, recommended_alpha0,
                       strip_membership, two_cosine_model)
 from .ftransform import pair_function
-# fit_prefactor is no longer called here; perfbench/tracing.py hooks it by
-# this module's name and fails when the name is missing
+# perfbench/tracing.py hooks eval_product and fit_prefactor by this module's
+# name and fails when a name is missing; fit_prefactor is no longer called
 from .hadamard import (StabilityTable, build_product, convergence_curve,
                        eval_product, fit_prefactor, mirrored_reconstruction,
-                       stability_experiment)
+                       stability_experiment, tail_factor)
 from .potential import (Potential, load_table, make_poly_bump,
                         make_truncated_gaussian)
 from .rootscan import Rectangle, ZeroSet, locate_zeros
@@ -328,18 +328,21 @@ def _run_dickson_check(cfg: ExperimentConfig, out: Path) -> list[Path]:
 
 
 def _run_reconstruct(cfg: ExperimentConfig, out: Path) -> list[Path]:
-    f = pair_function(cfg.potential(), cfg.quad_rtol)
-    z1, prefactor = mirrored_reconstruction(f, cfg.rectangle(), cfg.radius,
-                                            cfg.root_tol)
+    v = cfg.potential()
+    f = pair_function(v, cfg.quad_rtol)
+    z1, prefactor = mirrored_reconstruction(f, cfg.rectangle(), cfg.root_tol)
     c, m, kappa = prefactor
     product = build_product(z1, cfg.radius, c, m, kappa)
 
     grid = cfg.grid()
     targets = f(grid.astype(complex))
-    values = eval_product(product, grid)
+    values = (eval_product(product, grid)
+              * tail_factor(grid, v.support_length, cfg.radius))
     lines = ["# truncated-product reconstruction on the real axis",
              f"# prefactor: c = {_g(c.real)} + {_g(c.imag)}i, m = {m:d}, "
              f"kappa = {_g(kappa)}",
+             f"# tail factor: exp(-2 L x^2 / (pi R)), "
+             f"L = {_g(v.support_length)}",
              f"# truncation radius: {_g(cfg.radius)}; retained zeros: "
              f"{product.zeros.total_multiplicity()}",
              "# columns: x recon_re recon_im target_re target_im abs_err"]

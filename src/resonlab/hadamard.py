@@ -2,12 +2,14 @@
 
 A function of Cartwright class is pinned down by its zeros up to the
 prefactor c z^m e^{i kappa z}; truncating the product at modulus R gives a
-computable reconstruction from finitely many zeros.  This module builds and
-evaluates such products, fits the prefactor from real-axis samples, counts
-zeros of two reconstructions inside a strip by contour-integrating the
-difference of logarithmic derivatives, and runs the end-to-end experiment:
-perturb the zero set by delta and measure how far the reconstructed
-squared-modulus data moves on the real axis.
+computable reconstruction from finitely many zeros.  For the even, order-1
+F(z) = Vhat(2z) Vhat(-2z) that prefactor is known exactly: c = F(0), m = 0,
+kappa = 0.  This module builds and evaluates such products, supplies that
+prefactor and an asymptotic tail factor for the zeros dropped beyond R,
+counts zeros of two reconstructions inside a strip by contour-integrating
+the difference of logarithmic derivatives, and runs the end-to-end
+experiment: perturb the zero set by delta and measure how far the
+reconstructed squared-modulus data moves on the real axis.
 
 Products accumulate factors in modulus-ascending order with exact
 power-of-two rescaling, so appending a largest-modulus zero multiplies the
@@ -19,7 +21,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,6 +36,7 @@ __all__ = [
     "TruncatedProduct", "build_product", "convergence_curve",
     "count_difference", "eval_product", "fit_prefactor",
     "mirrored_reconstruction", "perturb_zeros", "stability_experiment",
+    "tail_factor",
 ]
 
 # exp() is exact garbage past the double range; the guard keeps the log
@@ -48,8 +51,6 @@ _RESCALE = 512
 REAL_AXIS_RTOL = 1e-9
 # conjugate partners are paired up to this relative mismatch
 CONJ_PAIR_RTOL = 1e-7
-# real-axis samples behind the prefactor fit of a mirrored reconstruction
-FIT_POINTS = 9
 # relative and absolute tolerance of each side of a contour count
 COUNT_TOL = 1e-9
 
@@ -188,41 +189,26 @@ def eval_product(p: TruncatedProduct, z):
     return vals.reshape(zs.shape)
 
 
-def fit_prefactor(samples: Iterable[tuple[complex, complex]],
-                  zero_set: ZeroSet, radius: float) -> tuple[complex, int, float]:
-    """(c, m, kappa) from real-axis samples of the target function.
+# perfbench/tracing.py hooks this name here and in cli, and fails when a
+# hooked name is missing
+def fit_prefactor(f: Callable) -> tuple[complex, int, float]:
+    """(c, m, kappa) = (f(0), 0, 0.0), the prefactor of an even order-1 f.
 
-    m is fixed by the zero structure at the origin, which is empty here by
-    the standing normalization (no root at zero).  kappa and c come from a
-    joint least squares of log(target / Pi) against i z, with the sampled
-    phases unwrapped along the axis; sample spacing must keep successive
-    phase steps under pi for the unwrap to be faithful.
+    An even f of order 1 with f(0) != 0 is f(0) prod (1 - z^2/z_n^2) over
+    its zero pairs, so one call of f at the origin gives the prefactor.
     """
-    pts = [(complex(z), complex(t)) for z, t in samples]
-    if len(pts) < 3:
-        raise ValueError("prefactor fit needs at least 3 samples")
-    for z, _ in pts:
-        if abs(z.imag) > REAL_AXIS_RTOL * (1.0 + abs(z)):
-            raise ValueError(f"fit sample {z:.6g} is off the real axis")
-    xs = np.array([z.real for z, _ in pts])
-    targets = np.array([t for _, t in pts])
-    if np.ptp(xs) <= 1e-12 * (1.0 + np.max(np.abs(xs))):
-        raise ValueError("degenerate sample geometry: samples coincide")
+    return complex(f(0.0)), 0, 0.0
 
-    m = 0  # no origin root under the standing normalization
-    base = build_product(zero_set, radius, 1.0, m, 0.0)
-    pi_vals = eval_product(base, xs)
-    if np.any(pi_vals == 0.0) or np.any(targets == 0.0):
-        raise ValueError("fit sample sits on a zero of the product or target")
 
-    order = np.argsort(xs)
-    ratio = targets[order] / pi_vals[order]
-    logs = np.log(np.abs(ratio)) + 1j * np.unwrap(np.angle(ratio))
-    design = np.column_stack([np.ones(xs.size), 1j * xs[order]])
-    coef, *_ = np.linalg.lstsq(design, logs, rcond=None)
-    c = complex(np.exp(coef[0]))
-    kappa = float(coef[1].real)  # imaginary part is modulus drift, not phase
-    return c, m, kappa
+def tail_factor(x, L: float, R: float):
+    """exp(-2 L x^2 / (pi R)), the factors a truncation at R drops.
+
+    The dropped factors of prod (1 - z^2/z_n^2) tend to
+    exp(-z^2 sum_{|z_n| > R} z_n^-2); with Titchmarsh's density of 2L/pi
+    zero pairs per unit length that sum is about 2L/(pi R), for a potential
+    supported on [0, L].  This is an asymptotic correction, not a bound.
+    """
+    return np.exp(-2.0 * L * np.square(x) / (np.pi * R))
 
 
 class ConvergenceCurve(NamedTuple):
@@ -233,7 +219,11 @@ class ConvergenceCurve(NamedTuple):
 
 def convergence_curve(z_full: ZeroSet, prefactor: tuple[complex, int, float],
                       z: complex, radii: Sequence[float]) -> ConvergenceCurve:
-    """Truncated-product values at z across increasing truncation radii."""
+    """Truncated-product values at z across increasing truncation radii.
+
+    The values are pure truncated products, with no tail factor, so the
+    curve shows the truncation itself converging.
+    """
     rs = tuple(float(r) for r in radii)
     if any(b <= a for a, b in zip(rs, rs[1:])):
         raise ValueError("radii must be strictly increasing")
@@ -380,7 +370,10 @@ def perturb_zeros(zero_set: ZeroSet, delta: float,
             else:
                 disp[i] = d if entries[i][0].imag > 0.0 else np.conj(d)
     else:
-        for i in range(n):
+        # right half-plane first, each half in canonical order: a mirrored
+        # set holds z and -conj(z') whose moduli differ only by roundoff,
+        # so canonical order alone would let one ulp swap their draws
+        for i in sorted(range(n), key=lambda i: entries[i][0].real < 0.0):
             if kind[i] == "lower":
                 continue
             if kind[i] == "real":
@@ -429,13 +422,11 @@ class StabilityTable:
         return "\n".join(lines) + "\n"
 
 
-def mirrored_reconstruction(f: Callable, rect: Rectangle, R: float,
-                            tol: float):
-    """(zero set, (c, m, kappa)) of the truncated product of an even f.
+def mirrored_reconstruction(f: Callable, rect: Rectangle, tol: float):
+    """(zero set, (c, m, kappa)) of the Hadamard product of an even f.
 
     Zeros scanned on a positive-real rectangle to tolerance tol are mirrored
-    through evenness; the prefactor at radius R is fitted from FIT_POINTS
-    real-axis samples of f spread over [0.05, 1] * 0.9 min(R, re_max).
+    through evenness; the prefactor is the exact (f(0), 0, 0.0).
     """
     if rect.re_min <= 0.0:
         raise ValueError("scan rectangle must lie at positive real parts; "
@@ -443,10 +434,7 @@ def mirrored_reconstruction(f: Callable, rect: Rectangle, R: float,
     zpos = locate_zeros(f, rect, tol)
     zeros = ZeroSet.from_pairs(
         list(zpos) + [(-z, mult) for z, mult in zpos], resolution=0.0)
-    hi = 0.9 * min(R, rect.re_max)
-    fit_xs = np.linspace(0.05 * hi, hi, FIT_POINTS)
-    samples = zip(fit_xs, f(fit_xs.astype(complex)))
-    return zeros, fit_prefactor(samples, zeros, R)
+    return zeros, fit_prefactor(f)
 
 
 def stability_experiment(v: Potential, rect: Rectangle,
@@ -457,8 +445,9 @@ def stability_experiment(v: Potential, rect: Rectangle,
     """Reconstruction drift when the zero set of F = Vhat(2z)Vhat(-2z) moves.
 
     F is evaluated at quadrature tolerance quad_rtol; its zero set and
-    prefactor come from mirrored_reconstruction.  Both truncated products
-    carry that prefactor, so each row isolates the effect of zero
+    exact prefactor F(0) come from mirrored_reconstruction.  Both truncated
+    products carry that prefactor and the tail factor of the support
+    length, so they approximate F, and each row isolates the effect of zero
     displacement.  On the real axis the product values are the
     reconstructed squared-modulus data, and sup_diff is the sup of their
     difference over the grid.  Rows that fail keep their slot with the
@@ -472,16 +461,17 @@ def stability_experiment(v: Potential, rect: Rectangle,
         raise ValueError("deltas must be nonnegative")
 
     z1, (c, m, kappa) = mirrored_reconstruction(pair_function(v, quad_rtol),
-                                                rect, R, scan_tol)
+                                                rect, scan_tol)
+    tail = tail_factor(grid, v.support_length, R)
     p1 = build_product(z1, R, c, m, kappa)
-    g1 = eval_product(p1, grid)
+    g1 = eval_product(p1, grid) * tail
 
     rows = []
     for d in deltas:
         try:
             z2 = perturb_zeros(z1, d, mode, seed)
             p2 = build_product(z2, R, c, m, kappa)
-            g2 = eval_product(p2, grid)
+            g2 = eval_product(p2, grid) * tail
             sup = float(np.max(np.abs(g1 - g2)))
             nd = count_difference(p1.zeros, p2.zeros, R, K)
             zdist = match_zero_sets(z1, z2).sup_distance

@@ -239,6 +239,22 @@ def test_stability_honors_quad_rtol(tmp_path):
     assert zero_rows["stability"] == zero_rows["reconstruct"]
 
 
+def test_reconstruction_converges_with_the_radius(tmp_path):
+    # sup |P_R(x) - F(x)| / F(0) over the default grid [0, 10], scanning
+    # [0.5, R - 0.5] x i[-5.5, 5.5] on the default poly-bump
+    errs = []
+    for R in (12.5, 25.0, 48.0):
+        out = tmp_path / f"R{R:g}"
+        cfg = ExperimentConfig(re_max=R - 0.5, im_min=-5.5, im_max=5.5,
+                               radius=R, out_dir=str(out))
+        assert run_subcommand("reconstruct", cfg) == 0
+        rows = np.loadtxt(out / "reconstruction.txt")
+        assert rows[0, 0] == 0.0 and rows[-1, 0] == 10.0
+        errs.append(np.max(rows[:, 5]) / rows[0, 3])
+    assert errs[0] > errs[1] > errs[2]
+    assert errs[2] <= 1e-3
+
+
 def test_unknown_subcommand_name_rejected():
     with pytest.raises(ValueError, match="unknown subcommand"):
         run_subcommand("transmogrify", ExperimentConfig())
@@ -303,6 +319,21 @@ def test_main_runs_and_honors_out_and_seed(tmp_path):
     manifest = (out / "manifest.txt").read_text()
     assert "seed = 5" in manifest
     assert (out / "resonances.txt").exists()
+
+
+def test_main_runs_every_pipeline_on_the_default_config(tmp_path):
+    # scatter-matrix has its own default-config test above
+    path = tmp_path / "empty.ini"
+    path.write_text("")
+    for name in ("resonances", "fourier-zeros", "froese", "dickson-check",
+                 "reconstruct", "stability"):
+        out = tmp_path / name
+        assert main([name, "--config", str(path), "--out", str(out)]) == 0
+        manifest = (out / "manifest.txt").read_text()
+        listed = manifest.split("artifacts:\n")[1].split("timing:")[0]
+        written = {p.name for p in out.iterdir()} - {"manifest.txt",
+                                                      "timing.log"}
+        assert written and sorted(listed.split()) == sorted(written)
 
 
 def test_main_pipeline_error_reports_module(tmp_path, capsys):
