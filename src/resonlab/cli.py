@@ -327,6 +327,22 @@ def _run_dickson_check(cfg: ExperimentConfig, out: Path) -> list[Path]:
     return [membership, exc_path, windows]
 
 
+def _convergence_radii(zeros: ZeroSet, R: float) -> list:
+    """Up to four radii, the last R, each retaining strictly more zeros.
+
+    Moduli within 1e-9 relative form one level, since conjugate and mirrored
+    zeros share a modulus. The candidates lie halfway between consecutive
+    levels below R, then R itself; four of them are taken, evenly spaced
+    and always the first and the last.
+    """
+    mods = np.sort(np.abs(zeros.locations()))
+    mods = mods[mods < R]
+    gaps = np.flatnonzero(np.diff(mods) > 1e-9 * mods[1:])
+    radii = np.append(0.5 * (mods[gaps] + mods[gaps + 1]), R)
+    pick = np.linspace(0, radii.size - 1, min(4, radii.size))
+    return [float(r) for r in radii[pick.round().astype(int)]]
+
+
 def _run_reconstruct(cfg: ExperimentConfig, out: Path) -> list[Path]:
     v = cfg.potential()
     f = pair_function(v, cfg.quad_rtol)
@@ -351,10 +367,9 @@ def _run_reconstruct(cfg: ExperimentConfig, out: Path) -> list[Path]:
             x, val.real, val.imag, t.real, t.imag, abs(val - t))))
     recon = _write(out / "reconstruction.txt", "\n".join(lines) + "\n")
 
-    moduli = np.abs(z1.locations(expand=True))
     probe = complex(0.5 * (cfg.grid_start + cfg.grid_stop))
-    radii = [r for r in np.linspace(np.min(moduli) + 0.25, cfg.radius, 4)]
-    curve = convergence_curve(z1, prefactor, probe, radii)
+    curve = convergence_curve(z1, prefactor, probe,
+                              _convergence_radii(z1, cfg.radius))
     conv_lines = [f"# pointwise convergence at z = {_g(probe.real)}",
                   "# columns: radius value_re value_im"]
     for r, val in zip(curve.radii, curve.values):

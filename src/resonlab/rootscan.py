@@ -280,8 +280,8 @@ def _newton_polish(f: Callable, z0: complex, multiplicity: int, tol: float,
         z = z - step
         if not region.contains(z, pad=wander_pad):
             return None
-    # a separate one-point call, not the next three-point one: X depends in
-    # its last bits on the batch it is evaluated in
+    # a separate one-point call, not the next three-point one: a scanned
+    # function may depend in its last bits on the batch it is evaluated in
     fz = complex(np.asarray(f(np.array([z])))[0])
     if abs(fz) > target or not owns(z):
         return None

@@ -255,6 +255,19 @@ def test_reconstruction_converges_with_the_radius(tmp_path):
     assert errs[2] <= 1e-3
 
 
+def test_convergence_rows_each_retain_more_zeros(tmp_path):
+    cfg = ExperimentConfig(out_dir=str(tmp_path))
+    assert run_subcommand("reconstruct", cfg) == 0
+    rows = np.loadtxt(tmp_path / "convergence.txt", ndmin=2)
+    zeros = np.loadtxt(tmp_path / "reconstruct_zeros.txt", ndmin=2)
+    moduli = np.hypot(zeros[:, 0], zeros[:, 1])
+    kept = [int(np.sum(zeros[moduli < r, 2])) for r in rows[:, 0]]
+    assert len(rows) >= 3 and rows[-1, 0] == cfg.radius
+    assert all(a < b for a, b in zip(kept, kept[1:]))
+    values = [tuple(r[1:]) for r in rows]
+    assert len(set(values)) == len(values)
+
+
 def test_unknown_subcommand_name_rejected():
     with pytest.raises(ValueError, match="unknown subcommand"):
         run_subcommand("transmogrify", ExperimentConfig())

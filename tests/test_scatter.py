@@ -7,14 +7,18 @@ gives X(k) explicitly, and the ODE route must reproduce it everywhere in the
 complex plane.
 """
 
+import re
+
 import numpy as np
 import pytest
 
 from resonlab.potential import load_table, make_poly_bump, make_truncated_gaussian
-from resonlab.rootscan import Rectangle, locate_zeros, match_zero_sets, wind_count
+from resonlab.rootscan import (Rectangle, ZeroSet, locate_zeros,
+                               match_zero_sets, wind_count)
 from resonlab.scatter import (
-    EXCLUSION_RADIUS, JostIntegrationError, froese_compare, jost_solve,
-    resonances, scattering_matrix, xhat_function,
+    DEFAULT_ATOL, DEFAULT_RTOL, EXCLUSION_RADIUS, JostIntegrationError,
+    _confirm_on_ode, _jost_many, _magnus_m, _x_and_y, froese_compare,
+    jost_solve, resonances, scattering_matrix, xhat_function,
 )
 
 WELL_DEPTH = 2.0
@@ -158,6 +162,63 @@ def test_extreme_imaginary_momentum_reported():
     # e^{|Im k| L} overruns double range long before the integrator finishes
     with pytest.raises(JostIntegrationError):
         jost_solve(make_poly_bump(), -500j)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_extreme_imaginary_momentum_named_by_the_scanned_x():
+    with pytest.raises(JostIntegrationError,
+                       match=r"k = -?0-500j: .* overflowed on the piece "
+                             r"\[0, 1\] with 4 cells"):
+        xhat_function(make_poly_bump())(-500j)
+
+
+def test_magnus_mesh_cap_names_the_momentum():
+    # a zero target cannot be met, so the doubling runs into its cap
+    with pytest.raises(JostIntegrationError,
+                       match=r"k = 3-1j: .* at 4096 cells per piece"):
+        xhat_function(make_poly_bump(), rtol=0.0, atol=0.0)(np.array([3 - 1j]))
+
+
+def test_xhat_bits_do_not_depend_on_the_batch():
+    # 300 momenta on the froese rectangle reach 64 cells and more, where one
+    # unblocked (cells, momenta) complex array passes numpy's 256 KiB
+    # threshold for reusing temporaries in place
+    f = xhat_function(make_truncated_gaussian(sharp_edge=True))
+    rng = np.random.default_rng(12)
+    ks = rng.uniform(0.5, 72.0, 300) + 1j * rng.uniform(-11.0, -0.05, 300)
+    batch = f(ks)
+    perm = rng.permutation(ks.size)
+    assert np.array_equal(f(ks[perm]), batch[perm])
+    assert np.array_equal(f(ks.reshape(20, 15)), batch.reshape(20, 15))
+    alone = np.array([f(np.array([k]))[0] for k in ks])
+    assert np.array_equal(alone, batch)
+
+
+@pytest.mark.parametrize("rtol", [1e-10, 1e-12])
+def test_magnus_within_its_proxy_of_a_tight_ode_solve(rtol):
+    v = make_truncated_gaussian(sharp_edge=True)
+    rng = np.random.default_rng(9)
+    ks = np.concatenate([
+        rng.uniform(0.5, 72.0, 150) + 1j * rng.uniform(-11.0, -0.05, 150),
+        [72 - 11j, 0.5 - 11j, 72 - 0.05j]])
+    atol = 1e-2 * rtol
+    x_ref, y_ref, _ = _jost_many(v, ks, 1e-13, 1e-15)
+    x_hat, _ = _x_and_y(ks, *_magnus_m(v, ks, rtol, atol))
+    bound = rtol * (np.abs(x_ref) + np.abs(y_ref)) + atol
+    assert np.all(np.abs(x_hat - x_ref) <= bound)
+
+
+def test_confirmation_names_a_moved_resonance():
+    vg = make_truncated_gaussian(sharp_edge=True)
+    zs = resonances(vg, Rectangle(0.5, 6.0, -6.5, -0.05), 1e-8)
+    assert len(zs) > 0
+    _confirm_on_ode(vg, zs, 1e-8, DEFAULT_RTOL, DEFAULT_ATOL)
+    moved = ZeroSet([(z + 1e-3, m) for z, m in zs])
+    first = moved.locations()[0]
+    with pytest.raises(JostIntegrationError,
+                       match=f"resonance {re.escape(f'{first:.10g}')} is not "
+                             "confirmed"):
+        _confirm_on_ode(vg, moved, 1e-8, DEFAULT_RTOL, DEFAULT_ATOL)
 
 
 def test_froese_compare_sharp_gaussian():
