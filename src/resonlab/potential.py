@@ -66,13 +66,17 @@ class Potential:
         if order not in (0, 1, 2):
             raise ValueError("derivatives available up to order 2 only")
         arr = np.asarray(x, dtype=float)
-        scalar = arr.ndim == 0
-        arr = np.atleast_1d(arr)
+        if arr.ndim == 0:
+            # the DOP853 right-hand side asks for one point at a time; the
+            # core sees the same one-element array as under the mask below
+            if 0.0 <= float(arr) <= self.support_length:
+                return float(self._core(arr.reshape(1), order)[0])
+            return 0.0
         out = np.zeros(arr.shape)
         mask = (arr >= 0.0) & (arr <= self.support_length)
         if mask.any():
             out[mask] = self._core(arr[mask], order)
-        return float(out[0]) if scalar else out
+        return out
 
     def __call__(self, x):
         return self._evaluate(x, 0)

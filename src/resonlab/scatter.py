@@ -20,7 +20,8 @@ uniform cells with a closed-form 2x2 exponential (_magnus_m), each momentum
 refining its own mesh, so X(k) has the same bits alone and in any batch.
 jost_solve, scattering_matrix and the confirmation of every located
 resonance use adaptive DOP853 (_solve_m), an independent check on the
-Magnus values at the points that are reported.
+Magnus values at the points that are reported. The scattering matrix takes
+one DOP853 solve per real momentum: V is real, so Y(k) = conj Y(-k).
 """
 
 from __future__ import annotations
@@ -95,7 +96,10 @@ def _solve_m(v: Potential, ks: np.ndarray, rtol: float, atol: float):
         sol = solve_ivp(rhs, (a, b), y, method="DOP853",
                         rtol=rtol, atol=atol, dense_output=False)
         if not sol.success:
-            raise JostIntegrationError(sol.message, float(sol.t[-1]))
+            batch = "" if nk == 1 else f" (first of a batch of {nk})"
+            raise JostIntegrationError(
+                f"k = {complex(ks[0]):.6g}{batch}: {sol.message}",
+                float(sol.t[-1]))
         y = sol.y[:, -1]
     return y[:nk], y[nk:]
 
@@ -250,8 +254,10 @@ def _x_and_y(ks, m0, mp0):
 def _jost_many(v: Potential, ks: np.ndarray, rtol: float, atol: float):
     m0, mp0 = _solve_m(v, ks, rtol, atol)
     x_hat, y_hat_minus = _x_and_y(ks, m0, mp0)
-    if not (np.all(np.isfinite(x_hat)) and np.all(np.isfinite(y_hat_minus))):
-        raise JostIntegrationError("Jost data overflowed", 0.0)
+    bad = ~(np.isfinite(x_hat) & np.isfinite(y_hat_minus))
+    if bad.any():
+        raise JostIntegrationError(
+            f"k = {complex(ks[bad][0]):.6g}: Jost data overflowed", 0.0)
     err = rtol * (np.abs(x_hat) + np.abs(y_hat_minus)) + atol
     return x_hat, y_hat_minus, err
 
@@ -283,21 +289,23 @@ def xhat_function(v: Potential, *, rtol: float = DEFAULT_RTOL,
 
 def scattering_matrix(v: Potential, k: float, *, rtol: float = DEFAULT_RTOL,
                       atol: float = DEFAULT_ATOL) -> ScatteringMatrix:
-    """T, R, L at a real momentum, assembled from solves at k and -k.
+    """T, R, L at a real momentum, from one DOP853 solve at k.
 
-    The solve at k yields X(k) and Y(-k); the solve at -k yields Y(k). The
-    defect | |T|^2 + |R|^2 - 1 | is reported, not asserted.
+    The solve at k yields X(k) and Y(-k). Y(k) is conj Y(-k): V is real, so
+    the ODE at -k is the conjugate of the one at k, and since IEEE +, * and
+    abs commute with conjugation, a solve at -k would take the same steps and
+    return exactly these conjugate bits. The defect | |T|^2 + |R|^2 - 1 | is
+    reported, not asserted.
     """
     k = float(k)
     if k == 0.0:
         raise ValueError("k = 0: the transmission coefficient divides by ik")
     plus = jost_solve(v, k, rtol=rtol, atol=atol)
-    minus = jost_solve(v, -k, rtol=rtol, atol=atol)
     if abs(plus.x_hat) <= POLE_FLOOR * max(1.0, abs(k)):
         raise ValueError(f"k = {k:.15g}: transmission pole proximity, "
                          f"|X(k)| = {abs(plus.x_hat):.3e}")
     t = 1j * k / plus.x_hat
-    r_right = minus.y_hat_minus / plus.x_hat
+    r_right = plus.y_hat_minus.conjugate() / plus.x_hat
     l_left = plus.y_hat_minus / plus.x_hat
     defect = abs(abs(t) ** 2 + abs(r_right) ** 2 - 1.0)
     return ScatteringMatrix(k, t, r_right, l_left, defect)
@@ -326,13 +334,21 @@ def _confirm_on_ode(v: Potential, zs: ZeroSet, tol: float, rtol: float,
     zero passes when its multiplicity-weighted Newton step m X(z) / X'(z),
     with X' the central difference, is at most tol * max(1, |z|), the
     scan's own acceptance test; otherwise JostIntegrationError names it.
+
+    DOP853 accepts a step when the RMS of the scaled error over the whole
+    stacked state is at most 1, so in a batch of N momenta one momentum's
+    share may be sqrt(N) times what a lone solve allows. rtol and atol are
+    divided by sqrt(N), which holds every momentum to the bound it would
+    get alone.
     """
     if len(zs) == 0:
         return
     z = zs.locations()
     mult = np.array([m for _, m in zs], dtype=float)
     h = 1e-7 * np.maximum(1.0, np.abs(z))
-    x_hat, _, _ = _jost_many(v, np.concatenate([z, z + h, z - h]), rtol, atol)
+    ks = np.concatenate([z, z + h, z - h])
+    shrink = np.sqrt(ks.size)
+    x_hat, _, _ = _jost_many(v, ks, rtol / shrink, atol / shrink)
     x0, xp, xm = np.split(x_hat, 3)
     bound = tol * np.maximum(1.0, np.abs(z))
     # |m X / X'| <= bound, multiplied out so that X' = 0 fails unless X = 0

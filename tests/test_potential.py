@@ -175,3 +175,18 @@ def test_endpoint_data_accessors():
     assert v.endpoint_data(0, "left") == v.left_value
     assert v.endpoint_data(1, "right") == v.right_slope
     assert abs(v.endpoint_data(2, "left") + 2.0) < 1e-14  # (4x^2-2)e^{-x^2} at 0
+
+
+def test_scalar_call_matches_the_array_call_bit_for_bit():
+    xs = np.linspace(0.0, 1.0, 17)
+    table = load_table(np.column_stack([xs, np.exp(-xs) * np.cos(4.0 * xs)]), 1.0)
+    for v in (make_poly_bump(1.0), make_truncated_gaussian(1.0, sharp_edge=True),
+              make_truncated_gaussian(1.0, sharp_edge=False), table):
+        L = v.support_length
+        points = np.array([-0.1, 0.0, L / 3.0, *v.breakpoints, L, L + 0.1, np.nan])
+        for order in (0, 1, 2):
+            batch = v.derivative(points, order) if order else v(points)
+            for x, expected in zip(points, batch):
+                got = v.derivative(x, order) if order else v(x)
+                assert type(got) is float
+                assert got.hex() == float(expected).hex()

@@ -12,6 +12,7 @@ import re
 import numpy as np
 import pytest
 
+from resonlab import scatter
 from resonlab.potential import load_table, make_poly_bump, make_truncated_gaussian
 from resonlab.rootscan import (Rectangle, ZeroSet, locate_zeros,
                                match_zero_sets, wind_count)
@@ -80,11 +81,43 @@ def test_k_zero_rejected():
 
 
 def test_conjugation_symmetry_real_k():
+    # V is real and IEEE +, * and abs commute with conjugation, so DOP853
+    # takes the same steps at -k as at k: the Jost data are exact conjugates
     for v in ALL_FAMILIES:
-        for k in (0.7, 3.0, 12.0):
+        for k in (0.05, 0.7, 3.0, 12.0, 20.0):
             plus = jost_solve(v, k)
             minus = jost_solve(v, -k)
-            assert abs(np.conj(plus.x_hat) - minus.x_hat) <= 1e-9 * abs(plus.x_hat)
+            assert minus.x_hat == plus.x_hat.conjugate()
+            assert minus.y_hat_minus == plus.y_hat_minus.conjugate()
+
+
+def test_scattering_matrix_bits_match_the_two_solve_assembly():
+    for v in ALL_FAMILIES:
+        for k in (0.05, 0.7, 3.0, 12.0, 20.0):
+            plus = jost_solve(v, k)
+            minus = jost_solve(v, -k)
+            t = 1j * k / plus.x_hat
+            r_right = minus.y_hat_minus / plus.x_hat
+            sm = scattering_matrix(v, k)
+            assert sm.t == t
+            assert sm.r_right == r_right
+            assert sm.l_left == plus.y_hat_minus / plus.x_hat
+            assert sm.unitarity_defect == abs(abs(t) ** 2 + abs(r_right) ** 2 - 1.0)
+
+
+def test_scattering_matrix_solves_once_per_piece(monkeypatch):
+    solve_ivp = scatter.solve_ivp
+    spans = []
+
+    def counting_solve_ivp(fun, t_span, *args, **kwargs):
+        spans.append(t_span)
+        return solve_ivp(fun, t_span, *args, **kwargs)
+
+    monkeypatch.setattr(scatter, "solve_ivp", counting_solve_ivp)
+    for v in ALL_FAMILIES:
+        spans.clear()
+        scattering_matrix(v, 3.0)
+        assert spans == scatter._pieces(v)
 
 
 def test_square_well_closed_form():
@@ -160,8 +193,12 @@ def test_resonances_stable_under_tolerance_halving():
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_extreme_imaginary_momentum_reported():
     # e^{|Im k| L} overruns double range long before the integrator finishes
-    with pytest.raises(JostIntegrationError):
+    with pytest.raises(JostIntegrationError, match=r"k = -?0-500j: "):
         jost_solve(make_poly_bump(), -500j)
+    with pytest.raises(JostIntegrationError,
+                       match=r"k = 1\+0j \(first of a batch of 2\): "):
+        _jost_many(make_poly_bump(), np.array([1.0, -500j]),
+                   DEFAULT_RTOL, DEFAULT_ATOL)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
