@@ -9,11 +9,10 @@ from .dickson import (
     recommended_H, recommended_alpha0, strip_membership, two_cosine_model,
 )
 from .hadamard import (
-    ContourCountError, ConvergenceCurve, CountDifference,
-    ProductOverflowError, StabilityRow, StabilityTable, TruncatedProduct,
-    build_product, convergence_curve, count_difference, eval_product,
-    fit_prefactor, mirrored_reconstruction, perturb_zeros,
-    stability_experiment, tail_factor,
+    ContourCountError, ConvergenceCurve, ProductOverflowError, StabilityRow,
+    StabilityTable, TruncatedProduct, build_product, convergence_curve,
+    count_difference, eval_product, fit_prefactor, mirrored_reconstruction,
+    perturb_zeros, stability_experiment, tail_factor,
 )
 from .ftransform import (
     ExpansionResult, FourierEval, PairEval, asymptotic_residual,
@@ -24,7 +23,7 @@ from .potential import (
     NormalizationReport, Potential, RelativeDistance,
     make_poly_bump, make_truncated_gaussian, load_table, relative_sup_distance,
 )
-from .quadrature import QuadratureError, adaptive_quadrature, quad_scalar
+from .quadrature import QuadratureError, adaptive_quadrature
 from .rootscan import (
     BoundaryZeroError, CartwrightStats, MatchResult, Rectangle, RootScanError,
     ZeroSet, cartwright_stats, locate_zeros, match_zero_sets, wind_count,

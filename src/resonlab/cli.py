@@ -346,17 +346,17 @@ def _convergence_radii(zeros: ZeroSet, R: float) -> list:
 def _run_reconstruct(cfg: ExperimentConfig, out: Path) -> list[Path]:
     v = cfg.potential()
     f = pair_function(v, cfg.quad_rtol)
-    z1, prefactor = mirrored_reconstruction(f, cfg.rectangle(), cfg.root_tol)
-    c, m, kappa = prefactor
-    product = build_product(z1, cfg.radius, c, m, kappa)
+    z1, c = mirrored_reconstruction(f, cfg.rectangle(), cfg.root_tol)
+    product = build_product(z1, cfg.radius, c)
 
     grid = cfg.grid()
     targets = f(grid.astype(complex))
     values = (eval_product(product, grid)
               * tail_factor(grid, v.support_length, cfg.radius))
+    # m and kappa stay in the header so the file format is unchanged
     lines = ["# truncated-product reconstruction on the real axis",
-             f"# prefactor: c = {_g(c.real)} + {_g(c.imag)}i, m = {m:d}, "
-             f"kappa = {_g(kappa)}",
+             f"# prefactor: c = {_g(c.real)} + {_g(c.imag)}i, m = 0, "
+             "kappa = 0",
              f"# tail factor: exp(-2 L x^2 / (pi R)), "
              f"L = {_g(v.support_length)}",
              f"# truncation radius: {_g(cfg.radius)}; retained zeros: "
@@ -368,7 +368,7 @@ def _run_reconstruct(cfg: ExperimentConfig, out: Path) -> list[Path]:
     recon = _write(out / "reconstruction.txt", "\n".join(lines) + "\n")
 
     probe = complex(0.5 * (cfg.grid_start + cfg.grid_stop))
-    curve = convergence_curve(z1, prefactor, probe,
+    curve = convergence_curve(z1, c, probe,
                               _convergence_radii(z1, cfg.radius))
     conv_lines = [f"# pointwise convergence at z = {_g(probe.real)}",
                   "# columns: radius value_re value_im"]

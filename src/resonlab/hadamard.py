@@ -1,15 +1,13 @@
-"""Truncated Cartwright products and the reconstruction stability experiment.
+"""Truncated Hadamard products and the reconstruction stability experiment.
 
-A function of Cartwright class is pinned down by its zeros up to the
-prefactor c z^m e^{i kappa z}; truncating the product at modulus R gives a
-computable reconstruction from finitely many zeros.  For the even, order-1
-F(z) = Vhat(2z) Vhat(-2z) that prefactor is known exactly: c = F(0), m = 0,
-kappa = 0.  This module builds and evaluates such products, supplies that
-prefactor and an asymptotic tail factor for the zeros dropped beyond R,
-counts zeros of two reconstructions inside a strip by contour-integrating
-the difference of logarithmic derivatives, and runs the end-to-end
-experiment: perturb the zero set by delta and measure how far the
-reconstructed squared-modulus data moves on the real axis.
+The even, order-1 F(z) = Vhat(2z) Vhat(-2z) is F(0) prod (1 - z^2/z_n^2)
+over its zero pairs, so its zeros and F(0) pin it down; truncating the
+product at modulus R gives a computable reconstruction from finitely many
+zeros.  This module builds and evaluates such products, supplies the
+prefactor F(0) and an asymptotic tail factor for the zeros dropped beyond
+R, counts how many zeros of two reconstructions lie inside a strip, and
+runs the end-to-end experiment: perturb the zero set by delta and measure
+how far the reconstructed squared-modulus data moves on the real axis.
 
 Products accumulate factors in modulus-ascending order with exact
 power-of-two rescaling, so appending a largest-modulus zero multiplies the
@@ -27,14 +25,12 @@ import numpy as np
 
 from .ftransform import pair_function
 from .potential import Potential
-from .quadrature import quad_scalar
 from .rootscan import Rectangle, ZeroSet, locate_zeros, match_zero_sets
 
 __all__ = [
-    "ContourCountError", "ConvergenceCurve", "CountDifference",
-    "ProductOverflowError", "StabilityRow", "StabilityTable",
-    "TruncatedProduct", "build_product", "convergence_curve",
-    "count_difference", "eval_product", "fit_prefactor",
+    "ContourCountError", "ConvergenceCurve", "ProductOverflowError",
+    "StabilityRow", "StabilityTable", "TruncatedProduct", "build_product",
+    "convergence_curve", "count_difference", "eval_product", "fit_prefactor",
     "mirrored_reconstruction", "perturb_zeros", "stability_experiment",
     "tail_factor",
 ]
@@ -51,8 +47,6 @@ _RESCALE = 512
 REAL_AXIS_RTOL = 1e-9
 # conjugate partners are paired up to this relative mismatch
 CONJ_PAIR_RTOL = 1e-7
-# relative and absolute tolerance of each side of a contour count
-COUNT_TOL = 1e-9
 
 PERTURB_MODES = ("uniform-shift", "random-in-disk")
 
@@ -60,8 +54,8 @@ PERTURB_MODES = ("uniform-shift", "random-in-disk")
 class ProductOverflowError(RuntimeError):
     """Raised when a product value leaves the double range.
 
-    The scaled result survives in log_value = log c + m log z + i kappa z
-    + sum log(1 - z/z_n), whose real part is the log-magnitude.
+    The scaled result survives in log_value = log c + sum log(1 - z/z_n),
+    whose real part is the log-magnitude.
     """
 
     def __init__(self, message: str, log_value: complex):
@@ -70,46 +64,36 @@ class ProductOverflowError(RuntimeError):
 
 
 class ContourCountError(RuntimeError):
-    """Contour count failed: boundary proximity or a non-integer residue."""
+    """A zero sits on the counting contour and no jitter clears it."""
 
 
 @dataclass(frozen=True)
 class TruncatedProduct:
-    """c z^m e^{i kappa z} prod_{|z_n| < R} (1 - z/z_n)."""
+    """c prod_{|z_n| < R} (1 - z/z_n)."""
 
     c: complex
-    m: int
-    kappa: float
     zeros: ZeroSet
     R: float
 
 
-def build_product(zero_set: ZeroSet, radius: float, c: complex = 1.0,
-                  m: int = 0, kappa: float = 0.0) -> TruncatedProduct:
-    """Truncate a zero set at modulus < radius and attach the prefactor.
+def build_product(zero_set: ZeroSet, radius: float,
+                  c: complex = 1.0) -> TruncatedProduct:
+    """Truncate a zero set at modulus < radius and attach the prefactor c.
 
     The truncation is strictly by modulus, so a radius between two
     consecutive zero moduli retains the same factors regardless of which
-    boundary convention the caller had in mind.  A root at the origin must
-    be encoded through m, never as a listed zero.
+    boundary convention the caller had in mind.  A zero at the origin has
+    no factor 1 - z/z_n and is refused.
     """
     if not radius > 0.0:
         raise ValueError("truncation radius must be positive")
-    m = int(m)
-    if m < 0:
-        raise ValueError("origin root order m must be nonnegative")
     retained = []
     for z, mult in zero_set:
         if z == 0:
-            if m == 0:
-                raise ValueError("zero at the origin with m = 0; "
-                                 "encode origin roots in the prefactor order")
-            raise ValueError("origin root order belongs to the prefactor m, "
-                             "not the zero list")
+            raise ValueError("a zero at the origin has no factor 1 - z/z_n")
         if abs(z) < radius:
             retained.append((z, mult))
-    return TruncatedProduct(complex(c), m, float(kappa),
-                            ZeroSet(retained), float(radius))
+    return TruncatedProduct(complex(c), ZeroSet(retained), float(radius))
 
 
 def _cmul(ar, ai, br, bi):
@@ -134,18 +118,9 @@ def eval_product(p: TruncatedProduct, z):
     zr, zi = flat.real, flat.imag
     locs = p.zeros.locations(expand=True)  # canonical order is modulus-ascending
 
-    # pre-split an extreme exponential seed so exp() itself cannot overflow
-    ik = 1j * p.kappa
-    exr, exi = _cmul(ik.real, ik.imag, zr, zi)
-    off = np.where(np.abs(exr) > 600.0, np.rint(exr / _LN2), 0.0).astype(int)
-    seed = np.empty_like(flat)
-    seed.real, seed.imag = exr - off * _LN2, exi
-    seed = np.exp(seed)
-    c = complex(p.c)
-    acc_r, acc_i = _cmul(seed.real, seed.imag, c.real, c.imag)
-    if p.m:
-        zm = np.array([complex(w) ** p.m for w in flat], dtype=complex)
-        acc_r, acc_i = _cmul(acc_r, acc_i, zm.real, zm.imag)
+    acc_r = np.full(flat.shape, p.c.real)
+    acc_i = np.full(flat.shape, p.c.imag)
+    off = np.zeros(flat.shape, dtype=int)
 
     at_zero = np.zeros(flat.shape, dtype=bool)
     for z_n in locs:
@@ -191,13 +166,13 @@ def eval_product(p: TruncatedProduct, z):
 
 # perfbench/tracing.py hooks this name here and in cli, and fails when a
 # hooked name is missing
-def fit_prefactor(f: Callable) -> tuple[complex, int, float]:
-    """(c, m, kappa) = (f(0), 0, 0.0), the prefactor of an even order-1 f.
+def fit_prefactor(f: Callable) -> complex:
+    """f(0), the prefactor of an even order-1 f.
 
     An even f of order 1 with f(0) != 0 is f(0) prod (1 - z^2/z_n^2) over
     its zero pairs, so one call of f at the origin gives the prefactor.
     """
-    return complex(f(0.0)), 0, 0.0
+    return complex(f(0.0))
 
 
 def tail_factor(x, L: float, R: float):
@@ -217,8 +192,8 @@ class ConvergenceCurve(NamedTuple):
     differences: tuple[complex, ...]
 
 
-def convergence_curve(z_full: ZeroSet, prefactor: tuple[complex, int, float],
-                      z: complex, radii: Sequence[float]) -> ConvergenceCurve:
+def convergence_curve(z_full: ZeroSet, c: complex, z: complex,
+                      radii: Sequence[float]) -> ConvergenceCurve:
     """Truncated-product values at z across increasing truncation radii.
 
     The values are pure truncated products, with no tail factor, so the
@@ -227,16 +202,9 @@ def convergence_curve(z_full: ZeroSet, prefactor: tuple[complex, int, float],
     rs = tuple(float(r) for r in radii)
     if any(b <= a for a, b in zip(rs, rs[1:])):
         raise ValueError("radii must be strictly increasing")
-    c, m, kappa = prefactor
-    values = tuple(eval_product(build_product(z_full, r, c, m, kappa), z)
-                   for r in rs)
+    values = tuple(eval_product(build_product(z_full, r, c), z) for r in rs)
     diffs = tuple(b - a for a, b in zip(values, values[1:]))
     return ConvergenceCurve(rs, values, diffs)
-
-
-class CountDifference(NamedTuple):
-    n_diff: int
-    raw: complex
 
 
 def _boundary_distance(rect: Rectangle, z: complex) -> float:
@@ -247,18 +215,15 @@ def _boundary_distance(rect: Rectangle, z: complex) -> float:
                z.imag - rect.im_min, rect.im_max - z.imag)
 
 
-def count_difference(z1: ZeroSet, z2: ZeroSet, R: float,
-                     K: float) -> CountDifference:
+def count_difference(z1: ZeroSet, z2: ZeroSet, R: float, K: float) -> int:
     """N1(R) - N2(R) over the strip S_R = [0, R] x i[-K, K].
 
-    Integrates the difference of the logarithmic derivatives of the two
-    truncated products (zeros of modulus < R only) around the strip
-    boundary; the shared prefactor drops out of the closed-contour
-    integral, taken side by side to relative and absolute tolerance
-    COUNT_TOL.  raw is the contour value over 2 pi i and must land within
-    1e-6 of an integer.  A zero too close to the contour triggers the
-    jitter ladder; if no jittered contour clears every zero, the count is
-    refused rather than guessed.
+    Counts the zeros of modulus < R of each set inside the strip, with
+    multiplicity, and returns the difference.  For explicit zero lists this
+    is exactly the winding number of the ratio of the two truncated
+    products around the strip boundary.  A zero too close to the boundary
+    triggers the jitter ladder; if no jittered contour clears every zero,
+    the count is refused rather than guessed.
     """
     if not (R > 0.0 and K > 0.0):
         raise ValueError("strip dimensions must be positive")
@@ -270,47 +235,15 @@ def count_difference(z1: ZeroSet, z2: ZeroSet, R: float,
     scale = max(R, K, 1.0)
     prox = 1e-7 * scale
     both = np.concatenate([a1, a2])
-    rect = None
     for pad in (0.0, 2.3e-6 * scale, -2.3e-6 * scale,
                 5.1e-6 * scale, -5.1e-6 * scale):
-        cand = Rectangle(0.0 - pad, R + pad, -K - pad, K + pad)
-        if both.size == 0 or min(_boundary_distance(cand, z)
+        rect = Rectangle(0.0 - pad, R + pad, -K - pad, K + pad)
+        if both.size == 0 or min(_boundary_distance(rect, z)
                                  for z in both) > prox:
-            rect = cand
-            break
-    if rect is None:
-        raise ContourCountError(
-            "a zero sits on the counting contour and jitter could not "
-            "clear it")
-
-    def logdiff(zs: np.ndarray) -> np.ndarray:
-        zs = np.asarray(zs, dtype=complex)
-        out = np.zeros(zs.shape, dtype=complex)
-        if a1.size:
-            out += np.sum(1.0 / (zs[..., None] - a1), axis=-1)
-        if a2.size:
-            out -= np.sum(1.0 / (zs[..., None] - a2), axis=-1)
-        return out
-
-    corners = rect.corners()
-    total = 0.0 + 0.0j
-    for za, zb in zip(corners, np.roll(corners, -1)):
-        seg = zb - za
-
-        def side(ts, za=za, seg=seg):
-            return logdiff(za + np.asarray(ts) * seg) * seg
-
-        val, _ = quad_scalar(side, 0.0, 1.0, atol=COUNT_TOL / 4.0,
-                             rtol=COUNT_TOL, max_panels=16384)
-        total += val
-
-    raw = total / (2.0j * np.pi)
-    n = int(round(raw.real))
-    if abs(raw - n) > 1e-6:
-        raise ContourCountError(
-            f"contour count {raw:.3e} is not within 1e-6 of an integer; "
-            "the integral did not resolve or a zero hugs the contour")
-    return CountDifference(n, complex(raw))
+            return int(sum(map(rect.contains, a1))
+                       - sum(map(rect.contains, a2)))
+    raise ContourCountError(
+        "a zero sits on the counting contour and jitter could not clear it")
 
 
 def _is_real_zero(z: complex) -> bool:
@@ -405,7 +338,7 @@ class StabilityRow:
 class StabilityTable:
     rows: tuple[StabilityRow, ...]
     base_zeros: ZeroSet
-    prefactor: tuple[complex, int, float]
+    prefactor: complex
 
     HEADER = "delta,sup_diff,n_diff,zero_sup_distance,R,K,grid_size"
 
@@ -423,10 +356,10 @@ class StabilityTable:
 
 
 def mirrored_reconstruction(f: Callable, rect: Rectangle, tol: float):
-    """(zero set, (c, m, kappa)) of the Hadamard product of an even f.
+    """(zero set, c) of the Hadamard product of an even f.
 
     Zeros scanned on a positive-real rectangle to tolerance tol are mirrored
-    through evenness; the prefactor is the exact (f(0), 0, 0.0).
+    through evenness; the prefactor c is the exact f(0).
     """
     if rect.re_min <= 0.0:
         raise ValueError("scan rectangle must lie at positive real parts; "
@@ -460,25 +393,25 @@ def stability_experiment(v: Potential, rect: Rectangle,
     if deltas and deltas[-1] < 0.0:
         raise ValueError("deltas must be nonnegative")
 
-    z1, (c, m, kappa) = mirrored_reconstruction(pair_function(v, quad_rtol),
-                                                rect, scan_tol)
+    z1, c = mirrored_reconstruction(pair_function(v, quad_rtol), rect,
+                                    scan_tol)
     tail = tail_factor(grid, v.support_length, R)
-    p1 = build_product(z1, R, c, m, kappa)
+    p1 = build_product(z1, R, c)
     g1 = eval_product(p1, grid) * tail
 
     rows = []
     for d in deltas:
         try:
             z2 = perturb_zeros(z1, d, mode, seed)
-            p2 = build_product(z2, R, c, m, kappa)
+            p2 = build_product(z2, R, c)
             g2 = eval_product(p2, grid) * tail
             sup = float(np.max(np.abs(g1 - g2)))
             nd = count_difference(p1.zeros, p2.zeros, R, K)
             zdist = match_zero_sets(z1, z2).sup_distance
-            rows.append(StabilityRow(d, sup, nd.n_diff, zdist, float(R),
+            rows.append(StabilityRow(d, sup, nd, zdist, float(R),
                                      float(K), grid.size))
         except Exception as exc:  # noqa: BLE001 - rows are isolated by contract
             rows.append(StabilityRow(d, float("nan"), None, float("nan"),
                                      float(R), float(K), grid.size,
                                      error=f"{type(exc).__name__}: {exc}"))
-    return StabilityTable(tuple(rows), z1, (c, m, kappa))
+    return StabilityTable(tuple(rows), z1, c)

@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-__all__ = ["QuadratureError", "adaptive_quadrature", "quad_scalar"]
+__all__ = ["QuadratureError", "adaptive_quadrature"]
 
 # Gauss-Kronrod 7/15 nodes and weights on [-1, 1], ascending order.
 # The odd-index nodes form the embedded 7-point Gauss rule.
@@ -150,8 +150,3 @@ def adaptive_quadrature(
             heapq.heappush(panels, (priority(err), counter, *sub, val, err))
             counter += 1
 
-
-def quad_scalar(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-                *, atol: float = 1e-12, rtol: float = 1e-12, **kwargs):
-    """Convenience wrapper for a single (possibly complex) integral."""
-    return adaptive_quadrature(f, a, b, atol=atol, rtol=rtol, **kwargs)

@@ -194,7 +194,7 @@ def test_acceptance_07_product_convergence():
     zeros = ZeroSet.from_pairs(
         [(float(n), 1) for n in range(1, 211)]
         + [(-float(n), 1) for n in range(1, 211)], resolution=0.0)
-    curve = convergence_curve(zeros, (1.0, 0, 0.0), 0.5,
+    curve = convergence_curve(zeros, 1.0, 0.5,
                               (25.0, 50.0, 100.0, 200.0))
     errs = [abs(val - 2.0 / np.pi) for val in curve.values]
     decreasing = all(b < a for a, b in zip(errs, errs[1:]))
@@ -214,13 +214,20 @@ def test_acceptance_08_contour_count_integrality():
         return ZeroSet.from_pairs([(complex(z), 1) for z in pts],
                                   resolution=0.0)
 
-    worst = 0.0
+    def inside(zs):
+        a = zs.locations(expand=True)
+        return int(np.count_nonzero(
+            (np.abs(a) < R) & (a.real > box.re_min) & (a.real < box.re_max)
+            & (a.imag > box.im_min) & (a.imag < box.im_max)))
+
+    mismatches = 0
     crossings = 0
     for _ in range(50):
         z1 = draw(int(rng.integers(3, 12)))
         z2 = draw(int(rng.integers(3, 12)))
-        cd = count_difference(z1, z2, R, K)
-        worst = max(worst, abs(cd.raw - cd.n_diff))
+        n = count_difference(z1, z2, R, K)
+        if type(n) is not int or n != inside(z1) - inside(z2):
+            mismatches += 1
 
         # shift z1 rigidly by less than its gap to the contour and |z| = R
         locs = z1.locations(expand=True)
@@ -229,11 +236,12 @@ def test_acceptance_08_contour_count_integrality():
         step = 0.4 * gap * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
         z1s = ZeroSet.from_pairs([(complex(z + step), 1) for z in locs],
                                  resolution=0.0)
-        if count_difference(z1, z1s, R, K).n_diff != 0:
+        if count_difference(z1, z1s, R, K) != 0:
             crossings += 1
-    assert _report(8, f"contour counts integer-valued "
-                      f"(max defect {worst:.2e}, {crossings} spurious "
-                      f"crossings)", worst <= 1e-6 and crossings == 0)
+    assert _report(8, f"contour counts exact integers "
+                      f"({mismatches} mismatches against a point count, "
+                      f"{crossings} spurious crossings)",
+                   mismatches == 0 and crossings == 0)
 
 
 def _interior_gap(z, box):

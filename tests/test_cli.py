@@ -1,12 +1,17 @@
 """Config round trips, subcommand runners, and the plot-data emitter."""
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import resonlab
 from resonlab import ZeroSet
 from resonlab.cli import (ExperimentConfig, SUBCOMMANDS, emit_plot_data,
                           main, run_subcommand)
@@ -128,7 +133,7 @@ def test_emit_stability_columns_sorted(tmp_path):
                  for d, s in ((1e-1, 0.3), (1e-2, 0.03), (1e-3, 0.003)))
     rows += (StabilityRow(1.0, float("nan"), None, float("nan"), 5.0, 1.0, 7,
                           error="boom"),)
-    table = StabilityTable(rows, ZeroSet(()), (1.0, 0, 0.0))
+    table = StabilityTable(rows, ZeroSet(()), 1.0 + 0.0j)
     paths = emit_plot_data(table, tmp_path, "st")
     assert [p.name for p in paths] == ["st_delta_sup.dat",
                                        "st_delta_zerodist.dat"]
@@ -142,7 +147,7 @@ def test_emit_all_failed_rows_is_an_error(tmp_path):
     row = StabilityRow(0.1, float("nan"), None, float("nan"), 5.0, 1.0, 7,
                        error="boom")
     with pytest.raises(ValueError, match="nothing to plot"):
-        emit_plot_data(StabilityTable((row,), ZeroSet(()), (1.0, 0, 0.0)),
+        emit_plot_data(StabilityTable((row,), ZeroSet(()), 1.0 + 0.0j),
                        tmp_path)
 
 
@@ -360,3 +365,20 @@ def test_main_pipeline_error_reports_module(tmp_path, capsys):
     assert "reconstruct failed" in err
     assert "module:" in err
     assert "positive real parts" in err
+
+
+def test_python_dash_m_resonlab_runs_a_pipeline(tmp_path):
+    path = tmp_path / "empty.ini"
+    path.write_text("")
+    out = tmp_path / "r"
+    env = dict(os.environ)
+    src = str(Path(resonlab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "resonlab", "reconstruct", "--config",
+         str(path), "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert (out / "reconstruction.txt").stat().st_size > 0

@@ -5,7 +5,7 @@ import sympy
 from resonlab.potential import (
     load_table, make_poly_bump, make_truncated_gaussian, relative_sup_distance,
 )
-from resonlab.quadrature import quad_scalar
+from resonlab.quadrature import adaptive_quadrature
 
 
 def bump_mass_oracle() -> float:
@@ -23,7 +23,8 @@ def test_bump_mass_oracle_is_frozen_value():
 
 def test_bump_mass_by_quadrature():
     v = make_poly_bump(1.0)
-    val, err = quad_scalar(lambda x: v(x), 0.0, 1.0, atol=1e-13, rtol=1e-13)
+    val, err = adaptive_quadrature(lambda x: v(x), 0.0, 1.0, atol=1e-13,
+                                   rtol=1e-13)
     assert abs(val - BUMP_MASS) < 1e-12
     assert abs(v.abs_moments[0] - BUMP_MASS) < 1e-10  # V >= 0 on the support
 
