@@ -380,16 +380,39 @@ def locate_zeros(f: Callable, rect: Rectangle, tol: float = 1e-10) -> ZeroSet:
     return zs
 
 
-def _canonical_key(z: complex):
-    return (abs(z), math.atan2(z.imag, z.real))
+def _canonical_order(entries: list[tuple[complex, int]]):
+    """Modulus order, with near-equal moduli ordered by argument.
+
+    Entries whose moduli lie within MERGE_RESOLUTION * |z| of a group's
+    first modulus form one group, sorted by argument in (-pi, pi]; a zero
+    within that tolerance of the real axis counts as on it. So a zero that
+    moves by roundoff keeps its row, as long as it stays in its group.
+    """
+    entries = sorted(entries, key=lambda e: abs(e[0]))
+    ordered: list[tuple[complex, int]] = []
+    start = 0
+    while start < len(entries):
+        first = abs(entries[start][0])
+        stop = start + 1
+        while (stop < len(entries)
+               and abs(entries[stop][0]) - first <= MERGE_RESOLUTION * first):
+            stop += 1
+        ordered += sorted(entries[start:stop], key=lambda e: math.atan2(
+            0.0 if abs(e[0].imag) <= MERGE_RESOLUTION * abs(e[0])
+            else e[0].imag, e[0].real))
+        start = stop
+    return ordered
 
 
 class ZeroSet:
     """Ordered zero list with multiplicities.
 
-    Entries are sorted by modulus, then by principal argument; constructors
-    merge entries closer than resolution * |z| by summing multiplicities at
-    the multiplicity-weighted mean location.
+    Entries are sorted by modulus; moduli within MERGE_RESOLUTION * |z| of
+    each other count as equal and are sorted by principal argument, so a
+    conjugate pair found as two separate zeros keeps its order when either
+    moves by an ulp. Constructors merge entries closer than
+    resolution * |z| by summing multiplicities at the multiplicity-weighted
+    mean location.
     """
 
     __slots__ = ("entries",)
@@ -401,8 +424,7 @@ class ZeroSet:
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[complex, int]],
                    resolution: float = MERGE_RESOLUTION) -> "ZeroSet":
-        items = sorted(((complex(z), int(m)) for z, m in pairs),
-                       key=lambda e: _canonical_key(e[0]))
+        items = _canonical_order([(complex(z), int(m)) for z, m in pairs])
         merged: list[tuple[complex, int]] = []
         for z, m in items:
             if m <= 0:
@@ -414,8 +436,7 @@ class ZeroSet:
                     merged[-1] = (loc, mp + m)
                     continue
             merged.append((z, m))
-        merged.sort(key=lambda e: _canonical_key(e[0]))
-        return cls(merged)
+        return cls(_canonical_order(merged))
 
     def total_multiplicity(self) -> int:
         return sum(m for _, m in self.entries)

@@ -243,6 +243,25 @@ def test_zeroset_from_text_sorts_unordered_input():
     np.testing.assert_array_equal(zs.locations(), [1.0, 2.0, 3.0])
 
 
+@pytest.mark.parametrize("resolution", [0.0, 1e-8])
+def test_zeroset_rows_survive_roundoff_moves(resolution):
+    # conjugate- and mirror-symmetric, like the zeros of an even F that is
+    # real on the real axis: quadruples, an imaginary pair and a real pair
+    quads = [1.5 + 0.7j, 4.0 + 2.0j, 9.25 + 0.125j, 20.0 + 5.0j]
+    base = [s * w for z in quads for w in (z, np.conj(z)) for s in (1, -1)]
+    base += [3.0j, -3.0j, 7.5, -7.5]
+    ref = ZeroSet.from_pairs([(z, 1) for z in base], resolution).locations()
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        kick = 1.0 + 1e-14 * (rng.standard_normal(len(base))
+                              + 1j * rng.standard_normal(len(base)))
+        moved = ZeroSet.from_pairs(
+            [(z * k, 1) for z, k in zip(base, kick)], resolution).locations()
+        # every moved zero is still in the row of the zero it came from
+        rows = np.argmin(np.abs(moved[:, None] - ref[None, :]), axis=1)
+        np.testing.assert_array_equal(rows, np.arange(len(ref)))
+
+
 def test_match_zero_sets():
     a = ZeroSet.from_pairs([(1.0, 1), (2.0j, 2)])
     b = ZeroSet.from_pairs([(1.0 + 1e-6j, 1), (2.0j + 1e-7, 2)])
