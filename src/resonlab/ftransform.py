@@ -14,8 +14,14 @@ coefficients c_n of V on every piece [m - h, m + h] between its breakpoints,
 and integral_{-1}^{1} P_n(t) exp(-i w t) dt = 2 (-i)^n j_n(w) gives a piece
 as h exp(-i z m) sum_n 2 (-i)^n c_n j_n(z h). rtol fixes how many orders are
 summed. As |P_n| <= 1, the error estimate is the dropped 2 h |c_n| plus a
-roundoff floor _ROUNDOFF integral |V|, both times exp(L max(0, Im z)). Every
-step is elementwise, so a point has the same bits alone and in any batch.
+roundoff floor _ROUNDOFF integral |V|, both times exp(L max(0, Im z)).
+
+All kept orders j_0 ... j_{N-1} come from one three-term recurrence: upward
+from j_0 = sin w / w and j_1 where |w| >= N, and Miller's backward
+recurrence on the ratios j_n / j_{n-1}, from the fixed index 2N + 24, where
+|w| < N; a two-term series replaces both below |w| = _SERIES_CUTOFF. Every
+step is elementwise and the start index depends only on N, so a point has
+the same bits alone and in any batch.
 """
 
 from __future__ import annotations
@@ -24,7 +30,6 @@ import math
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import spherical_jn
 
 from .potential import Potential
 # not called here; perfbench/tracing.py hooks this name in this module
@@ -61,6 +66,54 @@ class ExpansionResult(NamedTuple):
     order: int
 
 
+def _spherical_jn_all(w: np.ndarray, count: int) -> np.ndarray:
+    """j_0(w), ..., j_{count-1}(w) for a complex array w, on a new first axis.
+
+    The recurrence j_{n+1} = (2n+1)/w j_n - j_{n-1} (Abramowitz & Stegun
+    10.1.19) runs upward where |w| >= count. Below that it loses digits
+    upward, so Miller's algorithm runs the ratios r_n = j_n / j_{n-1} down
+    from r = 0 at index 2 count + 24 and chains them from j_0, or from j_1
+    where |j_1| > |j_0|, as j_0 vanishes at w = pi, 2 pi, ... Ratios, not
+    values: a value seeded at 2 count + 24 overflows for small |w|.
+    """
+    out = np.empty((count, *w.shape), dtype=complex)
+    if count == 0:
+        return out
+    tiny = np.abs(w) < _SERIES_CUTOFF  # the recurrences divide by w
+    safe = np.where(tiny, 1.0, w)
+    j0 = np.sin(safe) / safe
+    out[0] = j0
+    if count > 1:
+        j1 = (j0 - np.cos(safe)) / safe
+        small = np.abs(safe) < count
+        big = ~small
+        wb, prev, jn = safe[big], j0[big], j1[big]
+        out[1, big] = jn
+        for n in range(1, count - 1):
+            prev, jn = jn, (2 * n + 1) / wb * jn - prev
+            out[n + 1, big] = jn
+
+        ws = safe[small]
+        r, ratios = np.zeros_like(ws), [None] * count
+        for n in range(2 * count + 23, 0, -1):
+            r = ws / ((2 * n + 1) - ws * r)
+            if n < count:
+                ratios[n] = r
+        j0s, j1s = j0[small], j1[small]
+        jn = np.where(np.abs(j1s) > np.abs(j0s), j1s, j0s * ratios[1])
+        out[1, small] = jn
+        for n in range(2, count):
+            jn = jn * ratios[n]
+            out[n, small] = jn
+    if tiny.any():
+        wt = w[tiny]
+        series = np.ones_like(wt)  # w^n / (2n+1)!!
+        for n in range(count):
+            out[n, tiny] = series * (1.0 - wt * wt / (2.0 * (2 * n + 3)))
+            series = series * wt / (2 * n + 3)
+    return out
+
+
 def fourier_many(v: Potential, zs, rtol: float = DEFAULT_RTOL):
     """Vectorized transform: (values, error_estimates, mask), flat.
 
@@ -82,14 +135,9 @@ def fourier_many(v: Potential, zs, rtol: float = DEFAULT_RTOL):
     # one column per piece; a multiply-add loop over the orders, not `@`,
     # keeps every point's bits independent of its batch
     w = zs[:, None] * half[None, :]
-    tiny = np.abs(w) < _SERIES_CUTOFF  # spherical_jn gives nan on subnormals
-    series = np.ones_like(w)           # w^n / (2n+1)!!
     acc = np.zeros_like(w)
-    for n in range(rows.shape[1]):
-        jn = np.where(tiny, series * (1.0 - w * w / (2.0 * (2 * n + 3))),
-                      spherical_jn(n, w))
+    for n, jn in enumerate(_spherical_jn_all(w, kept)):
         acc = acc + rows[:, n] * jn
-        series = series * w / (2 * n + 3)
     values = np.zeros(zs.shape, dtype=complex)
     for p in range(half.size):
         values = values + half[p] * np.exp(-1j * zs * mid[p]) * acc[:, p]

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
+from scipy.special import spherical_jn
 
 from resonlab.ftransform import (
-    asymptotic_residual, conj_symmetry_residual, erdelyi_expansion, fourier,
-    fourier_many, fourier_pair, fourier_pair_many, indicator_estimate,
-    pair_function,
+    _spherical_jn_all, asymptotic_residual, conj_symmetry_residual,
+    erdelyi_expansion, fourier, fourier_many, fourier_pair, fourier_pair_many,
+    indicator_estimate, pair_function,
 )
 from resonlab.potential import load_table, make_poly_bump, make_truncated_gaussian
 
@@ -127,6 +128,66 @@ def test_pair_function_bits_do_not_depend_on_the_batch():
     shuffled = rng.permutation(300)
     assert np.array_equal(f(zs[shuffled]), batch[shuffled])
     assert np.array_equal(f(zs.reshape(20, 15)).ravel(), batch)
+
+
+def mp_spherical_jn(n, w):
+    """j_n(w) = J_{n+1/2}(w) sqrt(pi / (2w)) at 30 digits.
+
+    The two principal branches disagree in sign across the negative real
+    axis, so Re w < 0 goes through j_n(w) = (-1)^n j_n(-w).
+    """
+    if w.real < 0.0:
+        return (-1) ** n * mp_spherical_jn(n, -w)
+    mpmath.mp.dps = 30
+    w = mpmath.mpc(w)
+    return complex(mpmath.besselj(n + 0.5, w) * mpmath.sqrt(mpmath.pi / (2 * w)))
+
+
+@pytest.mark.parametrize("count", [7, 16])
+def test_spherical_recurrence_matches_mpmath_at_its_edges(count):
+    edge = [count * s * np.exp(1j * phase)
+            for s in (1.0 - 1e-9, 1.0 + 1e-9)  # the upward/Miller switch
+            for phase in (0.0, 0.4, 0.8, 0.5 * math.pi, math.pi)]
+    scaling = [math.pi, 2.0 * math.pi, -math.pi]  # j_0 = 0: chain from j_1
+    denominators = [4.493409457909064, 5.763459196894550]  # j_1, j_2 = 0
+    series = [1e-4 * s * u for s in (1.0 - 1e-6, 1.0 + 1e-6)
+              for u in (1.0, -1.0, 1j, np.exp(0.7j))]
+    negative = [-0.5, -3.0, -9.75, -20.0]
+    strip = [3.0 + 12.0j, 3.0 - 12.0j, -5.0 + 12.0j, 12.0j, -12.0j,
+             15.0 - 12.0j, -25.0 + 12.0j]
+    w = np.array(edge + scaling + denominators + series + negative + strip,
+                 dtype=complex)
+    got = _spherical_jn_all(w.reshape(-1, 1), count)
+    assert got.shape == (count, w.size, 1)
+    for i, wi in enumerate(w):
+        scale = math.exp(abs(wi.imag)) / max(1.0, abs(wi))
+        for n in range(count):
+            gap = abs(got[n, i, 0] - mp_spherical_jn(n, wi))
+            assert gap <= 1e-13 * scale, (n, wi, gap / scale)
+
+
+def test_transform_with_few_or_no_orders():
+    zs = np.array([0.0, 3.0, -17.5, 2.0 + 1.5j, 40.0 - 0.3j])
+    tails = np.cumsum(np.abs(BUMP.legendre[0, ::-1]))[::-1]
+    unit = BUMP.abs_moments[0] / BUMP.support_length
+    # above the whole tail no order is kept; between two tails, exactly kept
+    for kept, rtol in ((0, 2.0 * tails[0] / unit),
+                       (1, math.sqrt(tails[0] * tails[1]) / unit),
+                       (2, math.sqrt(tails[1] * tails[2]) / unit)):
+        vals, errs, mask = fourier_many(BUMP, zs, rtol)
+        w = 0.5 * zs
+        want = 0.5 * np.exp(-0.5j * zs) * sum(
+            2.0 * (-1j) ** n * BUMP.legendre[0, n] * spherical_jn(n, w)
+            for n in range(kept))
+        grow = np.exp(np.maximum(0.0, zs.imag))
+        assert np.all(np.abs(vals - want) <= 1e-14 * grow), kept
+        dropped = 2.0 * 0.5 * tails[kept]
+        np.testing.assert_allclose(
+            errs, (dropped + 1e-14 * BUMP.abs_moments[0]) * grow, rtol=1e-15)
+        assert not mask.any()
+    vals, errs, mask = fourier_many(BUMP, [])
+    assert vals.shape == errs.shape == mask.shape == (0,)
+    assert pair_function(BUMP, 1e-12)(np.zeros((0, 3))).shape == (0, 3)
 
 
 def test_zero_potential_transforms_to_zero():
