@@ -15,13 +15,13 @@ from .hadamard import (
     perturb_zeros, stability_experiment, tail_factor,
 )
 from .ftransform import (
-    ExpansionResult, FourierEval, PairEval, asymptotic_residual,
-    conj_symmetry_residual, erdelyi_expansion, fourier, fourier_many,
-    fourier_pair, fourier_pair_many, indicator_estimate, pair_function,
+    ExpansionResult, asymptotic_residual, conj_symmetry_residual,
+    erdelyi_expansion, fourier_many, fourier_pair_many, indicator_estimate,
+    pair_function,
 )
 from .potential import (
-    NormalizationReport, Potential, RelativeDistance,
-    make_poly_bump, make_truncated_gaussian, load_table, relative_sup_distance,
+    Potential, RelativeDistance, make_poly_bump, make_truncated_gaussian,
+    load_table, relative_sup_distance,
 )
 from .quadrature import QuadratureError, adaptive_quadrature
 from .rootscan import (

@@ -16,7 +16,7 @@ import argparse
 import configparser
 import sys
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -125,7 +125,6 @@ class ExperimentConfig:
             raise ValueError(f"config parse error: {exc}") from exc
 
         known = {section: keys for section, keys in cls._SECTIONS}
-        types = {f.name: f.type for f in fields(cls)}
         kwargs = {}
         for section in parser.sections():
             if section not in known:
@@ -134,15 +133,11 @@ class ExperimentConfig:
                 if key not in known[section]:
                     raise ValueError(
                         f"unknown config key '{key}' in section [{section}]")
+                default = getattr(cls, key)
                 try:
-                    if key == "deltas":
-                        kwargs[key] = tuple(float(t) for t in raw.split())
-                    elif types[key] == "float":
-                        kwargs[key] = float(raw)
-                    elif types[key] == "int":
-                        kwargs[key] = int(raw)
-                    else:
-                        kwargs[key] = raw
+                    kwargs[key] = (tuple(float(t) for t in raw.split())
+                                   if isinstance(default, tuple)
+                                   else type(default)(raw))
                 except ValueError as exc:
                     raise ValueError(
                         f"bad value for [{section}] {key}: {raw!r}") from exc

@@ -79,10 +79,6 @@ class StripData(NamedTuple):
     mu: float               # real slope of the logarithmic strip
     n_tau: int              # tau points on this sub-segment, endpoints included
     delta_omega: float      # |omega_{kj+1} - omega_{kj}|
-    tau_start: complex
-    tau_end: complex
-    omega_start: complex    # conjugated frequencies bounding the sub-segment
-    omega_end: complex
     m_start: int
     m_end: int
 
@@ -101,11 +97,6 @@ class DicksonGeometry:
 
     def strip(self, k: int, j: int) -> StripData:
         return self.sides[k].strips[j]
-
-    def all_strips(self):
-        for k, side in enumerate(self.sides):
-            for j in range(len(side.strips)):
-                yield k, j
 
 
 def _cross(o, a, b) -> float:
@@ -228,10 +219,7 @@ def dickson_geometry(p: ExpPolynomial) -> DicksonGeometry:
                         n_tau += 1
             strips.append(StripData(
                 mu=float(mu.real), n_tau=n_tau,
-                delta_omega=abs(wb - wa),
-                tau_start=ta, tau_end=tb,
-                omega_start=wa, omega_end=wb,
-                m_start=ma, m_end=mb))
+                delta_omega=abs(wb - wa), m_start=ma, m_end=mb))
         sides.append(SideData(phi=phi, e=e, points=points,
                               strips=tuple(strips)))
     return DicksonGeometry(vertices=tuple(hull), sides=tuple(sides))

@@ -36,26 +36,15 @@ from .potential import Potential
 from .quadrature import adaptive_quadrature
 
 __all__ = [
-    "FourierEval", "PairEval", "ExpansionResult",
-    "fourier", "fourier_many", "fourier_pair", "fourier_pair_many",
-    "pair_function", "erdelyi_expansion", "asymptotic_residual",
-    "conj_symmetry_residual", "indicator_estimate",
+    "ExpansionResult", "fourier_many", "fourier_pair_many", "pair_function",
+    "erdelyi_expansion", "asymptotic_residual", "conj_symmetry_residual",
+    "indicator_estimate",
 ]
 
 DEFAULT_RTOL = 1e-12
 _ROUNDOFF = 1e-14       # relative roundoff floor of the Legendre sum
 _SERIES_CUTOFF = 1e-4   # below this |w|, j_n(w) comes from its series
 _EXP_CAP = 700.0        # exp() guard; beyond this the scale itself overflows
-
-
-class FourierEval(NamedTuple):
-    value: complex
-    abs_error_estimate: float
-
-
-class PairEval(NamedTuple):
-    value: complex
-    abs_error_estimate: float
 
 
 class ExpansionResult(NamedTuple):
@@ -147,23 +136,12 @@ def fourier_many(v: Potential, zs, rtol: float = DEFAULT_RTOL):
     return values, errors, np.zeros(zs.shape, dtype=bool)
 
 
-def fourier(v: Potential, z: complex, rtol: float = DEFAULT_RTOL) -> FourierEval:
-    """Transform at a single point with its truncation error estimate."""
-    vals, errs, _ = fourier_many(v, [z], rtol)
-    return FourierEval(complex(vals[0]), float(errs[0]))
-
-
 def fourier_pair_many(v: Potential, zs, rtol: float = DEFAULT_RTOL):
     """F(z) = Vhat(2z) Vhat(-2z) for a batch, with propagated error estimates."""
     zs = np.asarray(zs, dtype=complex).ravel()
     vals, errs, _ = fourier_many(v, np.concatenate([2.0 * zs, -2.0 * zs]), rtol)
     (a, b), (ea, eb) = np.split(vals, 2), np.split(errs, 2)
     return a * b, np.abs(a) * eb + np.abs(b) * ea + ea * eb
-
-
-def fourier_pair(v: Potential, z: complex, rtol: float = DEFAULT_RTOL) -> PairEval:
-    vals, errs = fourier_pair_many(v, [z], rtol)
-    return PairEval(complex(vals[0]), float(errs[0]))
 
 
 def pair_function(v: Potential, rtol: float) -> Callable:
@@ -209,8 +187,7 @@ def asymptotic_residual(v: Potential, z: float, rtol: float = DEFAULT_RTOL) -> f
     z = float(z)
     if abs(z) < 1.0:
         raise ValueError("asymptotic residual defined for |z| >= 1")
-    f = fourier_pair(v, z, rtol)
-    return abs(4.0 * z * z * f.value - 1.0)
+    return abs(4.0 * z * z * fourier_pair_many(v, [z], rtol)[0][0] - 1.0)
 
 
 def conj_symmetry_residual(v: Potential, k: float, rtol: float = DEFAULT_RTOL) -> float:

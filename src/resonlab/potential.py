@@ -1,9 +1,8 @@
 """Compactly supported potentials on [0, L].
 
-Every potential evaluates to zero outside its support interval and carries
-its endpoint values and slopes, which feed the oscillatory-integral endpoint
-expansions. The reference family is normalized so that V(0) = 1, V'(0) = 0;
-constructors record whether that normalization holds.
+Every potential evaluates to zero outside its support interval. The
+reference family is normalized so that V(0) = 1, V'(0) = 0, and
+Potential.unit_normalized says whether that normalization holds.
 """
 
 from __future__ import annotations
@@ -18,19 +17,13 @@ from scipy.interpolate import CubicSpline
 from .quadrature import adaptive_quadrature
 
 __all__ = [
-    "NormalizationReport", "Potential", "RelativeDistance",
+    "Potential", "RelativeDistance",
     "make_poly_bump", "make_truncated_gaussian", "load_table",
     "relative_sup_distance",
 ]
 
 _NORMALIZATION_TOL = 1e-12
 _EPS = float(np.finfo(float).eps)
-
-
-class NormalizationReport(NamedTuple):
-    value_at_zero: float
-    slope_at_zero: float
-    normalized: bool
 
 
 class RelativeDistance(NamedTuple):
@@ -52,11 +45,6 @@ class Potential:
 
     support_length: float
     kind: str
-    left_value: float
-    left_slope: float
-    right_value: float
-    right_slope: float
-    normalization: NormalizationReport
     breakpoints: tuple = ()
     abs_moments: tuple = (0.0, 0.0, 0.0)
     legendre: np.ndarray = None
@@ -86,15 +74,17 @@ class Potential:
 
     @property
     def unit_normalized(self) -> bool:
-        return self.normalization.normalized
+        """V(0) = 1 and V'(0) = 0 to within _NORMALIZATION_TOL."""
+        return (abs(self.endpoint_data(0, "left") - 1.0) <= _NORMALIZATION_TOL
+                and abs(self.endpoint_data(1, "left")) <= _NORMALIZATION_TOL)
 
     def endpoint_data(self, order: int, side: str) -> float:
         """Value of V^(order) at the support edge, taken from inside."""
+        if order not in (0, 1, 2):
+            raise ValueError("derivatives available up to order 2 only")
+        if side not in ("left", "right"):
+            raise ValueError(f"side must be 'left' or 'right', not {side!r}")
         edge = 0.0 if side == "left" else self.support_length
-        if order == 0:
-            return self.left_value if side == "left" else self.right_value
-        if order == 1:
-            return self.left_slope if side == "left" else self.right_slope
         return float(self._core(np.array([edge]), order)[0])
 
 
@@ -134,17 +124,8 @@ def _build(kind: str, length: float, core: Callable,
         raise ValueError("support length must be positive")
     bp = tuple(float(t) for t in breakpoints)
     moments = tuple(_abs_moment(core, length, n, bp) for n in range(3))
-    v0 = float(core(np.array([0.0]), 0)[0])
-    s0 = float(core(np.array([0.0]), 1)[0])
-    report = NormalizationReport(
-        v0, s0,
-        abs(v0 - 1.0) <= _NORMALIZATION_TOL and abs(s0) <= _NORMALIZATION_TOL)
-    v = Potential(
-        support_length=length, kind=kind,
-        left_value=v0, left_slope=s0,
-        right_value=float(core(np.array([length]), 0)[0]),
-        right_slope=float(core(np.array([length]), 1)[0]),
-        normalization=report, breakpoints=bp, abs_moments=moments, _core=core)
+    v = Potential(support_length=length, kind=kind, breakpoints=bp,
+                  abs_moments=moments, _core=core)
     return replace(v, legendre=_legendre_table(v, np.array((0.0, *bp, length))))
 
 
@@ -212,7 +193,7 @@ def load_table(samples, support_length: float = 1.0) -> Potential:
 
     Requires at least 4 samples with strictly increasing abscissae inside
     [0, support_length]. The spline extends to the full support interval;
-    endpoint data and the normalization report come from the interpolant.
+    endpoint data and the normalization come from the interpolant.
     Every interior sample is a breakpoint, so each piece is one cubic.
     """
     pts = np.asarray(samples, dtype=float)

@@ -274,15 +274,14 @@ def jost_solve(v: Potential, k: complex, *, rtol: float = DEFAULT_RTOL,
 
 def xhat_function(v: Potential, *, rtol: float = DEFAULT_RTOL,
                   atol: float = DEFAULT_ATOL) -> Callable:
-    """Vectorized k -> X(k), shaped for the rectangle-scan machinery."""
+    """Vectorized k -> X(k) for the rectangle scans, shape in = shape out."""
 
     def f(ks):
         arr = np.asarray(ks, dtype=complex)
         if arr.size == 0:
             return np.zeros(arr.shape, dtype=complex)
         ks = arr.ravel()
-        x_hat = _x_and_y(ks, *_magnus_m(v, ks, rtol, atol))[0].reshape(arr.shape)
-        return complex(x_hat) if arr.ndim == 0 else x_hat
+        return _x_and_y(ks, *_magnus_m(v, ks, rtol, atol))[0].reshape(arr.shape)
 
     return f
 
@@ -414,14 +413,12 @@ def froese_compare(v: Potential, rect: Rectangle, tol: float = 1e-9, *,
     a = res.locations(expand=True)
     b = fz.locations(expand=True)
     n = min(a.size, b.size)
-    pairs = ()
-    if n > 0:
-        trimmed_a = ZeroSet.from_pairs([(z, 1) for z in a[:n]], resolution=0.0)
-        trimmed_b = ZeroSet.from_pairs([(z, 1) for z in b[:n]], resolution=0.0)
-        matched = match_zero_sets(trimmed_a, trimmed_b)
-        ordered = sorted(matched.pairs, key=lambda p: (abs(p[0]), np.angle(p[0])))
-        pairs = tuple(FroesePair(s, z, abs(s - z), abs(s - z) / abs(s))
-                      for s, z in ordered)
+    # the assignment returns its rows in order, so the pairs follow the
+    # canonical order of the resonances
+    matched = match_zero_sets(ZeroSet((z, 1) for z in a[:n]),
+                              ZeroSet((z, 1) for z in b[:n]))
+    pairs = tuple(FroesePair(s, z, abs(s - z), abs(s - z) / abs(s))
+                  for s, z in matched.pairs)
     first, last = _thirds_medians([p.distance for p in pairs], n)
     rel_first, rel_last = _thirds_medians([p.relative for p in pairs], n)
     return FroeseComparison(res, fz, pairs, first, last, rel_first, rel_last)

@@ -71,7 +71,7 @@ def test_bump_derivatives_match_finite_differences():
 
 def test_gaussian_sharp_edge():
     v = make_truncated_gaussian(1.0, sharp_edge=True)
-    assert abs(v.right_value - np.exp(-1.0)) < 1e-15
+    assert abs(v.endpoint_data(0, "right") - np.exp(-1.0)) < 1e-15
     assert abs(v(1.0) - np.exp(-1.0)) < 1e-15
     assert v(1.0 + 1e-12) == 0.0
     assert v.unit_normalized
@@ -80,8 +80,8 @@ def test_gaussian_sharp_edge():
 
 def test_gaussian_smooth_edge_is_c2():
     v = make_truncated_gaussian(1.0, sharp_edge=False)
-    assert v.right_value == 0.0
-    assert v.right_slope == 0.0
+    assert v.endpoint_data(0, "right") == 0.0
+    assert v.endpoint_data(1, "right") == 0.0
     assert abs(v.derivative(1.0, 2)) < 1e-12
     # untouched inner half
     assert abs(v(0.4) - np.exp(-0.16)) < 1e-15
@@ -137,10 +137,10 @@ def test_table_zero_potential():
 def test_table_normalization_report():
     xs = np.linspace(0.0, 1.0, 33)
     v = load_table(np.column_stack([xs, np.exp(-xs * xs)]), 1.0)
-    rep = v.normalization
-    assert abs(rep.value_at_zero - 1.0) < 1e-12
+    assert abs(v.endpoint_data(0, "left") - 1.0) < 1e-12
     # not-a-knot slope at 0 is only approximately 0 for sampled data
-    assert abs(rep.slope_at_zero) < 1e-4
+    assert abs(v.endpoint_data(1, "left")) < 1e-4
+    assert not v.unit_normalized
 
 
 def test_relative_sup_distance_identity():
@@ -173,9 +173,21 @@ def test_relative_sup_distance_errors():
 
 def test_endpoint_data_accessors():
     v = make_truncated_gaussian(1.0, sharp_edge=True)
-    assert v.endpoint_data(0, "left") == v.left_value
-    assert v.endpoint_data(1, "right") == v.right_slope
+    assert v.endpoint_data(0, "left") == 1.0
     assert abs(v.endpoint_data(2, "left") + 2.0) < 1e-14  # (4x^2-2)e^{-x^2} at 0
+    for side, edge in (("left", 0.0), ("right", 1.0)):
+        for order in (0, 1, 2):
+            assert v.endpoint_data(order, side) == v.derivative(edge, order)
+
+
+def test_endpoint_data_rejects_unknown_orders_and_sides():
+    v = make_truncated_gaussian(1.0, sharp_edge=True)
+    for order in (-1, 3):
+        with pytest.raises(ValueError, match="up to order 2"):
+            v.endpoint_data(order, "left")
+    for side in ("lft", "Right", ""):
+        with pytest.raises(ValueError, match="'left' or 'right'"):
+            v.endpoint_data(0, side)
 
 
 def test_scalar_call_matches_the_array_call_bit_for_bit():

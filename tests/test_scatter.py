@@ -231,6 +231,16 @@ def test_xhat_bits_do_not_depend_on_the_batch():
     assert np.array_equal(alone, batch)
 
 
+def test_xhat_zero_dim_input_gives_a_zero_dim_array_with_the_batch_bits():
+    f = xhat_function(make_poly_bump())
+    ks = np.array([3.0 - 1.0j, 7.5 - 0.4j, 1.2 - 2.0j])
+    batch = f(ks)
+    for k, expected in zip(ks, batch):
+        got = f(k)
+        assert isinstance(got, np.ndarray) and got.shape == ()
+        assert got.tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("rtol", [1e-10, 1e-12])
 def test_magnus_within_its_proxy_of_a_tight_ode_solve(rtol):
     v = make_truncated_gaussian(sharp_edge=True)
@@ -275,6 +285,21 @@ def test_froese_compare_sharp_gaussian():
     assert all(abs(p.fourier_zero.imag + 0.5) < 0.05 for p in cmp.pairs)
     assert cmp.median_last_third > cmp.median_first_third
     assert cmp.relative_median_last_third < cmp.relative_median_first_third
+
+
+def test_froese_pairs_follow_the_canonical_resonance_order(monkeypatch):
+    # the first two moduli tie to within MERGE_RESOLUTION, so the canonical
+    # order puts the smaller argument first although its modulus is larger
+    res = ZeroSet.from_pairs([(5.0 * np.exp(-0.4j) * (1.0 + 1e-13), 1),
+                              (5.0 * np.exp(-0.2j), 1), (8.0 - 1.0j, 1)])
+    locs = res.locations()
+    assert abs(locs[0]) > abs(locs[1])
+    near = ZeroSet.from_pairs([(z + 0.01, 1) for z in locs])
+    monkeypatch.setattr(scatter, "resonances", lambda *a, **k: res)
+    monkeypatch.setattr(scatter, "locate_zeros", lambda *a, **k: near)
+    cmp = froese_compare(make_poly_bump(), Rectangle(0.5, 9.0, -2.0, -0.05))
+    assert [p.resonance for p in cmp.pairs] == list(locs)
+    assert [p.fourier_zero for p in cmp.pairs] == list(locs + 0.01)
 
 
 def test_froese_compare_zero_potential():
