@@ -41,6 +41,29 @@ def test_transform_at_zero_is_mass():
     assert abs(vals[0] - 16.0 / 35.0) < 1e-12
 
 
+def test_transform_matches_oracle_direct_route():
+    zs = [3.0, -17.5, 2.0 + 1.5j, -8.0 - 2.0j, 40.0 + 0.3j]
+    vals, errs, _ = fourier_many(BUMP, zs)
+    for z, val, err in zip(zs, vals, errs):
+        ref = mp_transform(bump_profile, z)
+        assert abs(val - ref) <= max(5.0 * err, 1e-13)
+
+
+def test_transform_matches_oracle_boundary_route():
+    zs = [80.0, -120.0, 200.0 + 1.0j]
+    vals, errs, _ = fourier_many(GAUSS_SHARP, zs)
+    for z, val, err in zip(zs, vals, errs):
+        ref = mp_transform(gauss_profile, z)
+        assert abs(val - ref) <= max(10.0 * err, 1e-12)
+
+
+def test_routes_agree_near_switch():
+    # z just past |Re z| = 50 L, where two quadrature routes once met
+    va, ea, _ = fourier_many(BUMP, [55.0 + 0.5j])
+    ref = mp_transform(bump_profile, 55.0 + 0.5j)
+    assert abs(va[0] - ref) <= max(10.0 * ea[0], 1e-13)
+
+
 def smooth_gauss_profile(t):
     if t <= 0.5:
         return mpmath.exp(-t * t)
