@@ -33,8 +33,6 @@ from .scatter import (
     ScatteringMatrix, froese_compare, jost_solve, resonances,
     scattering_matrix, xhat_function,
 )
-from .cli import (
-    SUBCOMMANDS, ExperimentConfig, emit_plot_data, run_subcommand,
-)
+from .cli import SUBCOMMANDS, ExperimentConfig, run_subcommand
 
 __version__ = "0.1.0"

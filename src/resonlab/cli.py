@@ -4,10 +4,13 @@ Every pipeline is a subcommand over the same flat INI config:
 
     resonlab <subcommand> --config <path> [--out <dir>] [--seed <int>]
 
-Artifacts are plain columnar text with 15 significant digits plus a run
-manifest echoing the config and library versions.  Wall time lives in a
-separate timing.log so that everything else is byte-identical across runs
-with the same config and seed.
+Each subcommand writes each of its results once, as plain columnar text:
+`#` header lines, then one row per line in 15 significant digits.  Zero
+sets and the stability table serialize themselves (ZeroSet.to_text,
+StabilityTable.to_text); every other table goes through one row writer.
+A run manifest echoes the config and library versions.  Wall time lives
+in a separate timing.log so that everything else is byte-identical across
+runs with the same config and seed.
 """
 
 from __future__ import annotations
@@ -27,25 +30,43 @@ from .dickson import (containment_exceptions, curvilinear_count,
 from .ftransform import pair_function
 # perfbench/tracing.py hooks eval_product and fit_prefactor by this module's
 # name and fails when a name is missing; fit_prefactor is no longer called
-from .hadamard import (StabilityTable, build_product, convergence_curve,
-                       eval_product, fit_prefactor, mirrored_reconstruction,
+from .hadamard import (build_product, convergence_curve, eval_product,
+                       fit_prefactor, mirrored_reconstruction,
                        stability_experiment, tail_factor)
 from .potential import (Potential, load_table, make_poly_bump,
                         make_truncated_gaussian)
 from .rootscan import Rectangle, ZeroSet, locate_zeros
 from .scatter import froese_compare, resonances, scattering_matrix
 
-__all__ = ["ExperimentConfig", "SUBCOMMANDS", "emit_plot_data",
-           "run_subcommand", "main"]
+__all__ = ["ExperimentConfig", "SUBCOMMANDS", "run_subcommand", "main"]
 
 FMT = "%.15g"
-
-POTENTIAL_FAMILIES = ("poly-bump", "gaussian-sharp", "gaussian-smooth",
-                      "zero", "table")
 
 
 def _g(x: float) -> str:
     return FMT % x
+
+
+def _zero_potential(cfg: ExperimentConfig) -> Potential:
+    xs = np.linspace(0.0, cfg.support_length, 5)
+    return load_table(np.column_stack([xs, np.zeros_like(xs)]),
+                      cfg.support_length)
+
+
+def _table_potential(cfg: ExperimentConfig) -> Potential:
+    if not cfg.table_path:
+        raise ValueError("family = table requires table_path")
+    return load_table(np.loadtxt(cfg.table_path), cfg.support_length)
+
+
+_FAMILIES = {
+    "poly-bump": lambda c: make_poly_bump(c.support_length),
+    "gaussian-sharp": lambda c: make_truncated_gaussian(c.support_length, True),
+    "gaussian-smooth": lambda c: make_truncated_gaussian(c.support_length, False),
+    "zero": _zero_potential,
+    "table": _table_potential,
+}
+POTENTIAL_FAMILIES = tuple(_FAMILIES)
 
 
 @dataclass(frozen=True)
@@ -100,6 +121,11 @@ class ExperimentConfig:
         ("run", ("seed", "out_dir")),
     )
 
+    def __post_init__(self):
+        if self.family not in _FAMILIES:
+            raise ValueError(f"unknown potential family {self.family!r}; "
+                             f"expected one of {POTENTIAL_FAMILIES}")
+
     def to_text(self) -> str:
         """Serialize to INI; parse(to_text()) reproduces the config exactly."""
         out = []
@@ -141,11 +167,7 @@ class ExperimentConfig:
                 except ValueError as exc:
                     raise ValueError(
                         f"bad value for [{section}] {key}: {raw!r}") from exc
-        cfg = cls(**kwargs)
-        if cfg.family not in POTENTIAL_FAMILIES:
-            raise ValueError(f"unknown potential family {cfg.family!r}; "
-                             f"expected one of {POTENTIAL_FAMILIES}")
-        return cfg
+        return cls(**kwargs)
 
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
@@ -156,22 +178,7 @@ class ExperimentConfig:
         return cls.from_text(text)
 
     def potential(self) -> Potential:
-        if self.family == "poly-bump":
-            return make_poly_bump(self.support_length)
-        if self.family == "gaussian-sharp":
-            return make_truncated_gaussian(self.support_length, True)
-        if self.family == "gaussian-smooth":
-            return make_truncated_gaussian(self.support_length, False)
-        if self.family == "zero":
-            xs = np.linspace(0.0, self.support_length, 5)
-            return load_table(np.column_stack([xs, np.zeros_like(xs)]),
-                              self.support_length)
-        if self.family == "table":
-            if not self.table_path:
-                raise ValueError("family = table requires table_path")
-            return load_table(np.loadtxt(self.table_path),
-                              self.support_length)
-        raise ValueError(f"unknown potential family {self.family!r}")
+        return _FAMILIES[self.family](self)
 
     def rectangle(self) -> Rectangle:
         return Rectangle(self.re_min, self.re_max, self.im_min, self.im_max)
@@ -182,42 +189,6 @@ class ExperimentConfig:
         return np.linspace(self.grid_start, self.grid_stop, self.grid_points)
 
 
-# ------------------------------------------------------------ plot emission
-
-def emit_plot_data(obj, out_dir, stem: str = "plot") -> list[Path]:
-    """Columnar text series for external plotting tools.
-
-    ZeroSet -> one re/im scatter file; StabilityTable -> one series per
-    measured column (failed rows are skipped).  Empty inputs are an error:
-    there is nothing to plot.
-    """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if isinstance(obj, ZeroSet):
-        if len(obj) == 0:
-            raise ValueError("nothing to plot: empty zero set")
-        path = out_dir / f"{stem}_zeros.dat"
-        lines = ["# columns: re im multiplicity"]
-        lines += [f"{_g(z.real)} {_g(z.imag)} {m:d}" for z, m in obj]
-        path.write_text("\n".join(lines) + "\n")
-        return [path]
-    if isinstance(obj, StabilityTable):
-        rows = [r for r in obj.rows if r.error is None]
-        if not rows:
-            raise ValueError("nothing to plot: no successful rows")
-        sup = out_dir / f"{stem}_delta_sup.dat"
-        sup.write_text("\n".join(
-            ["# columns: delta sup_diff"]
-            + [f"{_g(r.delta)} {_g(r.sup_diff)}" for r in rows]) + "\n")
-        zdist = out_dir / f"{stem}_delta_zerodist.dat"
-        zdist.write_text("\n".join(
-            ["# columns: delta zero_sup_distance"]
-            + [f"{_g(r.delta)} {_g(r.zero_sup_distance)}" for r in rows])
-            + "\n")
-        return [sup, zdist]
-    raise TypeError(f"no plot emission for {type(obj).__name__}")
-
-
 # ------------------------------------------------------------ subcommands
 
 def _write(path: Path, text: str) -> Path:
@@ -225,35 +196,41 @@ def _write(path: Path, text: str) -> Path:
     return path
 
 
+def _table(path: Path, header, rows=()) -> Path:
+    """Header lines, then one line per row: numbers in FMT, a str as is."""
+    lines = list(header)
+    lines += [row if isinstance(row, str) else " ".join(map(_g, row))
+              for row in rows]
+    return _write(path, "\n".join(lines) + "\n")
+
+
+def _zeros(path: Path, zs: ZeroSet, kind: str, cfg: ExperimentConfig,
+           **provenance) -> Path:
+    return _write(path, zs.to_text({"kind": kind, "family": cfg.family,
+                                    **provenance}))
+
+
 def _run_resonances(cfg: ExperimentConfig, out: Path) -> list[Path]:
     zs = resonances(cfg.potential(), cfg.rectangle(), cfg.root_tol,
                     rtol=cfg.ode_rtol, atol=cfg.ode_atol)
-    prov = {"kind": "resonances", "family": cfg.family,
-            "rectangle": f"[{_g(cfg.re_min)}, {_g(cfg.re_max)}] x "
-                         f"i[{_g(cfg.im_min)}, {_g(cfg.im_max)}]",
-            "tol": _g(cfg.root_tol)}
-    written = [_write(out / "resonances.txt", zs.to_text(prov))]
-    if len(zs):
-        written += emit_plot_data(zs, out, "resonances")
-    return written
+    rect = (f"[{_g(cfg.re_min)}, {_g(cfg.re_max)}] x "
+            f"i[{_g(cfg.im_min)}, {_g(cfg.im_max)}]")
+    return [_zeros(out / "resonances.txt", zs, "resonances", cfg,
+                   rectangle=rect, tol=_g(cfg.root_tol))]
 
 
 def _run_fourier_zeros(cfg: ExperimentConfig, out: Path) -> list[Path]:
     f = pair_function(cfg.potential(), cfg.quad_rtol)
     zs = locate_zeros(f, cfg.rectangle(), cfg.root_tol)
-    prov = {"kind": "fourier-pair zeros", "family": cfg.family,
-            "tol": _g(cfg.root_tol)}
-    written = [_write(out / "fourier_zeros.txt", zs.to_text(prov))]
-    if len(zs):
-        written += emit_plot_data(zs, out, "fourier_zeros")
-    return written
+    return [_zeros(out / "fourier_zeros.txt", zs, "fourier-pair zeros", cfg,
+                   tol=_g(cfg.root_tol))]
 
 
 def _run_froese(cfg: ExperimentConfig, out: Path) -> list[Path]:
     cmp = froese_compare(cfg.potential(), cfg.rectangle(), cfg.root_tol,
                          rtol=cfg.ode_rtol, atol=cfg.ode_atol,
                          fourier_rtol=cfg.quad_rtol)
-    lines = [
+    header = [
         "# resonance / fourier-zero pairing",
         f"# resonance count: {len(cmp.resonance_set)}",
         f"# fourier zero count: {len(cmp.fourier_set)}",
@@ -264,20 +241,15 @@ def _run_froese(cfg: ExperimentConfig, out: Path) -> list[Path]:
         f"{_g(cmp.relative_median_last_third)}",
         "# columns: res_re res_im fz_re fz_im distance relative",
     ]
-    for p in cmp.pairs:
-        lines.append(" ".join(_g(x) for x in (
-            p.resonance.real, p.resonance.imag, p.fourier_zero.real,
-            p.fourier_zero.imag, p.distance, p.relative)))
-    written = [
-        _write(out / "froese_pairs.txt", "\n".join(lines) + "\n"),
-        _write(out / "froese_resonances.txt",
-               cmp.resonance_set.to_text({"kind": "resonances",
-                                          "family": cfg.family})),
-        _write(out / "froese_fourier_zeros.txt",
-               cmp.fourier_set.to_text({"kind": "fourier-pair zeros",
-                                        "family": cfg.family})),
+    rows = [(p.resonance.real, p.resonance.imag, p.fourier_zero.real,
+             p.fourier_zero.imag, p.distance, p.relative) for p in cmp.pairs]
+    return [
+        _table(out / "froese_pairs.txt", header, rows),
+        _zeros(out / "froese_resonances.txt", cmp.resonance_set,
+               "resonances", cfg),
+        _zeros(out / "froese_fourier_zeros.txt", cmp.fourier_set,
+               "fourier-pair zeros", cfg),
     ]
-    return written
 
 
 def _run_dickson_check(cfg: ExperimentConfig, out: Path) -> list[Path]:
@@ -288,37 +260,30 @@ def _run_dickson_check(cfg: ExperimentConfig, out: Path) -> list[Path]:
     zs = locate_zeros(f, cfg.rectangle(), cfg.root_tol)
     exceptions = containment_exceptions(g, zs, H, r_min=1.0)
 
-    small = sum(1 for z, _ in zs if abs(z) <= 1.0)
-    lines = [f"# strip membership at H = {_g(H)}",
-             f"# zeros of modulus <= 1 (not classified): {small}",
-             "# columns: re im side strip"]
-    for z, _ in zs:
-        if abs(z) <= 1.0:
-            continue
-        hit = strip_membership(g, z, H)
-        k, j = hit if hit is not None else (-1, -1)
-        lines.append(f"{_g(z.real)} {_g(z.imag)} {k:d} {j:d}")
-    membership = _write(out / "dickson_membership.txt",
-                        "\n".join(lines) + "\n")
+    big = [z for z, _ in zs if abs(z) > 1.0]
+    membership = _table(
+        out / "dickson_membership.txt",
+        [f"# strip membership at H = {_g(H)}",
+         f"# zeros of modulus <= 1 (not classified): {len(zs) - len(big)}",
+         "# columns: re im side strip"],
+        [(z.real, z.imag, *(strip_membership(g, z, H) or (-1, -1)))
+         for z in big])
 
-    exc_lines = [f"# zeros of modulus > 1 outside every strip: "
-                 f"{len(exceptions)}", "# columns: re im"]
-    exc_lines += [f"{_g(z.real)} {_g(z.imag)}" for z in exceptions]
-    exc_path = _write(out / "dickson_exceptions.txt",
-                      "\n".join(exc_lines) + "\n")
+    exc_path = _table(out / "dickson_exceptions.txt",
+                      ["# zeros of modulus > 1 outside every strip: "
+                       f"{len(exceptions)}", "# columns: re im"],
+                      [(z.real, z.imag) for z in exceptions])
 
     s = np.pi / 2.0
-    alpha_start = 20.0 * np.pi
-    win_lines = [
-        f"# window counts along strip (0, 0), s = {_g(s)}, H = {_g(H)}, "
-        f"alpha floor = {_g(alpha0)}",
-        "# columns: alpha count bound_ok",
-    ]
-    for t in range(20):
-        alpha = alpha_start + t * s
-        res = curvilinear_count(f, g, 0, 0, alpha, s, H, alpha_floor=alpha0)
-        win_lines.append(f"{_g(alpha)} {res.count:d} {int(bool(res.bound_ok))}")
-    windows = _write(out / "dickson_windows.txt", "\n".join(win_lines) + "\n")
+    alphas = [20.0 * np.pi + t * s for t in range(20)]
+    counts = [curvilinear_count(f, g, 0, 0, alpha, s, H, alpha_floor=alpha0)
+              for alpha in alphas]
+    windows = _table(out / "dickson_windows.txt",
+                     [f"# window counts along strip (0, 0), s = {_g(s)}, "
+                      f"H = {_g(H)}, alpha floor = {_g(alpha0)}",
+                      "# columns: alpha count bound_ok"],
+                     [(alpha, res.count, int(bool(res.bound_ok)))
+                      for alpha, res in zip(alphas, counts)])
     return [membership, exc_path, windows]
 
 
@@ -349,67 +314,59 @@ def _run_reconstruct(cfg: ExperimentConfig, out: Path) -> list[Path]:
     values = (eval_product(product, grid)
               * tail_factor(grid, v.support_length, cfg.radius))
     # m and kappa stay in the header so the file format is unchanged
-    lines = ["# truncated-product reconstruction on the real axis",
-             f"# prefactor: c = {_g(c.real)} + {_g(c.imag)}i, m = 0, "
-             "kappa = 0",
-             f"# tail factor: exp(-2 L x^2 / (pi R)), "
-             f"L = {_g(v.support_length)}",
-             f"# truncation radius: {_g(cfg.radius)}; retained zeros: "
-             f"{product.zeros.total_multiplicity()}",
-             "# columns: x recon_re recon_im target_re target_im abs_err"]
-    for x, val, t in zip(grid, values, targets):
-        lines.append(" ".join(_g(u) for u in (
-            x, val.real, val.imag, t.real, t.imag, abs(val - t))))
-    recon = _write(out / "reconstruction.txt", "\n".join(lines) + "\n")
+    recon = _table(
+        out / "reconstruction.txt",
+        ["# truncated-product reconstruction on the real axis",
+         f"# prefactor: c = {_g(c.real)} + {_g(c.imag)}i, m = 0, kappa = 0",
+         f"# tail factor: exp(-2 L x^2 / (pi R)), L = {_g(v.support_length)}",
+         f"# truncation radius: {_g(cfg.radius)}; retained zeros: "
+         f"{product.zeros.total_multiplicity()}",
+         "# columns: x recon_re recon_im target_re target_im abs_err"],
+        [(x, val.real, val.imag, t.real, t.imag, abs(val - t))
+         for x, val, t in zip(grid, values, targets)])
 
     probe = complex(0.5 * (cfg.grid_start + cfg.grid_stop))
     curve = convergence_curve(z1, c, probe,
                               _convergence_radii(z1, cfg.radius))
-    conv_lines = [f"# pointwise convergence at z = {_g(probe.real)}",
-                  "# columns: radius value_re value_im"]
-    for r, val in zip(curve.radii, curve.values):
-        conv_lines.append(f"{_g(r)} {_g(val.real)} {_g(val.imag)}")
-    conv = _write(out / "convergence.txt", "\n".join(conv_lines) + "\n")
+    conv = _table(out / "convergence.txt",
+                  [f"# pointwise convergence at z = {_g(probe.real)}",
+                   "# columns: radius value_re value_im"],
+                  [(r, val.real, val.imag)
+                   for r, val in zip(curve.radii, curve.values)])
 
-    zfile = _write(out / "reconstruct_zeros.txt",
-                   z1.to_text({"kind": "fourier-pair zeros, mirrored",
-                               "family": cfg.family}))
-    return [recon, conv, zfile]
+    return [recon, conv, _zeros(out / "reconstruct_zeros.txt", z1,
+                                "fourier-pair zeros, mirrored", cfg)]
 
 
 def _run_stability(cfg: ExperimentConfig, out: Path) -> list[Path]:
-    deltas = tuple(cfg.deltas)
-    if 0.0 not in deltas:
-        deltas = deltas + (0.0,)  # reference row
+    # delta = 0 is the reference row
+    deltas = tuple(cfg.deltas) + (() if 0.0 in cfg.deltas else (0.0,))
     table = stability_experiment(
         cfg.potential(), cfg.rectangle(), deltas, cfg.radius, cfg.grid(),
         K=cfg.strip_height, mode=cfg.perturb_mode, seed=cfg.seed,
         scan_tol=cfg.root_tol, quad_rtol=cfg.quad_rtol)
-    written = [
-        _write(out / "stability.txt", table.to_text()),
-        _write(out / "stability_zeros.txt",
-               table.base_zeros.to_text({"kind": "fourier-pair zeros, "
-                                         "mirrored", "family": cfg.family})),
-    ]
-    written += emit_plot_data(table, out, "stability")
-    return written
+    return [_write(out / "stability.txt", table.to_text()),
+            _zeros(out / "stability_zeros.txt", table.base_zeros,
+                   "fourier-pair zeros, mirrored", cfg)]
 
 
 def _run_scatter_matrix(cfg: ExperimentConfig, out: Path) -> list[Path]:
     v = cfg.potential()
-    lines = ["# scattering matrix on the real momentum grid",
-             "# columns: k t_re t_im r_re r_im l_re l_im unitarity_defect"]
+    rows = []
     for k in cfg.grid():
         try:
             sm = scattering_matrix(v, float(k), rtol=cfg.ode_rtol,
                                    atol=cfg.ode_atol)
         except ValueError as exc:  # a rejected momentum keeps its row
-            lines.append(f"# failed: {exc}")
-            continue
-        lines.append(" ".join(_g(x) for x in (
-            k, sm.t.real, sm.t.imag, sm.r_right.real, sm.r_right.imag,
-            sm.l_left.real, sm.l_left.imag, sm.unitarity_defect)))
-    return [_write(out / "scatter_matrix.txt", "\n".join(lines) + "\n")]
+            rows.append(f"# failed: {exc}")
+        else:
+            rows.append((k, sm.t.real, sm.t.imag, sm.r_right.real,
+                         sm.r_right.imag, sm.l_left.real, sm.l_left.imag,
+                         sm.unitarity_defect))
+    return [_table(out / "scatter_matrix.txt",
+                   ["# scattering matrix on the real momentum grid",
+                    "# columns: k t_re t_im r_re r_im l_re l_im "
+                    "unitarity_defect"], rows)]
 
 
 _RUNNERS = {
@@ -450,14 +407,12 @@ def run_subcommand(name: str, config: ExperimentConfig) -> int:
     artifacts = _RUNNERS[name](config, out)
     elapsed = time.perf_counter() - start
 
-    manifest = ["# resonlab run manifest",
-                f"subcommand: {name}",
-                f"versions: {_versions()}",
-                "artifacts:"]
-    manifest += [f"  {p.name}" for p in sorted(artifacts)]
-    manifest += ["timing: see timing.log", "config: |"]
-    manifest += [f"  {line}" for line in config.to_text().splitlines()]
-    _write(out / "manifest.txt", "\n".join(manifest) + "\n")
+    _table(out / "manifest.txt",
+           ["# resonlab run manifest", f"subcommand: {name}",
+            f"versions: {_versions()}", "artifacts:",
+            *[f"  {p.name}" for p in sorted(artifacts)],
+            "timing: see timing.log", "config: |",
+            *[f"  {line}" for line in config.to_text().splitlines()]])
     # wall time is the one run-dependent quantity; it lives alone so every
     # other artifact is byte-identical for identical config and seed
     _write(out / "timing.log", f"wall_time_seconds: {elapsed:.6f}\n")

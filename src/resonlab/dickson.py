@@ -39,9 +39,8 @@ class ExpPolynomial:
     """f(z) = sum of A z^m (1 + eps(z)) e^{omega z} with distinct omega."""
 
     terms: tuple[ExpTerm, ...]
-    r0: float = 0.0
 
-    def __init__(self, terms: Sequence, r0: float = 0.0):
+    def __init__(self, terms: Sequence):
         packed = tuple(ExpTerm(*t) if not isinstance(t, ExpTerm) else t
                        for t in terms)
         if len(packed) < 2:
@@ -57,7 +56,6 @@ class ExpPolynomial:
                 if freqs[i] == freqs[j]:
                     raise ValueError("frequencies must be pairwise distinct")
         object.__setattr__(self, "terms", packed)
-        object.__setattr__(self, "r0", float(r0))
 
     def __call__(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=complex)
@@ -94,9 +92,6 @@ class SideData(NamedTuple):
 class DicksonGeometry:
     vertices: tuple         # hull of the conjugated frequencies, ccw
     sides: tuple            # SideData per hull side
-
-    def strip(self, k: int, j: int) -> StripData:
-        return self.sides[k].strips[j]
 
 
 def _cross(o, a, b) -> float:
@@ -155,9 +150,7 @@ def dickson_geometry(p: ExpPolynomial) -> DicksonGeometry:
     carries its two endpoint tau points.
     """
     conj = [complex(t.frequency).conjugate() for t in p.terms]
-    powers = {}
-    for t in p.terms:
-        powers[complex(t.frequency).conjugate()] = int(t.power)
+    powers = {w: int(t.power) for w, t in zip(conj, p.terms)}
     hull = _convex_hull_ccw(conj)
     if len(hull) == 2:
         sides_vertices = [(hull[0], hull[1]), (hull[1], hull[0])]
@@ -278,11 +271,8 @@ def strip_membership(g: DicksonGeometry, z: complex, H: float):
 def containment_exceptions(g: DicksonGeometry, zeros, H: float,
                            r_min: float = 1.0) -> list[complex]:
     """Zeros of modulus above r_min lying in no strip (expected finite)."""
-    out = []
-    for z, _ in zeros:
-        if abs(z) > r_min and strip_membership(g, z, H) is None:
-            out.append(z)
-    return out
+    return [z for z, _ in zeros
+            if abs(z) > r_min and strip_membership(g, z, H) is None]
 
 
 def recommended_alpha0(p: ExpPolynomial) -> float:

@@ -150,11 +150,20 @@ def eval_product(p: TruncatedProduct, z):
     with np.errstate(divide="ignore"):
         log_mag = np.log(mag) + off * _LN2
     over = live & (np.abs(log_mag) > LOG_GUARD)
+    # factors far below the rescale range can underflow the accumulator to
+    # 0; with no factor exactly 0 the value lies far beyond the guard
+    underflow = {}
+    for i in np.flatnonzero(~at_zero & (mag == 0.0)) if p.c else ():
+        factors = [1.0 - complex(flat[i]) / complex(z_n) for z_n in locs]
+        if 0 not in factors:
+            underflow[i] = cmath.log(p.c) + sum(map(cmath.log, factors))
+            over[i], log_mag[i] = True, underflow[i].real
     if over.any():
         i = int(np.argmax(over))
         raise ProductOverflowError(
             f"product at z = {complex(flat[i]):.6g} has log-magnitude "
             f"{log_mag[i]:.6g} beyond the +-{LOG_GUARD:.0f} guard",
+            underflow[i] if i in underflow else
             cmath.log(complex(acc_r[i], acc_i[i])) + int(off[i]) * _LN2)
     vals = np.zeros(flat.shape, dtype=complex)
     vals.real[live] = np.ldexp(acc_r[live], off[live])
@@ -265,56 +274,44 @@ def perturb_zeros(zero_set: ZeroSet, delta: float,
         raise ValueError(f"unknown perturbation mode {mode!r}; "
                          f"expected one of {PERTURB_MODES}")
     entries = list(zero_set)
-    n = len(entries)
-    kind = ["free"] * n          # real / upper / lower-partner / free
-    partner = [-1] * n
-    lowers = [i for i, (z, _) in enumerate(entries)
-              if not _is_real_zero(z) and z.imag < 0.0]
-    unused = set(lowers)
-    for i, (z, _) in enumerate(entries):
-        if _is_real_zero(z):
-            kind[i] = "real"
-        elif z.imag > 0.0:
-            best, best_d = -1, math.inf
-            for j in unused:
-                d = abs(np.conj(z) - entries[j][0])
-                if d < best_d:
-                    best, best_d = j, d
-            if best >= 0 and best_d <= CONJ_PAIR_RTOL * (1.0 + abs(z)):
-                kind[i] = "upper"
-                kind[best] = "lower"
-                partner[i] = best
-                unused.discard(best)
-            # otherwise an unpaired upper zero perturbs freely
-
     rng = np.random.default_rng(seed)
-    disp = np.zeros(n, dtype=complex)
+    # complex, so a real zero's -0.0 imaginary part adds exactly as before
+    disp = np.zeros(len(entries), dtype=complex)
     if mode == "uniform-shift":
-        theta = rng.uniform(0.0, 2.0 * np.pi)
-        d = np.exp(1j * theta)
-        for i in range(n):
-            if kind[i] == "real":
-                disp[i] = d.real
-            elif kind[i] == "lower":
-                continue  # written by the partner
-            elif kind[i] == "upper":
-                disp[i] = d
-                disp[partner[i]] = np.conj(d)
-            else:
-                disp[i] = d if entries[i][0].imag > 0.0 else np.conj(d)
+        # one shift d for the upper half-plane and conj(d) for the lower
+        # moves every conjugate pair conjugately without pairing it
+        d = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+        for i, (z, _) in enumerate(entries):
+            disp[i] = (d.real if _is_real_zero(z)
+                       else d if z.imag > 0.0 else np.conj(d))
     else:
+        # each upper zero takes the nearest unused lower zero within
+        # CONJ_PAIR_RTOL of its conjugate; an unpaired zero draws alone
+        unused = {j for j, (z, _) in enumerate(entries)
+                  if not _is_real_zero(z) and z.imag < 0.0}
+        partner = {}
+        for i, (z, _) in enumerate(entries):
+            if _is_real_zero(z) or z.imag < 0.0:
+                continue
+            dist = lambda j: abs(np.conj(z) - entries[j][0])  # noqa: E731
+            j = min(unused, key=dist, default=None)
+            if j is not None and dist(j) <= CONJ_PAIR_RTOL * (1.0 + abs(z)):
+                partner[i] = j
+                unused.discard(j)
+        paired_lowers = set(partner.values())
         # right half-plane first, each half in canonical order: a mirrored
         # set holds z and -conj(z') whose moduli differ only by roundoff,
         # so canonical order alone would let one ulp swap their draws
-        for i in sorted(range(n), key=lambda i: entries[i][0].real < 0.0):
-            if kind[i] == "lower":
-                continue
-            if kind[i] == "real":
+        for i in sorted(range(len(entries)),
+                        key=lambda i: entries[i][0].real < 0.0):
+            if i in paired_lowers:
+                continue  # written by the partner
+            if _is_real_zero(entries[i][0]):
                 disp[i] = rng.uniform(-1.0, 1.0)
                 continue
-            w = math.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
-            disp[i] = w
-            if kind[i] == "upper":
+            disp[i] = w = (math.sqrt(rng.uniform())
+                           * np.exp(2j * np.pi * rng.uniform()))
+            if i in partner:
                 disp[partner[i]] = np.conj(w)
 
     moved = [(z + delta * disp[i], mult)

@@ -125,10 +125,10 @@ class Rectangle:
 def _winding_along(f: Callable, path: Callable, *, n_initial: int = 64):
     """Winding number of f along a closed path, with boundary diagnostics.
 
-    Returns (winding, max |f| on the path, min |f| on the path). Raises
-    BoundaryZeroError when the sampled |f| dips below FLOOR_RATIO times the
-    sampled maximum, or when MAX_BOUNDARY_POINTS samples cannot bring all
-    phase steps below pi/2 (both indicate a zero on or near the path).
+    Returns (winding, max |f| on the path). Raises BoundaryZeroError when
+    the sampled |f| dips below FLOOR_RATIO times the sampled maximum, or
+    when MAX_BOUNDARY_POINTS samples cannot bring all phase steps below
+    pi/2 (both indicate a zero on or near the path).
     """
     ts = np.linspace(0.0, 1.0, n_initial, endpoint=False)
     fs = np.asarray(f(path(ts)))
@@ -161,7 +161,7 @@ def _winding_along(f: Callable, path: Callable, *, n_initial: int = 64):
             if abs(total - 2.0 * math.pi * n) > 0.5:
                 raise RootScanError(
                     f"phase sum {total:.6f} is not close to a multiple of 2*pi")
-            return int(n), amax, amin
+            return int(n), amax
         if ts.size + int(bad.sum()) > MAX_BOUNDARY_POINTS:
             raise BoundaryZeroError(
                 "phase steps not resolvable within the sampling budget "
@@ -200,10 +200,10 @@ def _rect_winding(f: Callable, rect: Rectangle, *, n_initial: int = 64,
             # takes over.
             path = candidate.boundary_path()
             n_cur = n_initial
-            n, amax, _ = _winding_along(f, path, n_initial=n_cur)
+            n, amax = _winding_along(f, path, n_initial=n_cur)
             for _ in range(DENSITY_ESCALATIONS):
                 n_cur = 2 * n_cur + 17
-                n2, amax2, _ = _winding_along(f, path, n_initial=n_cur)
+                n2, amax2 = _winding_along(f, path, n_initial=n_cur)
                 if n2 == n:
                     return n, max(amax, amax2)
                 n, amax = n2, amax2
@@ -294,7 +294,7 @@ def _circle_multiplicity(f: Callable, center: complex, radius: float) -> int:
 
     for scale in (1.0, 1.7, 0.59, 2.9, 0.34):
         try:
-            n, _, _ = _winding_along(f, circle(radius * scale), n_initial=32)
+            n, _ = _winding_along(f, circle(radius * scale), n_initial=32)
             return n
         except BoundaryZeroError:
             continue

@@ -1,4 +1,4 @@
-"""Config round trips, subcommand runners, and the plot-data emitter."""
+"""Config round trips, subcommand runners, and the command line."""
 
 import os
 import subprocess
@@ -13,9 +13,7 @@ from hypothesis import strategies as st
 
 import resonlab
 from resonlab import ZeroSet
-from resonlab.cli import (ExperimentConfig, SUBCOMMANDS, emit_plot_data,
-                          main, run_subcommand)
-from resonlab.hadamard import StabilityRow, StabilityTable
+from resonlab.cli import ExperimentConfig, main, run_subcommand
 
 
 # --------------------------------------------------------------- config
@@ -111,51 +109,6 @@ def test_zero_family_is_identically_zero():
     assert np.all(v(np.linspace(0.0, 1.0, 17)) == 0.0)
 
 
-# --------------------------------------------------------------- plotting
-
-def test_emit_zero_set_one_row_per_zero(tmp_path):
-    zs = ZeroSet.from_pairs([(1 + 1j, 1), (2 - 1j, 1), (3.0, 2),
-                             (-4 + 0.5j, 1), (5j, 1)], resolution=0.0)
-    paths = emit_plot_data(zs, tmp_path, "scan")
-    assert [p.name for p in paths] == ["scan_zeros.dat"]
-    rows = [l for l in paths[0].read_text().splitlines()
-            if not l.startswith("#")]
-    assert len(rows) == 5
-
-
-def test_emit_empty_zero_set_is_an_error(tmp_path):
-    with pytest.raises(ValueError, match="nothing to plot"):
-        emit_plot_data(ZeroSet(()), tmp_path)
-
-
-def test_emit_stability_columns_sorted(tmp_path):
-    rows = tuple(StabilityRow(d, s, 0, 10 * s, 5.0, 1.0, 7)
-                 for d, s in ((1e-1, 0.3), (1e-2, 0.03), (1e-3, 0.003)))
-    rows += (StabilityRow(1.0, float("nan"), None, float("nan"), 5.0, 1.0, 7,
-                          error="boom"),)
-    table = StabilityTable(rows, ZeroSet(()), 1.0 + 0.0j)
-    paths = emit_plot_data(table, tmp_path, "st")
-    assert [p.name for p in paths] == ["st_delta_sup.dat",
-                                       "st_delta_zerodist.dat"]
-    body = [l.split() for l in paths[0].read_text().splitlines()
-            if not l.startswith("#")]
-    assert [float(r[0]) for r in body] == [1e-1, 1e-2, 1e-3]  # failed row out
-    assert [float(r[1]) for r in body] == [0.3, 0.03, 0.003]
-
-
-def test_emit_all_failed_rows_is_an_error(tmp_path):
-    row = StabilityRow(0.1, float("nan"), None, float("nan"), 5.0, 1.0, 7,
-                       error="boom")
-    with pytest.raises(ValueError, match="nothing to plot"):
-        emit_plot_data(StabilityTable((row,), ZeroSet(()), 1.0 + 0.0j),
-                       tmp_path)
-
-
-def test_emit_rejects_unplottable_type(tmp_path):
-    with pytest.raises(TypeError):
-        emit_plot_data({"delta": 0.1}, tmp_path)
-
-
 # --------------------------------------------------------------- runners
 
 def test_resonances_zero_potential_empty_file(tmp_path):
@@ -166,7 +119,6 @@ def test_resonances_zero_potential_empty_file(tmp_path):
     assert meta["kind"] == "resonances"
     assert (tmp_path / "manifest.txt").exists()
     assert (tmp_path / "timing.log").exists()
-    assert not (tmp_path / "resonances_zeros.dat").exists()
 
 
 def test_fourier_zeros_conjugate_pairs(tmp_path):
@@ -177,9 +129,6 @@ def test_fourier_zeros_conjugate_pairs(tmp_path):
     assert len(zs) == 6
     for z in locs:
         assert np.min(np.abs(locs - np.conj(z))) < 1e-7
-    scatter = (tmp_path / "fourier_zeros_zeros.dat").read_text()
-    assert len([l for l in scatter.splitlines()
-                if not l.startswith("#")]) == 6
 
 
 def test_stability_appends_reference_row(tmp_path):

@@ -10,10 +10,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from resonlab.hadamard import (
-    ContourCountError, ProductOverflowError, build_product,
+    LOG_GUARD, ContourCountError, ProductOverflowError, build_product,
     convergence_curve, count_difference, eval_product, fit_prefactor,
     perturb_zeros, stability_experiment,
 )
@@ -69,6 +69,21 @@ def test_sin_model_value_against_partial_product_oracle():
     assert abs(val - TWO_OVER_PI) <= 1e-2
 
 
+def leaves_guard(zero_set, w):
+    """Whether eval_product must raise at w: w is no zero, no factor is
+    exactly 0, and log |prod (1 - w/z_n)|, summed in the log domain, lies
+    beyond +-LOG_GUARD."""
+    locs = zero_set.locations(expand=True)
+    # CPython's complex quotient, which eval_product follows bit for bit
+    factors = [abs(1.0 - complex(w) / complex(z_n)) for z_n in locs]
+    return (w not in locs and 0.0 not in factors
+            and abs(math.fsum(map(math.log, factors))) > LOG_GUARD)
+
+
+# z next to a double zero: log|P| = -994, or -1382 where the accumulator
+# would underflow to exactly 0
+@example(zeros=[1 + 1.56e-216j] * 2, z=1 + 0j, points=[])
+@example(zeros=[1 + 1e-300j] * 2, z=1 + 0j, points=[])
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.complex_numbers(min_magnitude=0.3, max_magnitude=5.0,
                                    allow_nan=False, allow_infinity=False),
@@ -82,14 +97,25 @@ def test_appending_a_zero_multiplies_exactly(zeros, z, points):
     z0 = 9.0 + 1.5j  # strictly largest modulus, so it is the final factor
     ext = ZeroSet.from_pairs(list(base) + [(z0, 1)], resolution=0.0)
     product = build_product(ext, 20.0)
-    lhs = eval_product(product, z)
-    rhs = eval_product(build_product(base, 20.0), z) * (1.0 - z / z0)
-    assert type(lhs) is complex
-    assert lhs == rhs
-    # an array of points, the zeros included, carries the scalar bits
     pts = np.array([z, z0, *zeros, *points], dtype=complex)
-    scalar = np.array([eval_product(product, w) for w in pts])
-    assert eval_product(product, pts).tobytes() == scalar.tobytes()
+    # a point next to a zero can take the product beyond the guard range,
+    # where eval_product raises instead of returning a value
+    out = np.array([leaves_guard(ext, w) for w in pts])
+    for w in pts[out]:
+        with pytest.raises(ProductOverflowError):
+            eval_product(product, w)
+    if out.any():
+        with pytest.raises(ProductOverflowError):
+            eval_product(product, pts)
+    if not (out[0] or leaves_guard(base, z)):
+        lhs = eval_product(product, z)
+        rhs = eval_product(build_product(base, 20.0), z) * (1.0 - z / z0)
+        assert type(lhs) is complex
+        assert lhs == rhs
+    # an array of points, the zeros included, carries the scalar bits
+    inside = pts[~out]
+    scalar = np.array([eval_product(product, w) for w in inside])
+    assert eval_product(product, inside).tobytes() == scalar.tobytes()
 
 
 def ring(n, center, radius):
