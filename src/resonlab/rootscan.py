@@ -1,16 +1,29 @@
 """Argument-principle zero location for analytic functions on rectangles.
 
 Functions handed to this module must be vectorized: they accept a complex
-ndarray and return the values as an ndarray. Winding numbers come from
-adaptive boundary sampling that refines until every phase step is below
-pi/2; zero sets come from recursive quadrisection of the rectangle guided by
-those winding numbers, with a multiplicity-aware Newton polish and a final
-small-circle winding count as the multiplicity certificate.
+ndarray and return the values as an ndarray, and a point's value must not
+depend on the batch it comes in. Winding numbers come from adaptive
+boundary sampling that refines until every phase step is below pi/2; zero
+sets come from quadrisection of the rectangle guided by those winding
+numbers, with a multiplicity-aware Newton polish and a final small-circle
+winding count as the multiplicity certificate.
+
+The work is batch-first. One sweep takes many closed paths at once: their
+samples sit end to end in one array, neighbours are index arrays that wrap
+inside each path, and each refinement round is one call of f for all paths
+still refining, while every test and every error stays per path.
+locate_zeros walks the subdivision breadth-first: per level it polishes the
+isolated cells one by one, then counts the children of all other cells in
+one batched winding, and finally certifies every multiplicity circle in one
+sweep. The zero set is bit for bit the one a depth-first scan that sweeps
+one contour per call would find.
 
 The scan settings are module constants: FLOOR_RATIO (a boundary sample below
 it times the sampled maximum is a zero on the boundary), MAX_BOUNDARY_POINTS
-samples per sweep, MAX_DEPTH subdivision levels and MERGE_RESOLUTION (zeros
-closer than it times |z| merge into one multiple zero).
+samples per path, _BATCH_POINTS (a batch starts with at most that many
+samples, which bounds memory; a larger single path goes alone), MAX_DEPTH
+subdivision levels and MERGE_RESOLUTION (zeros closer than it times |z|
+merge into one multiple zero).
 """
 
 from __future__ import annotations
@@ -35,6 +48,7 @@ DENSITY_ESCALATIONS = 6
 MERGE_RESOLUTION = 1e-8
 MAX_DEPTH = 64
 MAX_BOUNDARY_POINTS = 262144
+_BATCH_POINTS = 2048
 
 
 class BoundaryZeroError(RuntimeError):
@@ -107,75 +121,191 @@ class Rectangle:
 
     def boundary_path(self) -> Callable[[np.ndarray], np.ndarray]:
         """Arc-length parameterization of the counterclockwise boundary."""
-        c = self.corners()
-        lengths = np.array([self.width, self.height, self.width, self.height])
-        breaks = np.concatenate([[0.0], np.cumsum(lengths) / lengths.sum()])
+        curve = _boundary_curve([self])
+        return lambda ts: curve(np.zeros(np.shape(ts), dtype=np.intp), ts)
 
-        def path(ts: np.ndarray) -> np.ndarray:
-            ts = np.mod(np.asarray(ts, dtype=float), 1.0)
-            seg = np.clip(np.searchsorted(breaks, ts, side="right") - 1, 0, 3)
-            local = (ts - breaks[seg]) / (breaks[seg + 1] - breaks[seg])
-            start = c[seg]
-            end = c[(seg + 1) % 4]
-            return start + local * (end - start)
 
-        return path
+def _boundary_curve(rects: Sequence[Rectangle]) -> Callable:
+    """Boundary parameterizations of many rectangles as one curve family.
+
+    curve(ids, ts)[k] is the point at parameter ts[k] on the counterclockwise
+    boundary of rects[ids[k]], arc length normalized to one round per unit.
+    """
+    corners = np.array([rect.corners() for rect in rects])
+    sides = np.array([[r.width, r.height, r.width, r.height] for r in rects])
+    cum = np.cumsum(sides, axis=1)
+    breaks = np.concatenate([np.zeros((len(rects), 1)), cum / cum[:, 3:]],
+                            axis=1)
+
+    def curve(ids: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        ts = np.mod(np.asarray(ts, dtype=float), 1.0)
+        seg = np.count_nonzero(breaks[ids, 1:4] <= ts[..., None], axis=-1)
+        lo, hi = breaks[ids, seg], breaks[ids, seg + 1]
+        start = corners[ids, seg]
+        end = corners[ids, (seg + 1) % 4]
+        return start + (ts - lo) / (hi - lo) * (end - start)
+
+    return curve
+
+
+def _sweep(f: Callable, curve: Callable, ids: np.ndarray,
+           n_initial: int) -> list:
+    """Winding numbers of f along the closed paths ids of a curve family.
+
+    The samples of all paths sit end to end in one array, and each path's
+    neighbours are index arrays that wrap inside the path, so a refinement
+    round costs one curve call and one f call however many paths still
+    refine. Every test is the one-path test applied to the path's own
+    samples. Returns one item per path: (winding, max |f| on the path), or
+    the BoundaryZeroError or RootScanError the path ended with.
+    """
+    out: list = [None] * ids.size
+    rows = np.arange(ids.size)
+    sizes = np.full(ids.size, n_initial)
+    ts = np.tile(np.linspace(0.0, 1.0, n_initial, endpoint=False), ids.size)
+    fs = np.asarray(f(curve(np.repeat(ids, n_initial), ts)))
+    while rows.size:
+        starts = np.cumsum(sizes) - sizes
+        first = np.repeat(starts, sizes)
+        size = np.repeat(sizes, sizes)
+        local = np.arange(ts.size) - first
+        nxt = first + (local + 1) % size
+        # a path that fails the floor test below may hold zeros or
+        # non-finite values; its ratios are computed and then ignored
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            mags = np.abs(fs)
+            steps = np.angle(fs[nxt] / fs)
+            # Phase aliasing guard: a zero of multiplicity >= 2 (or a tight
+            # cluster) close to the path can sweep almost 2*pi between
+            # samples while the principal value stays small, so the pair
+            # magnitudes are also watched. A sharp dip relative to the
+            # flanking samples, or a large jump within the pair, forces
+            # refinement until the step is short compared with the distance
+            # to the zero, where the principal value is the true increment
+            # again.
+            pair_min = np.minimum(mags, mags[nxt])
+            flank_min = np.minimum(mags[first + (local - 1) % size],
+                                   mags[first + (local + 2) % size])
+            bad = ((np.abs(steps) >= PHASE_STEP_LIMIT)
+                   | (pair_min < 0.25 * flank_min)
+                   | (np.abs(np.log(mags[nxt] / mags)) >= 1.25))
+            finite = np.logical_and.reduceat(np.isfinite(fs), starts)
+            amaxs = np.maximum.reduceat(mags, starts)
+            amins = np.minimum.reduceat(mags, starts)
+        n_bad = np.add.reduceat(bad, starts, dtype=np.intp)
+        settled = (~finite | (amaxs == 0.0) | (amins < FLOOR_RATIO * amaxs)
+                   | (n_bad == 0) | (sizes + n_bad > MAX_BOUNDARY_POINTS))
+        for k in np.flatnonzero(settled):
+            amax, amin = float(amaxs[k]), float(amins[k])
+            if not finite[k]:
+                res = RootScanError(
+                    "function returned non-finite boundary values")
+            elif amax == 0.0 or amin < FLOOR_RATIO * amax:
+                res = BoundaryZeroError(
+                    f"boundary sample magnitude {amin:.3e} below floor "
+                    f"({FLOOR_RATIO:.1e} * {amax:.3e})")
+            elif n_bad[k] == 0:
+                total = float(np.sum(steps[starts[k]:starts[k] + sizes[k]]))
+                n = round(total / (2.0 * math.pi))
+                res = (int(n), amax)
+                if abs(total - 2.0 * math.pi * n) > 0.5:
+                    res = RootScanError(
+                        f"phase sum {total:.6f} is not close to a multiple "
+                        "of 2*pi")
+            else:
+                res = BoundaryZeroError(
+                    "phase steps not resolvable within the sampling budget "
+                    "(zero on or very near the path)")
+            out[rows[k]] = res
+        live = ~settled
+        if not live.any():
+            break
+        # each flagged sample gets the midpoint to its successor right after
+        # it; the last sample of a path pairs with t = 1
+        at = np.flatnonzero(bad & np.repeat(live, sizes))
+        t_next = np.where(local == size - 1, 1.0, ts[nxt])
+        mids = 0.5 * (ts[at] + t_next[at])
+        fmid = np.asarray(f(curve(np.repeat(ids, sizes)[at], mids)))
+        ts = np.insert(ts, at + 1, mids)
+        fs = np.insert(fs, at + 1, fmid)
+        sizes = sizes + np.where(live, n_bad, 0)
+        keep = np.repeat(live, sizes)
+        ts, fs = ts[keep], fs[keep]
+        rows, ids, sizes = rows[live], ids[live], sizes[live]
+    return out
+
+
+def _windings(f: Callable, curve: Callable, ids: Sequence[int],
+              n_initial: int) -> list:
+    """_sweep over the paths ids, in batches that start with at most
+    _BATCH_POINTS samples; a path with more goes alone."""
+    ids = np.asarray(ids, dtype=np.intp)
+    per = max(1, _BATCH_POINTS // n_initial)
+    out: list = []
+    for lo in range(0, ids.size, per):
+        out += _sweep(f, curve, ids[lo:lo + per], n_initial)
+    return out
 
 
 def _winding_along(f: Callable, path: Callable, *, n_initial: int = 64):
-    """Winding number of f along a closed path, with boundary diagnostics.
+    """Winding number of f along one closed path, with boundary diagnostics.
 
     Returns (winding, max |f| on the path). Raises BoundaryZeroError when
     the sampled |f| dips below FLOOR_RATIO times the sampled maximum, or
     when MAX_BOUNDARY_POINTS samples cannot bring all phase steps below
     pi/2 (both indicate a zero on or near the path).
     """
-    ts = np.linspace(0.0, 1.0, n_initial, endpoint=False)
-    fs = np.asarray(f(path(ts)))
-    while True:
-        if not np.all(np.isfinite(fs)):
-            raise RootScanError("function returned non-finite boundary values")
-        mags = np.abs(fs)
-        amax = float(np.max(mags))
-        amin = float(np.min(mags))
-        if amax == 0.0 or amin < FLOOR_RATIO * amax:
-            raise BoundaryZeroError(
-                f"boundary sample magnitude {amin:.3e} below floor "
-                f"({FLOOR_RATIO:.1e} * {amax:.3e})")
-        steps = np.angle(np.roll(fs, -1) / fs)
-        # Phase aliasing guard: a zero of multiplicity >= 2 (or a tight
-        # cluster) close to the path can sweep almost 2*pi between samples
-        # while the principal value stays small, so the pair magnitudes are
-        # also watched. A sharp dip relative to the flanking samples, or a
-        # large jump within the pair, forces refinement until the step is
-        # short compared with the distance to the zero, where the principal
-        # value is the true increment again.
-        pair_min = np.minimum(mags, np.roll(mags, -1))
-        flank_min = np.minimum(np.roll(mags, 1), np.roll(mags, -2))
-        bad = ((np.abs(steps) >= PHASE_STEP_LIMIT)
-               | (pair_min < 0.25 * flank_min)
-               | (np.abs(np.log(np.roll(mags, -1) / mags)) >= 1.25))
-        if not bad.any():
-            total = float(np.sum(steps))
-            n = round(total / (2.0 * math.pi))
-            if abs(total - 2.0 * math.pi * n) > 0.5:
-                raise RootScanError(
-                    f"phase sum {total:.6f} is not close to a multiple of 2*pi")
-            return int(n), amax
-        if ts.size + int(bad.sum()) > MAX_BOUNDARY_POINTS:
-            raise BoundaryZeroError(
-                "phase steps not resolvable within the sampling budget "
-                "(zero on or very near the path)")
-        nxt = np.append(ts[1:], 1.0)
-        mids = 0.5 * (ts[bad] + nxt[bad])
-        fmid = np.asarray(f(path(mids)))
-        order = np.argsort(np.concatenate([ts, mids]), kind="stable")
-        ts = np.concatenate([ts, mids])[order]
-        fs = np.concatenate([fs, fmid])[order]
+    result, = _windings(f, lambda ids, ts: path(ts), [0], n_initial)
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
-def _rect_winding(f: Callable, rect: Rectangle, *, n_initial: int = 64,
-                  jitter_retries: int = JITTER_RETRIES):
+def _rect_windings(f: Callable, rects: Sequence[Rectangle], *,
+                   n_initial: int = 64) -> list:
+    """Density-certified winding counts over many rectangles at once.
+
+    A uniform fast phase rotation along a long edge can alias to a slow
+    rotation that no local trigger sees (the sampled steps are all small and
+    the modulus is flat), so a single density is never trusted: a count is
+    accepted only once two successive sampling densities agree. Densifying
+    breaks any strobe, because near the alias threshold the true step
+    exceeds pi/2 and the phase trigger takes over. Each density is one
+    batched sweep over the rectangles still undecided. Returns one item per
+    rectangle: (count, max |f| on its boundary), or the error it ended with.
+    """
+    curve = _boundary_curve(rects)
+    out: list = [None] * len(rects)
+    pending: dict[int, tuple[int, float]] = {}
+    for i, res in enumerate(_windings(f, curve, range(len(rects)),
+                                      n_initial)):
+        if isinstance(res, Exception):
+            out[i] = res
+        else:
+            pending[i] = res
+    n_cur = n_initial
+    for _ in range(DENSITY_ESCALATIONS):
+        if not pending:
+            break
+        n_cur = 2 * n_cur + 17
+        undecided = list(pending)
+        res2 = _windings(f, curve, undecided, n_cur)
+        for i, res in zip(undecided, res2):
+            n, amax = pending.pop(i)
+            if isinstance(res, Exception):
+                out[i] = res
+            elif res[0] == n:
+                out[i] = (n, max(amax, res[1]))
+            else:
+                pending[i] = res
+    for i in pending:
+        out[i] = RootScanError(
+            f"winding over {rects[i]} did not stabilize across sampling "
+            f"densities up to {n_cur}")
+    return out
+
+
+def _rect_winding(f: Callable, rect: Rectangle, *, n_initial: int = 64):
     """Winding count over a rectangle with the inflate/deflate jitter policy.
 
     The first attempt uses the exact rectangle; on boundary-zero trouble the
@@ -183,37 +313,24 @@ def _rect_winding(f: Callable, rect: Rectangle, *, n_initial: int = 64,
     its diameter. Zeros inside the jitter band are attributed accordingly.
     """
     last = None
-    for attempt in range(jitter_retries + 1):
+    for attempt in range(JITTER_RETRIES + 1):
         if attempt == 0:
             candidate = rect
         else:
             sign = 1.0 if attempt % 2 == 1 else -1.0
             eps = sign * ((attempt + 1) // 2) * JITTER_SCALE * rect.diameter
             candidate = rect.inflated(eps)
-        try:
-            # A uniform fast phase rotation along a long edge can alias to a
-            # slow rotation that no local trigger sees (the sampled steps are
-            # all small and the modulus is flat), so a single density is never
-            # trusted: the count is accepted only once two successive sampling
-            # densities agree. Densifying breaks any strobe, because near the
-            # alias threshold the true step exceeds pi/2 and the phase trigger
-            # takes over.
-            path = candidate.boundary_path()
-            n_cur = n_initial
-            n, amax = _winding_along(f, path, n_initial=n_cur)
-            for _ in range(DENSITY_ESCALATIONS):
-                n_cur = 2 * n_cur + 17
-                n2, amax2 = _winding_along(f, path, n_initial=n_cur)
-                if n2 == n:
-                    return n, max(amax, amax2)
-                n, amax = n2, amax2
-            raise RootScanError(
-                f"winding over {candidate} did not stabilize across sampling "
-                f"densities up to {n_cur}")
-        except BoundaryZeroError as exc:
-            last = exc
-    raise BoundaryZeroError(
-        f"boundary jitter exhausted after {jitter_retries} retries: {last}")
+        result, = _rect_windings(f, [candidate], n_initial=n_initial)
+        if not isinstance(result, BoundaryZeroError):
+            break
+        last = result
+    else:
+        raise BoundaryZeroError(
+            f"boundary jitter exhausted after {JITTER_RETRIES} retries: "
+            f"{last}")
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def wind_count(f: Callable, rect: Rectangle, *, n_initial: int = 64) -> int:
@@ -227,11 +344,6 @@ def wind_count(f: Callable, rect: Rectangle, *, n_initial: int = 64) -> int:
 
 
 _SPLIT_JITTER = (0.0, 0.013, -0.013, 0.029, -0.029, 0.047, -0.047, 0.061, -0.061)
-
-
-class _Candidate(NamedTuple):
-    location: complex
-    multiplicity: int
 
 
 def _newton_polish(f: Callable, z0: complex, multiplicity: int, tol: float,
@@ -288,18 +400,45 @@ def _newton_polish(f: Callable, z0: complex, multiplicity: int, tol: float,
     return polished(z, newton_step(z))
 
 
-def _circle_multiplicity(f: Callable, center: complex, radius: float) -> int:
-    def circle(r):
-        return lambda ts: center + r * np.exp(2j * math.pi * np.asarray(ts))
+def _circle_multiplicities(f: Callable, centers: Sequence[complex],
+                           radii: Sequence[float]) -> list[int]:
+    """Winding numbers of f on small circles, all circles in one sweep.
 
+    A circle that meets a boundary zero moves on to the next radius scale in
+    the next sweep.
+    """
+    c = np.asarray(centers, dtype=complex)
+    out = [0] * len(centers)
+    pending = list(range(len(centers)))
     for scale in (1.0, 1.7, 0.59, 2.9, 0.34):
-        try:
-            n, _ = _winding_along(f, circle(radius * scale), n_initial=32)
-            return n
-        except BoundaryZeroError:
-            continue
-    raise RootScanError(
-        f"could not certify multiplicity near {center:.6g} by circle winding")
+        if not pending:
+            break
+        r = np.array([radius * scale for radius in radii])
+        results = _windings(
+            f, lambda ids, ts: c[ids] + r[ids] * np.exp(2j * math.pi * ts),
+            pending, 32)
+        retry = []
+        for i, res in zip(pending, results):
+            if isinstance(res, BoundaryZeroError):
+                retry.append(i)
+            elif isinstance(res, Exception):
+                raise res
+            else:
+                out[i] = res[0]
+        pending = retry
+    if pending:
+        raise RootScanError(
+            f"could not certify multiplicity near {centers[pending[0]]:.6g} "
+            "by circle winding")
+    return out
+
+
+class _Cell(NamedTuple):
+    rect: Rectangle
+    count: int
+    local_scale: float
+    depth: int
+    key: tuple[int, ...]    # child indices from the top; sorts depth-first
 
 
 def locate_zeros(f: Callable, rect: Rectangle, tol: float = 1e-10) -> ZeroSet:
@@ -314,65 +453,93 @@ def locate_zeros(f: Callable, rect: Rectangle, tol: float = 1e-10) -> ZeroSet:
     """
     total, top_scale = _rect_winding(f, rect)
     scale0 = rect.diameter
-    found: list[_Candidate] = []
+    found: list[tuple[tuple[int, ...], complex]] = []
 
     def cluster_stop(cell: Rectangle) -> bool:
         return cell.diameter <= max(MERGE_RESOLUTION * abs(cell.center),
                                     1e-12 * scale0)
 
-    def refine_in(cell: Rectangle, count: int, local_scale: float):
-        target = tol * local_scale
-        z = _newton_polish(f, cell.center, count, tol, target, cell)
-        if z is None and count == 1 and cell.diameter > 1e-12 * scale0:
+    def refine_in(cell: _Cell) -> bool:
+        target = tol * cell.local_scale
+        z = _newton_polish(f, cell.rect.center, cell.count, tol, target,
+                           cell.rect)
+        if (z is None and cell.count == 1
+                and cell.rect.diameter > 1e-12 * scale0):
             return False
         if z is None:
             raise RootScanError(
-                f"refinement did not converge in cell around {cell.center:.6g}")
-        found.append(_Candidate(z, count))
+                "refinement did not converge in cell around "
+                f"{cell.rect.center:.6g}")
+        found.append((cell.key, z))
         return True
 
-    def recurse(cell: Rectangle, count: int, local_scale: float, depth: int):
-        if count == 0:
-            return
-        if depth > MAX_DEPTH:
-            raise RootScanError("subdivision exceeded the depth budget")
-        if count == 1 or cluster_stop(cell):
-            if refine_in(cell, count, local_scale):
-                return
-        for jit in _SPLIT_JITTER:
-            children = cell.quadrisect(0.5 + jit, 0.5 + jit)
-            try:
-                results = []
-                for child in children:
-                    n, amax = _rect_winding(f, child, jitter_retries=0)
-                    results.append((child, n, amax))
-            except BoundaryZeroError:
+    # Breadth-first: each level polishes its isolated cells one by one, then
+    # counts the children of every other cell in one batched winding. A
+    # parent whose split meets a boundary zero, or whose children's counts
+    # do not add up, tries its next split offset in the next batch.
+    frontier = [_Cell(rect, total, top_scale, 0, ())]
+    while frontier:
+        splits: list[tuple[_Cell, int]] = []
+        for cell in frontier:
+            if cell.count == 0:
                 continue
-            if sum(r[1] for r in results) != count:
+            if cell.depth > MAX_DEPTH:
+                raise RootScanError("subdivision exceeded the depth budget")
+            if ((cell.count == 1 or cluster_stop(cell.rect))
+                    and refine_in(cell)):
                 continue
-            for child, n, amax in results:
-                recurse(child, n, amax, depth + 1)
-            return
-        raise RootScanError(
-            f"could not split cell around {cell.center:.6g} cleanly")
+            splits.append((cell, 0))
+        frontier = []
+        while splits:
+            children = [cell.rect.quadrisect(0.5 + _SPLIT_JITTER[j],
+                                             0.5 + _SPLIT_JITTER[j])
+                        for cell, j in splits]
+            results = _rect_windings(f, [c for quad in children for c in quad])
+            retry = []
+            for s, (cell, j) in enumerate(splits):
+                # the children in quadrisect order: the first error decides
+                counts = results[4 * s:4 * s + 4]
+                error = next((r for r in counts if isinstance(r, Exception)),
+                             None)
+                if error is not None and not isinstance(error,
+                                                        BoundaryZeroError):
+                    raise error
+                if error is None and sum(n for n, _ in counts) == cell.count:
+                    frontier += [
+                        _Cell(child, n, amax, cell.depth + 1, cell.key + (c,))
+                        for c, (child, (n, amax))
+                        in enumerate(zip(children[s], counts))]
+                    continue
+                if j + 1 == len(_SPLIT_JITTER):
+                    raise RootScanError(
+                        f"could not split cell around {cell.rect.center:.6g} "
+                        "cleanly")
+                retry.append((cell, j + 1))
+            splits = retry
 
-    recurse(rect, total, top_scale, 0)
-
-    # Multiplicity certificates from small-circle windings.
-    certified: list[tuple[complex, int]] = []
-    locs = [c.location for c in found]
-    for i, cand in enumerate(found):
-        r = max(1e-6 * max(1.0, abs(cand.location)), 1e-11 * scale0)
-        others = [abs(cand.location - w) for j, w in enumerate(locs) if j != i]
-        if others:
-            r = min(r, 0.45 * min(others)) if min(others) > 0 else r
-        m = _circle_multiplicity(f, cand.location, r)
+    # Multiplicity certificates from small-circle windings, in the order a
+    # depth-first scan finds the zeros.
+    locs = [z for _, z in sorted(found, key=lambda e: e[0])]
+    radii = []
+    loc_array = np.array(locs, dtype=complex)
+    for i, z in enumerate(locs):
+        r = max(1e-6 * max(1.0, abs(z)), 1e-11 * scale0)
+        if len(locs) > 1:
+            # numpy's |z - w| can differ from abs() in the last bit, so it
+            # only shortlists the nearest zeros and abs() decides among them
+            d = np.abs(loc_array - z)
+            d[i] = np.inf
+            gap = min(abs(z - locs[j])
+                      for j in np.flatnonzero(d <= (1 + 1e-6) * d.min()))
+            r = min(r, 0.45 * gap) if gap > 0 else r
+        radii.append(r)
+    mults = _circle_multiplicities(f, locs, radii)
+    for z, m in zip(locs, mults):
         if m <= 0:
             raise RootScanError(
-                f"confirmation circle near {cand.location:.6g} found no zero")
-        certified.append((cand.location, m))
+                f"confirmation circle near {z:.6g} found no zero")
 
-    zs = ZeroSet.from_pairs(certified)
+    zs = ZeroSet.from_pairs(zip(locs, mults))
     if zs.total_multiplicity() != total:
         raise RootScanError(
             f"located multiplicities sum to {zs.total_multiplicity()} "
@@ -412,7 +579,7 @@ class ZeroSet:
     conjugate pair found as two separate zeros keeps its order when either
     moves by an ulp. Constructors merge entries closer than
     resolution * |z| by summing multiplicities at the multiplicity-weighted
-    mean location.
+    mean location; equal locations merge to that location exactly.
     """
 
     __slots__ = ("entries",)
@@ -432,7 +599,8 @@ class ZeroSet:
             if merged:
                 zp, mp = merged[-1]
                 if abs(z - zp) <= resolution * max(abs(z), abs(zp)):
-                    loc = (zp * mp + z * m) / (mp + m)
+                    # the weighted mean of equal locations can round off them
+                    loc = zp if z == zp else (zp * mp + z * m) / (mp + m)
                     merged[-1] = (loc, mp + m)
                     continue
             merged.append((z, m))
