@@ -351,18 +351,14 @@ def _run_stability(cfg: ExperimentConfig, out: Path) -> list[Path]:
 
 
 def _run_scatter_matrix(cfg: ExperimentConfig, out: Path) -> list[Path]:
-    v = cfg.potential()
-    rows = []
-    for k in cfg.grid():
-        try:
-            sm = scattering_matrix(v, float(k), rtol=cfg.ode_rtol,
-                                   atol=cfg.ode_atol)
-        except ValueError as exc:  # a rejected momentum keeps its row
-            rows.append(f"# failed: {exc}")
-        else:
-            rows.append((k, sm.t.real, sm.t.imag, sm.r_right.real,
-                         sm.r_right.imag, sm.l_left.real, sm.l_left.imag,
-                         sm.unitarity_defect))
+    grid = cfg.grid()
+    entries = scattering_matrix(cfg.potential(), grid, rtol=cfg.ode_rtol,
+                                atol=cfg.ode_atol)
+    # a rejected momentum keeps its row
+    rows = [f"# failed: {sm}" if isinstance(sm, ValueError) else
+            (k, sm.t.real, sm.t.imag, sm.r_right.real, sm.r_right.imag,
+             sm.l_left.real, sm.l_left.imag, sm.unitarity_defect)
+            for k, sm in zip(grid, entries)]
     return [_table(out / "scatter_matrix.txt",
                    ["# scattering matrix on the real momentum grid",
                     "# columns: k t_re t_im r_re r_im l_re l_im "

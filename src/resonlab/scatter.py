@@ -20,8 +20,10 @@ uniform cells with a closed-form 2x2 exponential (_magnus_m), each momentum
 refining its own mesh, so X(k) has the same bits alone and in any batch.
 jost_solve, scattering_matrix and the confirmation of every located
 resonance use adaptive DOP853 (_solve_m), an independent check on the
-Magnus values at the points that are reported. The scattering matrix takes
-one DOP853 solve per real momentum: V is real, so Y(k) = conj Y(-k).
+Magnus values at the points that are reported. A batch of momenta shares
+one stacked DOP853 solve per piece of V, with the tolerances shrunk so that
+each momentum keeps the bound of a lone solve (_jost_many). The scattering
+matrix on a real grid is one such batch: V is real, so Y(k) = conj Y(-k).
 """
 
 from __future__ import annotations
@@ -41,6 +43,8 @@ DEFAULT_ATOL = 1e-12
 # Jost data degenerates at the origin, so scans keep this distance from k = 0
 EXCLUSION_RADIUS = 0.05
 POLE_FLOOR = 1e-12
+# scipy raises any rtol below 100 eps to it, with only a UserWarning
+RTOL_FLOOR = 100.0 * np.finfo(float).eps
 
 
 class JostIntegrationError(RuntimeError):
@@ -77,12 +81,13 @@ def _pieces(v: Potential):
 def _solve_m(v: Potential, ks: np.ndarray, rtol: float, atol: float):
     """Batched m(0), m'(0) for all momenta in ks (flat complex array).
 
-    One adaptive solve carries the whole batch; the state is (m, m') stacked
-    over momenta, and DOP853 controls an RMS norm of the error over that
-    whole state, so one momentum's error can exceed rtol while the batch
-    passes, and each result depends in its last bits on the batch it was
-    solved in. Integration restarts at interior breakpoints of V to keep the
-    high-order method on smooth segments.
+    One adaptive solve per piece of V carries the whole batch; the state is
+    (m, m') stacked over momenta, and DOP853 controls an RMS norm of the
+    error over that whole state, so rtol and atol bound the batch, not each
+    momentum (_jost_many shrinks them to do that), and each result depends
+    in its last bits on the batch it was solved in. Integration restarts at
+    interior breakpoints of V to keep the high-order method on smooth
+    segments.
     """
     nk = ks.size
     two_ik = 2j * ks
@@ -252,7 +257,25 @@ def _x_and_y(ks, m0, mp0):
 
 
 def _jost_many(v: Potential, ks: np.ndarray, rtol: float, atol: float):
-    m0, mp0 = _solve_m(v, ks, rtol, atol)
+    """X(k), Y(-k) and the error proxy for the momenta in ks (flat complex).
+
+    DOP853 accepts a step when the RMS of the scaled error over the whole
+    stacked state is at most 1, so in a batch of n momenta one momentum's
+    share may be sqrt(n) times what a lone solve allows. rtol and atol are
+    divided by sqrt(n), which holds every momentum to the bound it would
+    get alone. The batch is cut into near-equal chunks small enough that
+    rtol / sqrt(n) stays at or above RTOL_FLOOR, where scipy would
+    otherwise raise it silently; an rtol below the floor raises ValueError.
+    """
+    if not rtol >= RTOL_FLOOR:
+        raise ValueError(f"rtol = {rtol:.3g} is below the DOP853 floor "
+                         f"100 eps = {RTOL_FLOOR:.3g}")
+    most = int((rtol / RTOL_FLOOR) ** 2)
+    while rtol / np.sqrt(most) < RTOL_FLOOR:
+        most -= 1
+    parts = [_solve_m(v, c, rtol / np.sqrt(c.size), atol / np.sqrt(c.size))
+             for c in np.array_split(ks, -(-ks.size // most))]
+    m0, mp0 = (np.concatenate(p) for p in zip(*parts))
     x_hat, y_hat_minus = _x_and_y(ks, m0, mp0)
     bad = ~(np.isfinite(x_hat) & np.isfinite(y_hat_minus))
     if bad.any():
@@ -262,14 +285,25 @@ def _jost_many(v: Potential, ks: np.ndarray, rtol: float, atol: float):
     return x_hat, y_hat_minus, err
 
 
-def jost_solve(v: Potential, k: complex, *, rtol: float = DEFAULT_RTOL,
+def jost_solve(v: Potential, k, *, rtol: float = DEFAULT_RTOL,
                atol: float = DEFAULT_ATOL) -> JostData:
-    """Jost data at one momentum; k = 0 is excluded by the normalization."""
-    k = complex(k)
-    if k == 0:
+    """Jost data at one momentum, or at each momentum of an array.
+
+    A scalar k gives a JostData of Python scalars. An array gives a JostData
+    of arrays of its shape, from one stacked DOP853 solve per piece of V
+    (see _jost_many). k = 0 is excluded by the normalization.
+    """
+    ks = np.asarray(k, dtype=complex)
+    if np.any(ks == 0):
         raise ValueError("k = 0: the ik normalization of the Jost data degenerates")
-    x_hat, y_hat_minus, err = _jost_many(v, np.array([k]), rtol, atol)
-    return JostData(k, complex(x_hat[0]), complex(y_hat_minus[0]), float(err[0]))
+    if ks.size == 0:
+        return JostData(ks, ks.copy(), ks.copy(), np.zeros(ks.shape))
+    x_hat, y_hat_minus, err = _jost_many(v, ks.ravel(), rtol, atol)
+    if ks.ndim == 0:
+        return JostData(complex(k), complex(x_hat[0]), complex(y_hat_minus[0]),
+                        float(err[0]))
+    return JostData(ks, x_hat.reshape(ks.shape),
+                    y_hat_minus.reshape(ks.shape), err.reshape(ks.shape))
 
 
 def xhat_function(v: Potential, *, rtol: float = DEFAULT_RTOL,
@@ -286,26 +320,50 @@ def xhat_function(v: Potential, *, rtol: float = DEFAULT_RTOL,
     return f
 
 
-def scattering_matrix(v: Potential, k: float, *, rtol: float = DEFAULT_RTOL,
-                      atol: float = DEFAULT_ATOL) -> ScatteringMatrix:
-    """T, R, L at a real momentum, from one DOP853 solve at k.
+def scattering_matrix(v: Potential, k, *, rtol: float = DEFAULT_RTOL,
+                      atol: float = DEFAULT_ATOL):
+    """T, R, L at a real momentum, or at each momentum of a 1-D array.
 
-    The solve at k yields X(k) and Y(-k). Y(k) is conj Y(-k): V is real, so
-    the ODE at -k is the conjugate of the one at k, and since IEEE +, * and
-    abs commute with conjugation, a solve at -k would take the same steps and
-    return exactly these conjugate bits. The defect | |T|^2 + |R|^2 - 1 | is
-    reported, not asserted.
+    One jost_solve call carries every admissible momentum, one stacked
+    DOP853 solve per piece of V, and yields X(k) and Y(-k). Y(k) is
+    conj Y(-k): V is real, so the ODE at -k is the conjugate of the one at
+    k, and since IEEE +, * and abs commute with conjugation, a solve at -k
+    would take the same steps and return exactly these conjugate bits. The
+    defect | |T|^2 + |R|^2 - 1 | is reported, not asserted.
+
+    A scalar k returns a ScatteringMatrix, or raises ValueError at k = 0 or
+    next to a transmission pole. An array returns a list with one entry per
+    momentum, in order: its ScatteringMatrix, or the ValueError that the
+    scalar call would raise there. A scalar is a batch of one, so it has
+    the bits of a lone solve.
     """
-    k = float(k)
-    if k == 0.0:
-        raise ValueError("k = 0: the transmission coefficient divides by ik")
-    plus = jost_solve(v, k, rtol=rtol, atol=atol)
-    if abs(plus.x_hat) <= POLE_FLOOR * max(1.0, abs(k)):
-        raise ValueError(f"k = {k:.15g}: transmission pole proximity, "
-                         f"|X(k)| = {abs(plus.x_hat):.3e}")
-    t = 1j * k / plus.x_hat
-    r_right = plus.y_hat_minus.conjugate() / plus.x_hat
-    l_left = plus.y_hat_minus / plus.x_hat
+    ks = np.asarray(k, dtype=float)
+    if ks.ndim > 1:
+        raise ValueError("scattering_matrix takes a real momentum or a 1-D "
+                         f"array of them, not shape {ks.shape}")
+    flat = ks.ravel()
+    entries = [ValueError("k = 0: the transmission coefficient divides by ik")
+               if kk == 0.0 else None for kk in flat]
+    live = np.flatnonzero(flat != 0.0)
+    jost = jost_solve(v, flat[live].astype(complex), rtol=rtol, atol=atol)
+    for i, x_hat, y_hat_minus in zip(live, jost.x_hat, jost.y_hat_minus):
+        entries[i] = _smatrix_entry(float(flat[i]), complex(x_hat),
+                                    complex(y_hat_minus))
+    if ks.ndim == 1:
+        return entries
+    if isinstance(entries[0], ValueError):
+        raise entries[0]
+    return entries[0]
+
+
+def _smatrix_entry(k: float, x_hat: complex, y_hat_minus: complex):
+    """T, R, L at k from X(k) and Y(-k), or the ValueError of a nearby pole."""
+    if abs(x_hat) <= POLE_FLOOR * max(1.0, abs(k)):
+        return ValueError(f"k = {k:.15g}: transmission pole proximity, "
+                          f"|X(k)| = {abs(x_hat):.3e}")
+    t = 1j * k / x_hat
+    r_right = y_hat_minus.conjugate() / x_hat
+    l_left = y_hat_minus / x_hat
     defect = abs(abs(t) ** 2 + abs(r_right) ** 2 - 1.0)
     return ScatteringMatrix(k, t, r_right, l_left, defect)
 
@@ -333,12 +391,8 @@ def _confirm_on_ode(v: Potential, zs: ZeroSet, tol: float, rtol: float,
     zero passes when its multiplicity-weighted Newton step m X(z) / X'(z),
     with X' the central difference, is at most tol * max(1, |z|), the
     scan's own acceptance test; otherwise JostIntegrationError names it.
-
-    DOP853 accepts a step when the RMS of the scaled error over the whole
-    stacked state is at most 1, so in a batch of N momenta one momentum's
-    share may be sqrt(N) times what a lone solve allows. rtol and atol are
-    divided by sqrt(N), which holds every momentum to the bound it would
-    get alone.
+    _jost_many holds every momentum of the batch to the bound of a lone
+    solve.
     """
     if len(zs) == 0:
         return
@@ -346,8 +400,7 @@ def _confirm_on_ode(v: Potential, zs: ZeroSet, tol: float, rtol: float,
     mult = np.array([m for _, m in zs], dtype=float)
     h = 1e-7 * np.maximum(1.0, np.abs(z))
     ks = np.concatenate([z, z + h, z - h])
-    shrink = np.sqrt(ks.size)
-    x_hat, _, _ = _jost_many(v, ks, rtol / shrink, atol / shrink)
+    x_hat, _, _ = _jost_many(v, ks, rtol, atol)
     x0, xp, xm = np.split(x_hat, 3)
     bound = tol * np.maximum(1.0, np.abs(z))
     # |m X / X'| <= bound, multiplied out so that X' = 0 fails unless X = 0

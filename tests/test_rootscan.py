@@ -309,3 +309,14 @@ def test_tall_window_accepts_newton_on_its_step():
     assert zs.total_multiplicity() == 6
     for z in zs.locations():
         assert abs(f(np.array([z]))[0]) < 1e-9
+
+
+def test_tall_box_fails_the_floor():
+    # |F| grows like e^{2L |Im z|}, to ~6e18 on this boundary, so near the
+    # top edge a sample of order 1 falls below FLOOR_RATIO times the
+    # boundary maximum and every jitter offset meets a "boundary zero".
+    # This pins the defect, so that a change to the floor shows up here
+    f = pair_function(make_poly_bump(), 1e-12)
+    with pytest.raises(BoundaryZeroError,
+                       match=r"boundary jitter exhausted.*below floor"):
+        locate_zeros(f, Rectangle(0.05, 40.0, -30.0, -0.05), 1e-9)

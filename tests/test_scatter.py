@@ -8,6 +8,7 @@ complex plane.
 """
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -308,3 +309,113 @@ def test_froese_compare_zero_potential():
     assert len(cmp.fourier_set) == 0
     assert cmp.pairs == ()
     assert np.isnan(cmp.median_first_third)
+
+
+# the momenta of perfbench/configs/scatter-grid.ini
+SCATTER_GRID = np.linspace(0.05, 20.0, 201)
+
+
+def test_scattering_matrix_grid_solves_once_per_piece(monkeypatch):
+    solve_ivp = scatter.solve_ivp
+    spans = []
+
+    def counting_solve_ivp(fun, t_span, *args, **kwargs):
+        spans.append(t_span)
+        return solve_ivp(fun, t_span, *args, **kwargs)
+
+    monkeypatch.setattr(scatter, "solve_ivp", counting_solve_ivp)
+    for v in ALL_FAMILIES:
+        spans.clear()
+        entries = scattering_matrix(v, SCATTER_GRID)
+        assert spans == scatter._pieces(v)
+        assert [sm.k for sm in entries] == list(SCATTER_GRID)
+
+
+def test_batched_scattering_matrix_within_ten_rtol_of_the_scalar_calls():
+    # |T|, |R| and |L| are at most 1 on the real axis, so each entry is
+    # measured against max(1, |value|), the scale of the benchmark's check;
+    # every fifth momentum keeps the lone solves short
+    for v in ALL_FAMILIES:
+        batch = scattering_matrix(v, SCATTER_GRID)
+        for i in range(0, SCATTER_GRID.size, 5):
+            got, want = batch[i], scattering_matrix(v, SCATTER_GRID[i])
+            assert got.k == want.k
+            for entry in ("t", "r_right", "l_left"):
+                a, b = getattr(got, entry), getattr(want, entry)
+                assert abs(a - b) <= 10.0 * DEFAULT_RTOL * max(1.0, abs(b))
+
+
+def test_batched_transmission_of_the_square_well_closed_form():
+    ks = np.linspace(0.1, 20.0, 200)
+    ks = ks[np.abs(ks * ks - WELL_DEPTH) > 0.3]  # stay away from k' = 0
+    t = np.array([sm.t for sm in scattering_matrix(make_square_well(), ks)])
+    exact = 1j * ks / xhat_well_exact(ks)
+    assert np.max(np.abs(t - exact) / np.abs(exact)) <= 10.0 * DEFAULT_RTOL
+
+
+def test_zero_momentum_keeps_its_place_in_a_grid():
+    v = make_poly_bump()
+    ks = np.array([0.5, 1.5, 0.0, 3.0, 7.0])
+    entries = scattering_matrix(v, ks)
+    with pytest.raises(ValueError) as lone:
+        scattering_matrix(v, 0.0)
+    assert isinstance(entries[2], ValueError)
+    assert str(entries[2]) == str(lone.value)
+    assert entries[:2] + entries[3:] == scattering_matrix(v, np.delete(ks, 2))
+    # a grid with no admissible momentum solves nothing
+    only_zero = scattering_matrix(v, np.array([0.0]))
+    assert [str(e) for e in only_zero] == [str(lone.value)]
+    assert scattering_matrix(v, np.array([])) == []
+
+
+def test_pole_proximity_keeps_its_place_in_a_grid(monkeypatch):
+    # a floor between the scaled |X| of the momenta rejects the smaller ones
+    v = make_poly_bump()
+    ks = np.array([0.5, 1.5, 3.0, 7.0])
+    x_hat = jost_solve(v, ks.astype(complex)).x_hat
+    scaled = np.abs(x_hat) / np.maximum(1.0, ks)
+    monkeypatch.setattr(scatter, "POLE_FLOOR", float(np.median(scaled)))
+    entries = scattering_matrix(v, ks)
+    for k, entry, low in zip(ks, entries, scaled < scatter.POLE_FLOOR):
+        if low:
+            with pytest.raises(ValueError, match="pole proximity") as lone:
+                scattering_matrix(v, k)
+            assert str(entry) == str(lone.value)
+        else:
+            assert entry.k == k
+    assert sum(isinstance(e, ValueError) for e in entries) == 2
+
+
+def test_jost_batch_is_chunked_above_the_rtol_floor(monkeypatch):
+    # scipy raises an rtol below 100 eps to that floor with a UserWarning;
+    # 1e-13 / sqrt(201) would be below it, so the batch is cut into chunks
+    solve_ivp = scatter.solve_ivp
+    rtols = []
+
+    def recording_solve_ivp(*args, **kwargs):
+        rtols.append(kwargs["rtol"])
+        return solve_ivp(*args, **kwargs)
+
+    monkeypatch.setattr(scatter, "solve_ivp", recording_solve_ivp)
+    v = make_truncated_gaussian(sharp_edge=True)
+    rtol, atol = 1e-13, 1e-15
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)
+        batch = jost_solve(v, SCATTER_GRID.astype(complex), rtol=rtol, atol=atol)
+        assert len(rtols) > len(scatter._pieces(v))
+        assert min(rtols) >= scatter.RTOL_FLOOR
+        for i in range(0, SCATTER_GRID.size, 10):
+            lone = jost_solve(v, SCATTER_GRID[i], rtol=rtol, atol=atol)
+            scale = abs(lone.x_hat) + abs(lone.y_hat_minus)
+            assert abs(batch.x_hat[i] - lone.x_hat) <= 10.0 * rtol * scale
+            assert (abs(batch.y_hat_minus[i] - lone.y_hat_minus)
+                    <= 10.0 * rtol * scale)
+
+
+def test_rtol_below_the_floor_is_rejected():
+    v = make_poly_bump()
+    floor = r"rtol = 1e-14 is below the DOP853 floor 100 eps = 2.22e-14"
+    with pytest.raises(ValueError, match=floor):
+        jost_solve(v, 1.0, rtol=1e-14)
+    with pytest.raises(ValueError, match=floor):
+        scattering_matrix(v, SCATTER_GRID, rtol=1e-14)
