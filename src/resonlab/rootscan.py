@@ -13,10 +13,11 @@ samples sit end to end in one array, neighbours are index arrays that wrap
 inside each path, and each refinement round is one call of f for all paths
 still refining, while every test and every error stays per path.
 locate_zeros walks the subdivision breadth-first: per level it polishes the
-isolated cells one by one, then counts the children of all other cells in
-one batched winding, and finally certifies every multiplicity circle in one
-sweep. The zero set is bit for bit the one a depth-first scan that sweeps
-one contour per call would find.
+isolated cells in lockstep, one call of f per Newton round for every cell
+still iterating, then counts the children of all other cells in one batched
+winding, and finally certifies every multiplicity circle in one sweep. The
+zero set is bit for bit the one a depth-first scan that sweeps one contour
+per call and polishes one cell at a time would find.
 
 The scan settings are module constants: FLOOR_RATIO (a boundary sample below
 it times the sampled maximum is a zero on the boundary), MAX_BOUNDARY_POINTS
@@ -346,10 +347,12 @@ def wind_count(f: Callable, rect: Rectangle, *, n_initial: int = 64) -> int:
 _SPLIT_JITTER = (0.0, 0.013, -0.013, 0.029, -0.029, 0.047, -0.047, 0.061, -0.061)
 
 
-def _newton_polish(f: Callable, z0: complex, multiplicity: int, tol: float,
-                   target: float, region: Rectangle) -> complex | None:
-    """Multiplicity-aware Newton iteration; None when it fails to settle.
+def _newton_polish(z0: complex, multiplicity: int, tol: float,
+                   target: float, region: Rectangle):
+    """Multiplicity-aware Newton iteration as a generator.
 
+    It yields the points [z, z + h, z - h] it needs f at, is sent their
+    values, and returns the polished zero, or None when it fails to settle.
     Accepts once |step| <= tol * max(1, |z|); a stalled run needs |f| <= target.
     """
     wander_pad = region.diameter
@@ -363,11 +366,11 @@ def _newton_polish(f: Callable, z0: complex, multiplicity: int, tol: float,
         # cluster cells can sit many orders of magnitude below |z|, where
         # 1e-7*|z| samples the derivative at the wrong scale and Newton stalls
         h = max(1e-7 * abs(z), 1e-4 * region.diameter)
-        vals = np.asarray(f(np.array([z, z + h, z - h])))
+        vals = yield np.array([z, z + h, z - h])
         deriv = (vals[1] - vals[2]) / (2.0 * h)
         if deriv == 0.0 or not np.isfinite(deriv):
-            return None
-        return complex(multiplicity * vals[0] / deriv)
+            return complex(vals[0]), None
+        return complex(vals[0]), complex(multiplicity * vals[0] / deriv)
 
     def owns(z):
         # the root must belong to the cell whose winding count it inherits;
@@ -384,7 +387,7 @@ def _newton_polish(f: Callable, z0: complex, multiplicity: int, tol: float,
 
     z = complex(z0)
     for _ in range(80):
-        step = newton_step(z)
+        fz, step = yield from newton_step(z)
         if step is None:
             break
         if abs(step) <= tol * max(1.0, abs(z)):
@@ -392,12 +395,41 @@ def _newton_polish(f: Callable, z0: complex, multiplicity: int, tol: float,
         z = z - step
         if not region.contains(z, pad=wander_pad):
             return None
-    # a separate one-point call, not the next three-point one: a scanned
-    # function may depend in its last bits on the batch it is evaluated in
-    fz = complex(np.asarray(f(np.array([z])))[0])
+    else:
+        if not owns(z):
+            return None
+        fz, step = yield from newton_step(z)
+    # a stall: f(z) comes from the same call as the step at z, since a
+    # scanned function does not depend on the batch it is evaluated in
     if abs(fz) > target or not owns(z):
         return None
-    return polished(z, newton_step(z))
+    return polished(z, step)
+
+
+def _polish_in_lockstep(f: Callable, runs: list) -> list:
+    """Drive _newton_polish generators together; their results in order.
+
+    Each round evaluates f once, on the points of every run still going,
+    in the order of the runs.
+    """
+    out: list = [None] * len(runs)
+    asks = {}
+    for i, run in enumerate(runs):
+        try:
+            asks[i] = next(run)
+        except StopIteration as stop:
+            out[i] = stop.value
+    while asks:
+        vals = np.asarray(f(np.concatenate(list(asks.values()))))
+        nxt, at = {}, 0
+        for i, pts in asks.items():
+            try:
+                nxt[i] = runs[i].send(vals[at:at + pts.size])
+            except StopIteration as stop:
+                out[i] = stop.value
+            at += pts.size
+        asks = nxt
+    return out
 
 
 def _circle_multiplicities(f: Callable, centers: Sequence[complex],
@@ -459,35 +491,33 @@ def locate_zeros(f: Callable, rect: Rectangle, tol: float = 1e-10) -> ZeroSet:
         return cell.diameter <= max(MERGE_RESOLUTION * abs(cell.center),
                                     1e-12 * scale0)
 
-    def refine_in(cell: _Cell) -> bool:
-        target = tol * cell.local_scale
-        z = _newton_polish(f, cell.rect.center, cell.count, tol, target,
-                           cell.rect)
-        if (z is None and cell.count == 1
-                and cell.rect.diameter > 1e-12 * scale0):
-            return False
-        if z is None:
-            raise RootScanError(
-                "refinement did not converge in cell around "
-                f"{cell.rect.center:.6g}")
-        found.append((cell.key, z))
-        return True
-
-    # Breadth-first: each level polishes its isolated cells one by one, then
-    # counts the children of every other cell in one batched winding. A
+    # Breadth-first: each level polishes all its isolated cells in lockstep,
+    # then counts the children of every other cell in one batched winding. A
     # parent whose split meets a boundary zero, or whose children's counts
     # do not add up, tries its next split offset in the next batch.
     frontier = [_Cell(rect, total, top_scale, 0, ())]
     while frontier:
+        live = [cell for cell in frontier if cell.count != 0]
+        isolated = [cell.depth <= MAX_DEPTH
+                    and (cell.count == 1 or cluster_stop(cell.rect))
+                    for cell in live]
+        zeros = iter(_polish_in_lockstep(f, [
+            _newton_polish(cell.rect.center, cell.count, tol,
+                           tol * cell.local_scale, cell.rect)
+            for cell, alone in zip(live, isolated) if alone]))
         splits: list[tuple[_Cell, int]] = []
-        for cell in frontier:
-            if cell.count == 0:
-                continue
+        for cell, alone in zip(live, isolated):
             if cell.depth > MAX_DEPTH:
                 raise RootScanError("subdivision exceeded the depth budget")
-            if ((cell.count == 1 or cluster_stop(cell.rect))
-                    and refine_in(cell)):
-                continue
+            if alone:
+                z = next(zeros)
+                if z is not None:
+                    found.append((cell.key, z))
+                    continue
+                if cell.count != 1 or cell.rect.diameter <= 1e-12 * scale0:
+                    raise RootScanError(
+                        "refinement did not converge in cell around "
+                        f"{cell.rect.center:.6g}")
             splits.append((cell, 0))
         frontier = []
         while splits:

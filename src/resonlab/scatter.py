@@ -18,16 +18,21 @@ Two propagators carry the system. The X that scans see (xhat_function, so
 resonances and any wind_count on it) comes from sixth-order Magnus steps on
 uniform cells with a closed-form 2x2 exponential (_magnus_m), each momentum
 refining its own mesh, so X(k) has the same bits alone and in any batch.
-jost_solve, scattering_matrix and the confirmation of every located
-resonance use adaptive DOP853 (_solve_m), an independent check on the
-Magnus values at the points that are reported. A batch of momenta shares
-one stacked DOP853 solve per piece of V, with the tolerances shrunk so that
-each momentum keeps the bound of a lone solve (_jost_many). The scattering
-matrix on a real grid is one such batch: V is real, so Y(k) = conj Y(-k).
+The cell exponential is a polynomial in the momentum fed to a Taylor series
+(or, for a large argument, to exp); the polynomial coefficients depend on
+V and the mesh level alone, and each xhat_function closure builds them once
+per level in a table of its own. jost_solve, scattering_matrix and the
+confirmation of every located resonance use adaptive DOP853 (_solve_m), an
+independent check on the Magnus values at the points that are reported. A
+batch of momenta shares one stacked DOP853 solve per piece of V, with the
+tolerances shrunk so that each momentum keeps the bound of a lone solve
+(_jost_many). The scattering matrix on a real grid is one such batch: V is
+real, so Y(k) = conj Y(-k).
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -126,15 +131,65 @@ _RATE = 31.0
 _BLOCK = 1 << 13
 
 
-def _cell_propagators(vs: np.ndarray, h: float, w: np.ndarray):
-    """exp(Omega0) on each cell, as the entries (a, b, c, d) of [[a, b], [c, d]].
+class _Poly:
+    """A polynomial in p1 with per-cell real coefficients, lowest degree first.
 
-    vs holds V at the three Gauss nodes of each cell (shape (cells, 3)), h is
-    the signed step and w = 2ik has shape (1, momenta). The system matrix is
-    -(w/2) I + A0 with A0 = [[w/2, 1], [V, -w/2]] traceless, so the scalar
-    part contributes exactly e^{-wh/2} per cell, which the caller applies
-    once per piece. Omega0 is the sixth-order three-point Magnus term (Blanes, Casas,
-    Oteo and Ros, Phys. Rep. 470, 2009) with alpha1 = h A0(mid),
+    Just enough arithmetic to run the Omega0 formula of _cell_coefficients
+    with p1 left symbolic; anything that is not a _Poly is a constant.
+    """
+
+    __array_ufunc__ = None          # ndarray op _Poly defers to _Poly
+
+    def __init__(self, *coef):
+        self.coef = coef
+
+    def __add__(self, other):
+        a = self.coef
+        b = other.coef if isinstance(other, _Poly) else (other,)
+        if len(a) < len(b):
+            a, b = b, a
+        return _Poly(*(x + y for x, y in zip(a, b)), *a[len(b):])
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Poly(*(-x for x in self.coef))
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if not isinstance(other, _Poly):
+            return _Poly(*(x * other for x in self.coef))
+        out = [0.0] * (len(self.coef) + len(other.coef) - 1)
+        for i, x in enumerate(self.coef):
+            for j, y in enumerate(other.coef):
+                out[i + j] = out[i + j] + x * y
+        return _Poly(*out)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        return _Poly(*(x / other for x in self.coef))
+
+    def stacked(self, cells: int) -> np.ndarray:
+        """The coefficients as one complex array, shape (degree + 1, cells, 1)."""
+        return np.stack([np.broadcast_to(np.asarray(c, dtype=complex),
+                                         (cells, 1)) for c in self.coef])
+
+
+def _cell_coefficients(vs: np.ndarray, h: float):
+    """The entries p, q, r of Omega0 on each cell as polynomials in p1.
+
+    vs holds V at the three Gauss nodes of each cell (shape (cells, 3)) and
+    h is the signed step. With w = 2ik the system matrix is -(w/2) I + A0,
+    A0 = [[w/2, 1], [V, -w/2]] traceless, so the scalar part contributes
+    exactly e^{-wh/2} per cell, which _magnus_m applies once per piece.
+    Omega0 is the sixth-order three-point Magnus term (Blanes, Casas, Oteo
+    and Ros, Phys. Rep. 470, 2009) with alpha1 = h A0(mid),
     alpha2 = (sqrt(15) h / 3)(A0_3 - A0_1) and
     alpha3 = (10 h / 3)(A0_3 - 2 A0_2 + A0_1):
 
@@ -144,13 +199,17 @@ def _cell_propagators(vs: np.ndarray, h: float, w: np.ndarray):
 
     expanded below for traceless matrices [[p, q], [r, -p]], where
     [x, y] = (q1 r2 - q2 r1, 2 (p1 q2 - q1 p2), 2 (r1 p2 - p1 r2)) and
-    alpha2, alpha3 have only an r entry. Then Omega0^2 = s^2 I with
-    s^2 = p^2 + q r, and exp(Omega0) = cosh(s) I + sinh(s)/s Omega0.
+    alpha2, alpha3 have only an r entry. The momentum enters only through
+    the entry p1 = (h/2) w of alpha1, so p, q and r are polynomials in p1
+    of degrees 2, 1 and 3 whose real coefficients depend on the cell alone.
+    They come back stacked, lowest degree first, each of shape
+    (degree + 1, cells, 1).
     """
+    cells = vs.shape[0]
     v1, v2, v3 = vs[:, 0:1], vs[:, 1:2], vs[:, 2:3]
     a2 = (np.sqrt(15.0) / 3.0 * h) * (v3 - v1)
     a3 = (10.0 / 3.0 * h) * ((v3 - 2.0 * v2) + v1)
-    p1 = (0.5 * h) * w                         # alpha1 = (p1, h, r1)
+    p1 = _Poly(0.0, 1.0)                       # alpha1 = (p1, h, r1)
     r1 = h * v2
     p1a2 = p1 * a2
     # [alpha1, 2 alpha3 + C1] with C1 = (h a2, 0, -2 p1 a2)
@@ -168,31 +227,89 @@ def _cell_propagators(vs: np.ndarray, h: float, w: np.ndarray):
     p = p1 + (u_q * w_r - w_q * u_r) / 240.0
     q = h + (2.0 * (u_p * w_q - u_q * w_p)) / 240.0
     r = (r1 + a3 / 12.0) + (2.0 * (u_r * w_p - u_p * w_r)) / 240.0
-    s = np.sqrt(p * p + q * r)
-    ch = np.cosh(s)
-    sc = np.divide(np.sinh(s), s, out=np.ones_like(s), where=s != 0.0)
-    return ch + sc * p, sc * q, sc * r, ch - sc * p
+    return p.stacked(cells), q.stacked(cells), r.stacked(cells)
+
+
+# Taylor coefficients in u = s^2 of cosh(s) = sum u^n / (2n)! and of
+# sinh(s) / s = sum u^n / (2n + 1)!; on |u| <= 1 the first omitted terms
+# are below 5e-19 and 1e-17 of the sums, which stay above 0.5 there
+_COSH_SERIES = tuple(1.0 / math.factorial(2 * n) for n in range(10))
+_SINHC_SERIES = tuple(1.0 / math.factorial(2 * n + 1) for n in range(9))
+
+
+def _horner(coef, x):
+    """sum coef[j] x^j, lowest degree first, by Horner's rule."""
+    t = coef[-1] * x + coef[-2]
+    for c in coef[-3::-1]:
+        t *= x
+        t += c
+    return t
+
+
+def _cell_propagators(coef, x: np.ndarray):
+    """exp(Omega0) on each cell, as the entries (a, b, c, d) of [[a, b], [c, d]].
+
+    coef holds the stacked coefficients of p, q and r from
+    _cell_coefficients, and x = p1 = (h/2) 2ik has shape (1, momenta).
+    Omega0 = [[p, q], [r, -p]] squares to u I with u = s^2 = p^2 + q r, so
+    exp(Omega0) = cosh(s) I + sinh(s)/s Omega0, and both cosh(s) and
+    sinh(s)/s are entire in u. Where |u| <= 1 they come from their Taylor
+    series in u; elsewhere from e^s and its reciprocal, s = sqrt(u). The
+    route is chosen per element, so a momentum has the same bits alone and
+    in any batch.
+    """
+    pc, qc, rc = coef
+    p, q, r = _horner(pc, x), _horner(qc, x), _horner(rc, x)
+    u = p * p + q * r
+    # the series of an element with |u| > 1 may overflow; it is replaced
+    with np.errstate(over="ignore", invalid="ignore"):
+        ch, sc = _horner(_COSH_SERIES, u), _horner(_SINHC_SERIES, u)
+    far = np.abs(u) > 1.0
+    if far.any():
+        s = np.sqrt(u[far])
+        e = np.exp(s)
+        ei = 1.0 / e
+        ch[far] = 0.5 * (e + ei)
+        sc[far] = 0.5 * (e - ei) / s
+    scp = sc * p
+    return ch + scp, sc * q, sc * r, ch - scp
+
+
+def _bit_reversed(cells: int) -> np.ndarray:
+    """0, ..., cells - 1 in bit-reversed order; cells is a power of two."""
+    order = np.zeros(1, dtype=int)
+    while order.size < cells:
+        order = np.concatenate([2 * order, 2 * order + 1])
+    return order
 
 
 def _chain(a, b, c, d):
-    """The product M[n-1] ... M[1] M[0] of the matrices along axis 0.
+    """The product M[n-1] ... M[1] M[0] of n matrices stored bit-reversed.
 
-    Adjacent pairs multiply level by level, a pairwise tree of elementwise
-    products; n is a power of two.
+    Position j holds cell _bit_reversed(n)[j], so positions j and j + n/2
+    hold neighbouring cells 2i and 2i + 1, and their products again sit
+    bit-reversed. Adjacent pairs multiply level by level, a pairwise tree
+    of elementwise products on contiguous halves; n is a power of two.
     """
     while a.shape[0] > 1:
-        a0, b0, c0, d0 = a[0::2], b[0::2], c[0::2], d[0::2]
-        a1, b1, c1, d1 = a[1::2], b[1::2], c[1::2], d[1::2]
+        h = a.shape[0] // 2
+        a0, b0, c0, d0 = a[:h], b[:h], c[:h], d[:h]
+        a1, b1, c1, d1 = a[h:], b[h:], c[h:], d[h:]
         a, b, c, d = (a1 * a0 + b1 * c0, a1 * b0 + b1 * d0,
                       c1 * a0 + d1 * c0, c1 * b0 + d1 * d0)
     return a[0], b[0], c[0], d[0]
 
 
-def _magnus_m(v: Potential, ks: np.ndarray, rtol: float, atol: float):
+def _magnus_m(v: Potential, ks: np.ndarray, rtol: float, atol: float,
+              table: dict | None = None):
     """m(0), m'(0) for the momenta in ks by sixth-order Magnus steps.
 
     Each piece of V between (L, *breakpoints, 0) carries 2**j uniform
-    cells, and V is sampled once per piece and level for the whole batch.
+    cells. The first sweep at a level samples V at the Gauss nodes of every
+    cell once and stores the cell coefficients of Omega0 (_cell_coefficients)
+    in table, under the level; later sweeps at that level, in this call or
+    in any later call handed the same table, reuse them. The coefficients
+    depend on V and the level alone, so a table never changes a value.
     Each momentum doubles its own cell count until
     |X_2n - X_n| / _RATE <= rtol (|X| + |Y(-k)|) + atol, the proxy that
     _jost_many reports, and keeps the finer value. All arithmetic is
@@ -203,21 +320,26 @@ def _magnus_m(v: Potential, ks: np.ndarray, rtol: float, atol: float):
     """
     pieces = _pieces(v)
     ks = np.asarray(ks, dtype=complex)
+    table = {} if table is None else table
 
     def sweep(idx, level):
         """m(0), m'(0) for ks[idx] on 2**level cells per piece."""
         cells = 1 << level
-        nodes = (np.arange(cells)[:, None] + _GAUSS3) / cells
-        samples = [(hi, lo, v(hi + nodes * (lo - hi))) for hi, lo in pieces]
+        if level not in table:
+            nodes = (_bit_reversed(cells)[:, None] + _GAUSS3) / cells
+            table[level] = [
+                (hi, lo, _cell_coefficients(v(hi + nodes * (lo - hi)),
+                                            (lo - hi) / cells))
+                for hi, lo in pieces]
         m, mp = np.empty(idx.size, dtype=complex), np.empty(idx.size, dtype=complex)
         step = max(1, _BLOCK >> level)
         for start in range(0, idx.size, step):
             k = ks[idx[start:start + step]]
             w = 2j * k
             y0, y1 = np.ones(k.size, dtype=complex), np.zeros(k.size, dtype=complex)
-            for hi, lo, vs in samples:
-                a, b, c, d = _chain(*_cell_propagators(vs, (lo - hi) / cells,
-                                                       w[None, :]))
+            for hi, lo, coef in table[level]:
+                x = (0.5 * (lo - hi) / cells) * w
+                a, b, c, d = _chain(*_cell_propagators(coef, x[None, :]))
                 e = np.exp((0.5 * (hi - lo)) * w)
                 y0, y1 = (a * y0 + b * y1) * e, (c * y0 + d * y1) * e
                 bad = ~(np.isfinite(y0) & np.isfinite(y1))
@@ -310,12 +432,15 @@ def xhat_function(v: Potential, *, rtol: float = DEFAULT_RTOL,
                   atol: float = DEFAULT_ATOL) -> Callable:
     """Vectorized k -> X(k) for the rectangle scans, shape in = shape out."""
 
+    table = {}      # the Magnus cell coefficients of v, filled level by level
+
     def f(ks):
         arr = np.asarray(ks, dtype=complex)
         if arr.size == 0:
             return np.zeros(arr.shape, dtype=complex)
         ks = arr.ravel()
-        return _x_and_y(ks, *_magnus_m(v, ks, rtol, atol))[0].reshape(arr.shape)
+        m, mp = _magnus_m(v, ks, rtol, atol, table)
+        return _x_and_y(ks, m, mp)[0].reshape(arr.shape)
 
     return f
 

@@ -51,3 +51,104 @@ def test_identical_zeros_merge_exactly():
         z = complex(rng.uniform(-50, 50), rng.uniform(-5, 5))
         k = int(rng.integers(2, 5))
         assert ZeroSet.from_pairs([(z, 1)] * k).entries == ((z, k),)
+
+
+# ZeroSet.to_text() of two scans as the one-cell-at-a-time Newton polish
+# found them; polishing a level's isolated cells in lockstep keeps every bit
+SINE_LATTICE_TEXT = (
+    "# zeroset v1\n# count: 7\n# columns: re im multiplicity\n"
+    "-9.87076590502616e-26 7.10507627069885e-26 1\n"
+    "1 7.62011504648116e-19 1\n"
+    "-1 3.21696571191683e-25 1\n"
+    "2 7.53221379007132e-26 1\n"
+    "-2 5.44820682825106e-21 1\n"
+    "3 -1.02247912773965e-22 1\n"
+    "-3 4.48143336892453e-23 1\n")
+POLY_BUMP_PAIR_TEXT = (
+    "# zeroset v1\n# count: 2\n# columns: re im multiplicity\n"
+    "4.72674286592644 -1.62936353132447 1\n"
+    "4.72674286592643 1.62936353132447 1\n")
+
+
+def sine(z):
+    return np.sin(np.pi * z)
+
+
+SINE_RECT = Rectangle(-3.5, 3.5, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("f, rect, text", [
+    (sine, SINE_RECT, SINE_LATTICE_TEXT),
+    (pair_function(make_poly_bump(), 1e-10), Rectangle(0.5, 8.0, -6.0, 6.0),
+     POLY_BUMP_PAIR_TEXT),
+], ids=["sine-lattice", "poly-bump-pair"])
+def test_lockstep_newton_keeps_the_bits(f, rect, text):
+    assert locate_zeros(f, rect).to_text() == text
+
+
+def recording(g):
+    calls = []
+
+    def f(z):
+        calls.append(np.array(z, copy=True))
+        return g(z)
+
+    return f, calls
+
+
+def test_lockstep_newton_saves_calls_and_repeats_no_point(monkeypatch):
+    polish, lockstep = rootscan._newton_polish, rootscan._polish_in_lockstep
+    jobs, levels = [], []
+
+    def recorded_polish(*args):
+        jobs.append(args)
+        return polish(*args)
+
+    def recorded_lockstep(f, runs):
+        counted, calls = recording(f)
+        out = lockstep(counted, runs)
+        levels.append((jobs[-len(runs):] if runs else [], calls, out))
+        return out
+
+    monkeypatch.setattr(rootscan, "_newton_polish", recorded_polish)
+    monkeypatch.setattr(rootscan, "_polish_in_lockstep", recorded_lockstep)
+    assert locate_zeros(sine, SINE_RECT).to_text() == SINE_LATTICE_TEXT
+
+    newton_points = np.concatenate([p for _, calls, _ in levels
+                                    for p in calls])
+    assert np.unique(newton_points).size == newton_points.size
+    crowded = [lv for lv in levels if len(lv[0]) >= 3]
+    assert crowded
+    for level_jobs, calls, out in crowded:
+        alone_calls = 0
+        for args, z in zip(level_jobs, out):
+            counted, one = recording(sine)
+            assert lockstep(counted, [polish(*args)]) == [z]
+            alone_calls += len(one)
+        assert len(calls) < alone_calls
+
+
+def test_a_stalled_polish_takes_f_of_z_from_its_newton_call():
+    # a zero derivative at the first point: f(z) comes with it, one call
+    f, calls = recording(lambda z: (z - 0.5) ** 2)
+    region = Rectangle(0.0, 1.0, -0.5, 0.5)
+    out = rootscan._polish_in_lockstep(
+        f, [rootscan._newton_polish(0.5, 2, 1e-10, 1e-12, region)])
+    assert out == [0.5] and len(calls) == 1
+    # 80 unsettled steps between two simple zeros read as a double one:
+    # the stall test and the last step share one call, so no point repeats
+    d = 1e-9
+    f, calls = recording(lambda z: (z - 1) * (z - 1 - d))
+    region = Rectangle(1 - 1e-8, 1 + 1.1e-8, -1e-8, 1.2e-8)
+    out, = rootscan._polish_in_lockstep(
+        f, [rootscan._newton_polish(region.center, 2, 1e-10, 1.0, region)])
+    assert region.contains(out) and abs(out - (1 + d / 2)) < d
+    points = np.concatenate(calls)
+    assert len(calls) == 81 and np.unique(points).size == points.size
+
+
+def test_a_cell_of_negative_count_still_fails_its_refinement():
+    # tan(z) - z has a pole at pi/2, where the winding counts -1
+    with pytest.raises(rootscan.RootScanError, match="refinement did not "
+                       "converge in cell around 1.5708"):
+        locate_zeros(lambda z: np.tan(z) - z, Rectangle(0.1, 20.0, -2.0, 2.0))
