@@ -19,6 +19,18 @@ winding, and finally certifies every multiplicity circle in one sweep. The
 zero set is bit for bit the one a depth-first scan that sweeps one contour
 per call and polishes one cell at a time would find.
 
+A rectangle is sampled per side, not by arc length along the whole path
+(_RectSides): each side gets its share of the density by length, and its
+samples and refinement midpoints are integer ticks counted from the side's
+lower or left end, whichever way the path runs. So the cells of a
+subdivision that share an edge sample it at the same bits: siblings on
+their inner edges, neighbours of the same depth, and (where the halving is
+exact) a child on the half-side that starts at a corner of its parent. A
+caller that remembers values by momentum (scatter.resonances) evaluates
+each such point once. Successive densities have coprime counts on every
+side and share no sample but the corners, so their agreement stays an
+independent check.
+
 The scan settings are module constants: FLOOR_RATIO (a boundary sample below
 it times the sampled maximum is a zero on the boundary), MAX_BOUNDARY_POINTS
 samples per path, _BATCH_POINTS (a batch starts with at most that many
@@ -122,53 +134,173 @@ class Rectangle:
 
     def boundary_path(self) -> Callable[[np.ndarray], np.ndarray]:
         """Arc-length parameterization of the counterclockwise boundary."""
-        curve = _boundary_curve([self])
-        return lambda ts: curve(np.zeros(np.shape(ts), dtype=np.intp), ts)
+        corners = self.corners()
+        cum = np.cumsum([self.width, self.height, self.width, self.height])
+        breaks = np.concatenate([[0.0], cum / cum[3]])
+
+        def path(ts: np.ndarray) -> np.ndarray:
+            ts = np.mod(np.asarray(ts, dtype=float), 1.0)
+            seg = np.count_nonzero(breaks[1:4] <= ts[..., None], axis=-1)
+            lo, hi = breaks[seg], breaks[seg + 1]
+            return corners[seg] + (ts - lo) / (hi - lo) * (
+                corners[(seg + 1) % 4] - corners[seg])
+
+        return path
 
 
-def _boundary_curve(rects: Sequence[Rectangle]) -> Callable:
-    """Boundary parameterizations of many rectangles as one curve family.
+class _Curves:
+    """Closed paths curve(ids, ts), ts in [0, 1), sampled uniformly in ts.
 
-    curve(ids, ts)[k] is the point at parameter ts[k] on the counterclockwise
-    boundary of rects[ids[k]], arc length normalized to one round per unit.
+    The interface _sweep walks: sizes(ids) and start(ids) give the number
+    and the parameters of the first samples on the paths ids, points(ids,
+    ts) their points, end the parameter that follows a path's last sample,
+    and mids(ids, a, b) the midpoints of the steps a -> b with a flag for
+    the steps that could be split.
     """
-    corners = np.array([rect.corners() for rect in rects])
-    sides = np.array([[r.width, r.height, r.width, r.height] for r in rects])
-    cum = np.cumsum(sides, axis=1)
-    breaks = np.concatenate([np.zeros((len(rects), 1)), cum / cum[:, 3:]],
-                            axis=1)
 
-    def curve(ids: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        ts = np.mod(np.asarray(ts, dtype=float), 1.0)
-        seg = np.count_nonzero(breaks[ids, 1:4] <= ts[..., None], axis=-1)
-        lo, hi = breaks[ids, seg], breaks[ids, seg + 1]
-        start = corners[ids, seg]
-        end = corners[ids, (seg + 1) % 4]
-        return start + (ts - lo) / (hi - lo) * (end - start)
+    end = 1.0
 
-    return curve
+    def __init__(self, curve: Callable, n: int):
+        self.curve, self.n = curve, n
+
+    def sizes(self, ids: np.ndarray) -> np.ndarray:
+        return np.full(ids.size, self.n)
+
+    def start(self, ids: np.ndarray) -> np.ndarray:
+        return np.tile(np.linspace(0.0, 1.0, self.n, endpoint=False), ids.size)
+
+    def points(self, ids: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        return self.curve(ids, ts)
+
+    def mids(self, ids: np.ndarray, a: np.ndarray, b: np.ndarray):
+        m = 0.5 * (a + b)
+        return m, (m != a) & (m != b)
 
 
-def _sweep(f: Callable, curve: Callable, ids: np.ndarray,
-           n_initial: int) -> list:
-    """Winding numbers of f along the closed paths ids of a curve family.
+# A side's samples sit on integer ticks: a sample is side * _SIDE + r, r
+# ticks along the side in the direction the path runs (r < 2**52 <= _SIDE)
+_SIDE = 1 << 53
 
-    The samples of all paths sit end to end in one array, and each path's
-    neighbours are index arrays that wrap inside the path, so a refinement
-    round costs one curve call and one f call however many paths still
-    refine. Every test is the one-path test applied to the path's own
-    samples. Returns one item per path: (winding, max |f| on the path), or
-    the BoundaryZeroError or RootScanError the path ended with.
+
+def _side_counts(lengths: np.ndarray, n: int,
+                 prev: np.ndarray | None = None) -> np.ndarray:
+    """Samples per side at density n, shape of lengths (paths, 4).
+
+    A side gets its share of n by length: rounded at the first density,
+    and after it (prev holds the counts of the density before) rounded up,
+    so the total is at least n, then raised until it is coprime with the
+    side's previous count, so the two samplings share no point but the
+    corners.
+    """
+    share = n * lengths / lengths.sum(axis=1, keepdims=True)
+    if prev is None:
+        return np.maximum(1, np.rint(share)).astype(np.int64)
+    counts = np.maximum(1, np.ceil(share)).astype(np.int64)
+    while True:
+        shared = np.gcd(counts, prev) > 1
+        if not shared.any():
+            return counts
+        counts += shared
+
+
+class _RectSides:
+    """Rectangle boundaries sampled per side on canonical integer ticks.
+
+    Side s of a path runs from corner s to corner s + 1 (counterclockwise
+    from the lower-left) and carries N_s samples from _side_counts. Its
+    D = N_s 2**K ticks, K as large as keeps D below 2**52, are counted from
+    the side's lower or left end whichever way the path runs: tick J is the
+    point lo + (J / D)(hi - lo), one correctly rounded division of exact
+    integers, and a path's first sample on a side is its start corner
+    itself. The samples are the ticks i 2**K, and a refinement midpoint is
+    the integer midpoint of two ticks, rounded down in J. So two rectangles
+    with the same bounds and count on an edge sample it at the same bits,
+    however the paths run. Siblings of an even split get the same count on
+    their shared edge; a child's half-side gets its parent's count on the
+    whole side, so where the halving is exact in floating point, a half
+    that starts at a corner of the parent holds every parent sample on it.
+    A step between adjacent ticks cannot be split.
+    """
+
+    end = 4 * _SIDE
+
+    def __init__(self, rects: Sequence[Rectangle], n: int):
+        bounds = np.array([(r.re_min, r.re_max, r.im_min, r.im_max)
+                           for r in rects])
+        re0, re1, im0, im1 = bounds.T
+        width, height = re1 - re0, im1 - im0
+        ll, lr = re0 + 1j * im0, re1 + 1j * im0
+        ur, ul = re1 + 1j * im1, re0 + 1j * im1
+        # per (path, side), flattened as 4 * path + side
+        self.first = np.stack([ll, lr, ur, ul], axis=1).ravel()
+        self.base = np.stack([ll, lr, ul, ll], axis=1).ravel()
+        self.step = np.stack([width, 1j * height, width, 1j * height],
+                             axis=1).ravel()
+        self.lengths = np.stack([width, height, width, height], axis=1)
+        self.n, self.counts = n, _side_counts(self.lengths, n)
+        self._ticks()
+
+    def escalate(self) -> None:
+        """Move on to the next density, 2 n + 17."""
+        self.n = 2 * self.n + 17
+        self.counts = _side_counts(self.lengths, self.n, self.counts)
+        self._ticks()
+
+    def _ticks(self) -> None:
+        counts = self.counts.ravel()
+        self.scale = np.array([1 << (52 - c.bit_length())
+                               for c in counts.tolist()], dtype=np.int64)
+        self.ticks = counts * self.scale
+
+    def sizes(self, ids: np.ndarray) -> np.ndarray:
+        return self.counts[ids].sum(axis=1)
+
+    def start(self, ids: np.ndarray) -> np.ndarray:
+        counts = self.counts[ids].ravel()
+        k = np.repeat((4 * ids[:, None] + np.arange(4)).ravel(), counts)
+        i = np.arange(k.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        return (k % 4) * _SIDE + i * self.scale[k]
+
+    def points(self, ids: np.ndarray, u: np.ndarray) -> np.ndarray:
+        side = u // _SIDE
+        r = u - side * _SIDE
+        k = 4 * ids + side
+        d = self.ticks[k]
+        pts = self.base[k] + (np.where(side >= 2, d - r, r) / d) * self.step[k]
+        corner = np.flatnonzero(r == 0)
+        pts[corner] = self.first[k[corner]]
+        return pts
+
+    def mids(self, ids: np.ndarray, a: np.ndarray, b: np.ndarray):
+        side = a // _SIDE
+        ra = a - side * _SIDE
+        # the step to the next side's corner ends at the far tick D
+        rb = np.where(b // _SIDE == side, b - side * _SIDE,
+                      self.ticks[4 * ids + side])
+        # r runs down in J on the top and left sides: round up in r there
+        return side * _SIDE + (ra + rb + (side >= 2)) // 2, rb - ra > 1
+
+
+def _sweep(f: Callable, paths, ids: np.ndarray) -> list:
+    """Winding numbers of f along the closed paths ids of a path family.
+
+    paths is a _Curves or a _RectSides. The samples of all paths sit end
+    to end in one array, and each path's neighbours are index arrays that
+    wrap inside the path, so a refinement round costs one f call however
+    many paths still refine. Every test is the one-path test applied to
+    the path's own samples. Returns one item per path: (winding, max |f| on
+    the path), or the BoundaryZeroError or RootScanError the path ended
+    with.
     """
     out: list = [None] * ids.size
     rows = np.arange(ids.size)
-    sizes = np.full(ids.size, n_initial)
-    ts = np.tile(np.linspace(0.0, 1.0, n_initial, endpoint=False), ids.size)
-    fs = np.asarray(f(curve(np.repeat(ids, n_initial), ts)))
+    ts, sizes = paths.start(ids), paths.sizes(ids)
+    fs = np.asarray(f(paths.points(np.repeat(ids, sizes), ts)))
     while rows.size:
         starts = np.cumsum(sizes) - sizes
-        first = np.repeat(starts, sizes)
-        size = np.repeat(sizes, sizes)
+        owner = np.repeat(np.arange(rows.size), sizes)
+        first = starts[owner]
+        size = sizes[owner]
         local = np.arange(ts.size) - first
         nxt = first + (local + 1) % size
         # a path that fails the floor test below may hold zeros or
@@ -194,8 +326,16 @@ def _sweep(f: Callable, curve: Callable, ids: np.ndarray,
             amaxs = np.maximum.reduceat(mags, starts)
             amins = np.minimum.reduceat(mags, starts)
         n_bad = np.add.reduceat(bad, starts, dtype=np.intp)
+        # each flagged sample gets the midpoint to its successor right after
+        # it; the last sample of a path pairs with paths.end
+        at = np.flatnonzero(bad)
+        t_next = np.where(local[at] == size[at] - 1, paths.end, ts[nxt[at]])
+        mids, split = paths.mids(ids[owner[at]], ts[at], t_next)
+        unsplit = np.zeros(rows.size, dtype=bool)
+        unsplit[owner[at[~split]]] = True
         settled = (~finite | (amaxs == 0.0) | (amins < FLOOR_RATIO * amaxs)
-                   | (n_bad == 0) | (sizes + n_bad > MAX_BOUNDARY_POINTS))
+                   | (n_bad == 0) | (sizes + n_bad > MAX_BOUNDARY_POINTS)
+                   | unsplit)
         for k in np.flatnonzero(settled):
             amax, amin = float(amaxs[k]), float(amins[k])
             if not finite[k]:
@@ -213,6 +353,10 @@ def _sweep(f: Callable, curve: Callable, ids: np.ndarray,
                     res = RootScanError(
                         f"phase sum {total:.6f} is not close to a multiple "
                         "of 2*pi")
+            elif unsplit[k]:
+                res = BoundaryZeroError(
+                    "a phase step between adjacent sample parameters cannot "
+                    "be split (zero on or very near the path)")
             else:
                 res = BoundaryZeroError(
                     "phase steps not resolvable within the sampling budget "
@@ -221,12 +365,9 @@ def _sweep(f: Callable, curve: Callable, ids: np.ndarray,
         live = ~settled
         if not live.any():
             break
-        # each flagged sample gets the midpoint to its successor right after
-        # it; the last sample of a path pairs with t = 1
-        at = np.flatnonzero(bad & np.repeat(live, sizes))
-        t_next = np.where(local == size - 1, 1.0, ts[nxt])
-        mids = 0.5 * (ts[at] + t_next[at])
-        fmid = np.asarray(f(curve(np.repeat(ids, sizes)[at], mids)))
+        refine = live[owner[at]]
+        at, mids = at[refine], mids[refine]
+        fmid = np.asarray(f(paths.points(ids[owner[at]], mids)))
         ts = np.insert(ts, at + 1, mids)
         fs = np.insert(fs, at + 1, fmid)
         sizes = sizes + np.where(live, n_bad, 0)
@@ -236,15 +377,14 @@ def _sweep(f: Callable, curve: Callable, ids: np.ndarray,
     return out
 
 
-def _windings(f: Callable, curve: Callable, ids: Sequence[int],
-              n_initial: int) -> list:
+def _windings(f: Callable, paths, ids: Sequence[int]) -> list:
     """_sweep over the paths ids, in batches that start with at most
     _BATCH_POINTS samples; a path with more goes alone."""
     ids = np.asarray(ids, dtype=np.intp)
-    per = max(1, _BATCH_POINTS // n_initial)
+    per = max(1, _BATCH_POINTS // int(paths.sizes(ids).max(initial=1)))
     out: list = []
     for lo in range(0, ids.size, per):
-        out += _sweep(f, curve, ids[lo:lo + per], n_initial)
+        out += _sweep(f, paths, ids[lo:lo + per])
     return out
 
 
@@ -256,7 +396,7 @@ def _winding_along(f: Callable, path: Callable, *, n_initial: int = 64):
     when MAX_BOUNDARY_POINTS samples cannot bring all phase steps below
     pi/2 (both indicate a zero on or near the path).
     """
-    result, = _windings(f, lambda ids, ts: path(ts), [0], n_initial)
+    result, = _windings(f, _Curves(lambda ids, ts: path(ts), n_initial), [0])
     if isinstance(result, Exception):
         raise result
     return result
@@ -271,26 +411,26 @@ def _rect_windings(f: Callable, rects: Sequence[Rectangle], *,
     the modulus is flat), so a single density is never trusted: a count is
     accepted only once two successive sampling densities agree. Densifying
     breaks any strobe, because near the alias threshold the true step
-    exceeds pi/2 and the phase trigger takes over. Each density is one
-    batched sweep over the rectangles still undecided. Returns one item per
-    rectangle: (count, max |f| on its boundary), or the error it ended with.
+    exceeds pi/2 and the phase trigger takes over; on each side the counts
+    of successive densities are coprime (_side_counts), so the two share no
+    sample but the corners. Each density is one batched sweep over the
+    rectangles still undecided. Returns one item per rectangle: (count, max
+    |f| on its boundary), or the error it ended with.
     """
-    curve = _boundary_curve(rects)
+    paths = _RectSides(rects, n_initial)
     out: list = [None] * len(rects)
     pending: dict[int, tuple[int, float]] = {}
-    for i, res in enumerate(_windings(f, curve, range(len(rects)),
-                                      n_initial)):
+    for i, res in enumerate(_windings(f, paths, range(len(rects)))):
         if isinstance(res, Exception):
             out[i] = res
         else:
             pending[i] = res
-    n_cur = n_initial
     for _ in range(DENSITY_ESCALATIONS):
         if not pending:
             break
-        n_cur = 2 * n_cur + 17
+        paths.escalate()
         undecided = list(pending)
-        res2 = _windings(f, curve, undecided, n_cur)
+        res2 = _windings(f, paths, undecided)
         for i, res in zip(undecided, res2):
             n, amax = pending.pop(i)
             if isinstance(res, Exception):
@@ -302,7 +442,7 @@ def _rect_windings(f: Callable, rects: Sequence[Rectangle], *,
     for i in pending:
         out[i] = RootScanError(
             f"winding over {rects[i]} did not stabilize across sampling "
-            f"densities up to {n_cur}")
+            f"densities up to {paths.n}")
     return out
 
 
@@ -446,9 +586,9 @@ def _circle_multiplicities(f: Callable, centers: Sequence[complex],
         if not pending:
             break
         r = np.array([radius * scale for radius in radii])
-        results = _windings(
-            f, lambda ids, ts: c[ids] + r[ids] * np.exp(2j * math.pi * ts),
-            pending, 32)
+        results = _windings(f, _Curves(
+            lambda ids, ts: c[ids] + r[ids] * np.exp(2j * math.pi * ts), 32),
+            pending)
         retry = []
         for i, res in zip(pending, results):
             if isinstance(res, BoundaryZeroError):

@@ -493,17 +493,63 @@ def _smatrix_entry(k: float, x_hat: complex, y_hat_minus: complex):
     return ScatteringMatrix(k, t, r_right, l_left, defect)
 
 
+def _exact_memo(f: Callable) -> Callable:
+    """f with every distinct momentum evaluated once over the memo's life.
+
+    A momentum is keyed by its exact 16 bytes, so -0.0 and +0.0 stay
+    apart; keys and values live in two sorted numpy arrays. Repeats within
+    one call are evaluated once, and the momenta not seen before go to f in
+    one call, in the order they first appear. Reuse is exact only for an f
+    whose value at a point does not depend on the batch it comes in, as
+    xhat_function's does not.
+    """
+    keys = np.empty(0, dtype="V16")
+    vals = np.empty(0, dtype=complex)
+
+    def memo(ks):
+        nonlocal keys, vals
+        arr = np.asarray(ks, dtype=complex)
+        flat = arr.ravel()
+        uniq, first, inverse = np.unique(flat.view("V16"), return_index=True,
+                                         return_inverse=True)
+        at = np.searchsorted(keys, uniq)
+        known = at < keys.size
+        known[known] = keys[at[known]] == uniq[known]
+        out = np.empty(uniq.size, dtype=complex)
+        out[known] = vals[at[known]]
+        new = np.flatnonzero(~known)
+        if new.size:
+            new = new[np.argsort(first[new])]
+            out[new] = f(flat[first[new]])
+            new.sort()
+            keys = np.insert(keys, at[new], uniq[new])
+            vals = np.insert(vals, at[new], out[new])
+        return out[inverse].reshape(arr.shape)
+
+    return memo
+
+
 def resonances(v: Potential, rect: Rectangle, tol: float = 1e-10, *,
                rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL) -> ZeroSet:
     """Zeros of X over the rectangle, canonically ordered by modulus.
 
-    The scan runs on the Magnus X of xhat_function; every zero it reports is
-    then confirmed on the DOP853 path by _confirm_on_ode.
+    The scan runs on the Magnus X of xhat_function at rtol min(rtol,
+    tol / 10): a Newton step of tol * max(1, |z|) can be trusted only from an
+    X that is accurate well below it. Every zero the scan reports is then
+    confirmed on the DOP853 path at rtol by _confirm_on_ode.
+
+    The scan's X goes through _exact_memo, which lives for this call: the
+    winding sweeps sample the edges that neighbouring cells share at the
+    same bits (rootscan's per-side ticks), and such a momentum is evaluated
+    once. The Magnus X of a momentum has the same bits alone and in any
+    batch, so a reused value is the value a new evaluation would give, and
+    the zero set does not change.
     """
     if rect.distance_to(0.0) < EXCLUSION_RADIUS:
         raise ValueError(f"rectangle comes within {EXCLUSION_RADIUS:g} of "
                          "k = 0; shift it")
-    zs = locate_zeros(xhat_function(v, rtol=rtol, atol=atol), rect, tol)
+    x = xhat_function(v, rtol=min(rtol, tol / 10.0), atol=atol)
+    zs = locate_zeros(_exact_memo(x), rect, tol)
     _confirm_on_ode(v, zs, tol, rtol, atol)
     return zs
 

@@ -269,6 +269,90 @@ def test_confirmation_names_a_moved_resonance():
         _confirm_on_ode(vg, moved, 1e-8, DEFAULT_RTOL, DEFAULT_ATOL)
 
 
+def test_resonances_confirm_with_their_own_defaults():
+    # tol = rtol = 1e-10: a Magnus X at rtol 1e-10 puts the zero near
+    # 8.13 - 6.52i 2e-9 off, twice the Newton bound of the confirmation, so
+    # the scan runs at rtol 1e-11 and confirms at 1e-10
+    zs = resonances(make_truncated_gaussian(sharp_edge=True),
+                    Rectangle(0.5, 16.0, -8.2, -0.05))
+    assert len(zs) == 4
+
+
+@pytest.mark.parametrize("tol, rtol, scanned", [
+    (1e-10, 1e-10, 1e-10 / 10), (1e-9, 1e-10, 1e-10), (1e-6, 1e-10, 1e-10),
+    (1e-9, 5e-11, 5e-11)])
+def test_the_scan_rtol_is_the_smaller_of_rtol_and_a_tenth_of_tol(
+        monkeypatch, tol, rtol, scanned):
+    seen = []
+
+    def recording(v, *, rtol, atol):
+        seen.append(rtol)
+        return xhat_function(v, rtol=rtol, atol=atol)
+
+    monkeypatch.setattr(scatter, "xhat_function", recording)
+    monkeypatch.setattr(scatter, "locate_zeros", lambda *a: ZeroSet(()))
+    resonances(make_poly_bump(), Rectangle(0.5, 9.0, -2.0, -0.05), tol,
+               rtol=rtol)
+    assert seen == [scanned]
+
+
+def test_a_resonance_scan_evaluates_each_momentum_once(monkeypatch):
+    seen = []
+    magnus = scatter._magnus_m
+
+    def recording(v, ks, *args):
+        seen.append(np.array(ks, copy=True))
+        return magnus(v, ks, *args)
+
+    monkeypatch.setattr(scatter, "_magnus_m", recording)
+    zs = resonances(make_truncated_gaussian(sharp_edge=True),
+                    Rectangle(0.5, 16.0, -8.2, -0.05), 1e-8)
+    assert len(zs) == 4
+    ks = np.concatenate(seen)
+    assert np.unique(ks.view("V16")).size == ks.size
+
+
+def test_the_exact_memo_returns_the_bits_of_a_fresh_evaluation():
+    v = make_truncated_gaussian(sharp_edge=True)
+    rng = np.random.default_rng(5)
+    ks = rng.uniform(0.5, 72.0, 40) + 1j * rng.uniform(-11.0, -0.05, 40)
+    fresh = xhat_function(v)(ks)
+    memo = scatter._exact_memo(xhat_function(v))
+    picks = np.concatenate([np.arange(25), np.arange(5), np.arange(3, 8)])
+    assert memo(ks[picks]).tobytes() == fresh[picks].tobytes()
+    perm = rng.permutation(ks.size)
+    got = memo(ks[perm].reshape(8, 5))
+    assert got.shape == (8, 5)
+    assert got.tobytes() == fresh[perm].reshape(8, 5).tobytes()
+    one = memo(ks[7])
+    assert one.shape == () and one.tobytes() == fresh[7].tobytes()
+
+
+def test_the_exact_memo_evaluates_each_key_once_and_splits_signed_zeros():
+    calls = []
+    signs = lambda ks: (np.copysign(1.0, ks.real)
+                        + 1j * np.copysign(2.0, ks.imag))
+
+    def f(ks):
+        calls.append(np.array(ks, copy=True))
+        return signs(ks)
+
+    memo = scatter._exact_memo(f)
+    zs = np.array([complex(0.0, 1.0), complex(-0.0, 1.0), complex(0.0, 1.0),
+                   complex(2.0, 0.0), complex(2.0, -0.0)])
+    assert memo(zs).tobytes() == signs(zs).tobytes()
+    # the repeat is evaluated once; the rest go in order of appearance
+    assert calls[1:] == []
+    assert calls[0].tobytes() == zs[[0, 1, 3, 4]].tobytes()
+    calls.clear()
+    assert memo(zs[::-1]).tobytes() == signs(zs[::-1]).tobytes()
+    assert calls == []
+    more = np.array([complex(-0.0, 1.0), 3.0 + 0j, 3.0 + 0j])
+    assert memo(more).tobytes() == signs(more).tobytes()
+    assert len(calls) == 1 and calls[0].tobytes() == more[1:2].tobytes()
+    assert memo(np.empty((0, 3), dtype=complex)).shape == (0, 3)
+
+
 def test_froese_compare_sharp_gaussian():
     vg = make_truncated_gaussian(sharp_edge=True)
     cmp = froese_compare(vg, Rectangle(0.5, 16.0, -8.2, -0.05), 1e-7)
