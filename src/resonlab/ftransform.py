@@ -17,11 +17,12 @@ summed. As |P_n| <= 1, the error estimate is the dropped 2 h |c_n| plus a
 roundoff floor _ROUNDOFF integral |V|, both times exp(L max(0, Im z)).
 
 All kept orders j_0 ... j_{N-1} come from one three-term recurrence: upward
-from j_0 = sin w / w and j_1 where |w| >= N, and Miller's backward
-recurrence on the ratios j_n / j_{n-1}, from the fixed index 2N + 24, where
-|w| < N; a two-term series replaces both below |w| = _SERIES_CUTOFF. Every
-step is elementwise and the start index depends only on N, so a point has
-the same bits alone and in any batch.
+from j_0 = sin w / w and j_1 where |w| >= N and N^2 |Im w| < 8 |w|^2, and
+Miller's backward recurrence on the ratios j_n / j_{n-1}, from the fixed
+index 2N + 24, everywhere else; a two-term series replaces both below
+|w| = _SERIES_CUTOFF. Every step is elementwise and the start index depends
+only on N, so a point has the same bits alone and in any batch, and the
+sums run in blocks of _BLOCK points x pieces.
 """
 
 from __future__ import annotations
@@ -45,6 +46,11 @@ DEFAULT_RTOL = 1e-12
 _ROUNDOFF = 1e-14       # relative roundoff floor of the Legendre sum
 _SERIES_CUTOFF = 1e-4   # below this |w|, j_n(w) comes from its series
 _EXP_CAP = 700.0        # exp() guard; beyond this the scale itself overflows
+# points x pieces per block of the Bessel table and its sums: the table holds
+# orders x points x pieces complex values, so the block, not the batch or the
+# number of pieces, bounds its memory (as scatter._BLOCK does for cells x
+# momenta); with one piece a block is 4096 points
+_BLOCK = 1 << 12
 
 
 class ExpansionResult(NamedTuple):
@@ -59,11 +65,13 @@ def _spherical_jn_all(w: np.ndarray, count: int) -> np.ndarray:
     """j_0(w), ..., j_{count-1}(w) for a complex array w, on a new first axis.
 
     The recurrence j_{n+1} = (2n+1)/w j_n - j_{n-1} (Abramowitz & Stegun
-    10.1.19) runs upward where |w| >= count. Below that it loses digits
-    upward, so Miller's algorithm runs the ratios r_n = j_n / j_{n-1} down
-    from r = 0 at index 2 count + 24 and chains them from j_0, or from j_1
-    where |j_1| > |j_0|, as j_0 vanishes at w = pi, 2 pi, ... Ratios, not
-    values: a value seeded at 2 count + 24 overflows for small |w|.
+    10.1.19) runs upward where |w| >= count and count^2 |Im w| < 8 |w|^2.
+    Elsewhere it loses digits upward: below |w| = count, and off the real
+    axis, where j_n falls with n as i_n does on the imaginary axis. There
+    Miller's algorithm runs the ratios r_n = j_n / j_{n-1} down from r = 0
+    at index 2 count + 24 and chains them from j_0, or from j_1 where
+    |j_1| > |j_0|, as j_0 vanishes at w = pi, 2 pi, ... Ratios, not values:
+    a value seeded at 2 count + 24 overflows for small |w|.
     """
     out = np.empty((count, *w.shape), dtype=complex)
     if count == 0:
@@ -74,7 +82,12 @@ def _spherical_jn_all(w: np.ndarray, count: int) -> np.ndarray:
     out[0] = j0
     if count > 1:
         j1 = (j0 - np.cos(safe)) / safe
-        small = np.abs(safe) < count
+        # relative to exp(|Im w|) / |w|, the upward error grows about like
+        # exp(count^2 |Im w| / (2 |w|^2)); where that exponent is 4 or more,
+        # the ratios from the same start index converge to roundoff instead
+        mag = np.abs(safe)
+        small = (mag < count) | (count * count * np.abs(safe.imag)
+                                 >= 8.0 * mag * mag)
         big = ~small
         wb, prev, jn = safe[big], j0[big], j1[big]
         out[1, big] = jn
@@ -103,6 +116,25 @@ def _spherical_jn_all(w: np.ndarray, count: int) -> np.ndarray:
     return out
 
 
+def _legendre_sum(zs: np.ndarray, half: np.ndarray, mid: np.ndarray,
+                  rows: np.ndarray) -> np.ndarray:
+    """sum_p half_p exp(-i z mid_p) sum_n rows[p, n] j_n(z half_p), flat.
+
+    Its Bessel table lives only inside the call, so a caller that loops
+    over blocks holds one table at a time.
+    """
+    # one column per piece; a multiply-add loop over the orders, not `@`,
+    # keeps every point's bits independent of its batch
+    w = zs[:, None] * half[None, :]
+    acc = np.zeros_like(w)
+    for n, jn in enumerate(_spherical_jn_all(w, rows.shape[1])):
+        acc = acc + rows[:, n] * jn
+    values = np.zeros(zs.shape, dtype=complex)
+    for p in range(half.size):
+        values = values + half[p] * np.exp(-1j * zs * mid[p]) * acc[:, p]
+    return values
+
+
 def fourier_many(v: Potential, zs, rtol: float = DEFAULT_RTOL):
     """Vectorized transform: (values, error_estimates, mask), flat.
 
@@ -121,15 +153,10 @@ def fourier_many(v: Potential, zs, rtol: float = DEFAULT_RTOL):
     dropped = 2.0 * float(half @ tails[:, kept])
     rows = 2.0 * v.legendre[:, :kept] * (-1j) ** np.arange(kept)
 
-    # one column per piece; a multiply-add loop over the orders, not `@`,
-    # keeps every point's bits independent of its batch
-    w = zs[:, None] * half[None, :]
-    acc = np.zeros_like(w)
-    for n, jn in enumerate(_spherical_jn_all(w, kept)):
-        acc = acc + rows[:, n] * jn
-    values = np.zeros(zs.shape, dtype=complex)
-    for p in range(half.size):
-        values = values + half[p] * np.exp(-1j * zs * mid[p]) * acc[:, p]
+    values = np.empty(zs.shape, dtype=complex)
+    step = max(1, _BLOCK // half.size)
+    for lo in range(0, zs.size, step):
+        values[lo:lo + step] = _legendre_sum(zs[lo:lo + step], half, mid, rows)
 
     grow = np.minimum(length * np.maximum(0.0, zs.imag), _EXP_CAP)
     errors = (dropped + _ROUNDOFF * v.abs_moments[0]) * np.exp(grow)

@@ -10,8 +10,9 @@ winding count as the multiplicity certificate.
 
 The work is batch-first. One sweep takes many closed paths at once: their
 samples sit end to end in one array, neighbours are index arrays that wrap
-inside each path, and each refinement round is one call of f for all paths
-still refining, while every test and every error stays per path.
+inside each path (built from the path ends alone), and each refinement
+round is one call of f for all paths still refining, while every test and
+every error stays per path.
 locate_zeros walks the subdivision breadth-first: per level it polishes the
 isolated cells in lockstep, one call of f per Newton round for every cell
 still iterating, then counts the children of all other cells in one batched
@@ -29,14 +30,16 @@ exact) a child on the half-side that starts at a corner of its parent. A
 caller that remembers values by momentum (scatter.resonances) evaluates
 each such point once. Successive densities have coprime counts on every
 side and share no sample but the corners, so their agreement stays an
-independent check.
+independent check; after the first density the counts of a rectangle are
+chosen jointly, the fewest that keep those rules.
 
 The scan settings are module constants: FLOOR_RATIO (a boundary sample below
 it times the sampled maximum is a zero on the boundary), MAX_BOUNDARY_POINTS
 samples per path, _BATCH_POINTS (a batch starts with at most that many
-samples, which bounds memory; a larger single path goes alone), MAX_DEPTH
-subdivision levels and MERGE_RESOLUTION (zeros closer than it times |z|
-merge into one multiple zero).
+samples, and a larger single path goes alone; it does not bound memory,
+as each f bounds its own temporaries), MAX_DEPTH subdivision levels and
+MERGE_RESOLUTION (zeros closer than it times |z| merge into one multiple
+zero).
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ DENSITY_ESCALATIONS = 6
 MERGE_RESOLUTION = 1e-8
 MAX_DEPTH = 64
 MAX_BOUNDARY_POINTS = 262144
-_BATCH_POINTS = 2048
+_BATCH_POINTS = 1 << 14
 
 
 class BoundaryZeroError(RuntimeError):
@@ -186,21 +189,45 @@ def _side_counts(lengths: np.ndarray, n: int,
                  prev: np.ndarray | None = None) -> np.ndarray:
     """Samples per side at density n, shape of lengths (paths, 4).
 
-    A side gets its share of n by length: rounded at the first density,
-    and after it (prev holds the counts of the density before) rounded up,
-    so the total is at least n, then raised until it is coprime with the
-    side's previous count, so the two samplings share no point but the
-    corners.
+    Opposite sides have the same length and get the same count. At the
+    first density a side gets its share of n by length, rounded. After it
+    (prev holds the counts of the density before) the counts a, b of a
+    bottom and a right side are chosen jointly: the smallest a + b with
+    2 (a + b) >= n, a and b at least 1 and each coprime with its side's
+    previous count, so the two samplings share no point but the corners;
+    among those, the one nearest the shares by length, the smaller a on a
+    tie. The choice depends only on the shares and prev, so rectangles of
+    one shape get the same counts at every density.
     """
     share = n * lengths / lengths.sum(axis=1, keepdims=True)
     if prev is None:
         return np.maximum(1, np.rint(share)).astype(np.int64)
-    counts = np.maximum(1, np.ceil(share)).astype(np.int64)
+    keys = list(zip((share[:, 0] - share[:, 1]).tolist(),
+                    prev[:, 0].tolist(), prev[:, 1].tolist()))
+    shapes = {key: _joint_counts(n, *key) for key in set(keys)}
+    return np.tile(np.array([shapes[key] for key in keys], dtype=np.int64), 2)
+
+
+def _joint_counts(n: int, diff: float, prev_a: int, prev_b: int):
+    """The counts a, b of _side_counts for one shape, where diff is the
+    bottom side's share minus the right side's."""
+    total = (n + 1) // 2
+    if total % 2 and prev_a % 2 == 0 and prev_b % 2 == 0:
+        total += 1      # a and b must both be odd
     while True:
-        shared = np.gcd(counts, prev) > 1
-        if not shared.any():
-            return counts
-        counts += shared
+        # (a - sa)^2 + (b - sb)^2 with a + b = total is least at
+        # a = (total + sa - sb) / 2, so the a nearest that go first
+        centre = 0.5 * (total + diff)
+        lo = min(math.floor(centre), total - 1)
+        hi = max(math.floor(centre) + 1, 1)
+        while lo >= 1 or hi < total:
+            if hi >= total or (lo >= 1 and centre - lo <= hi - centre):
+                a, lo = lo, lo - 1
+            else:
+                a, hi = hi, hi + 1
+            if math.gcd(a, prev_a) == 1 and math.gcd(total - a, prev_b) == 1:
+                return a, total - a
+        total += 1
 
 
 class _RectSides:
@@ -297,12 +324,14 @@ def _sweep(f: Callable, paths, ids: np.ndarray) -> list:
     ts, sizes = paths.start(ids), paths.sizes(ids)
     fs = np.asarray(f(paths.points(np.repeat(ids, sizes), ts)))
     while rows.size:
-        starts = np.cumsum(sizes) - sizes
-        owner = np.repeat(np.arange(rows.size), sizes)
-        first = starts[owner]
-        size = sizes[owner]
-        local = np.arange(ts.size) - first
-        nxt = first + (local + 1) % size
+        ends = np.cumsum(sizes)
+        starts = ends - sizes
+        # neighbours wrap inside each path: only the path ends differ from
+        # the next and previous index in the flat array
+        nxt = np.arange(1, ts.size + 1)
+        nxt[ends - 1] = starts
+        prv = np.arange(-1, ts.size - 1)
+        prv[starts] = ends - 1
         # a path that fails the floor test below may hold zeros or
         # non-finite values; its ratios are computed and then ignored
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -317,8 +346,7 @@ def _sweep(f: Callable, paths, ids: np.ndarray) -> list:
             # to the zero, where the principal value is the true increment
             # again.
             pair_min = np.minimum(mags, mags[nxt])
-            flank_min = np.minimum(mags[first + (local - 1) % size],
-                                   mags[first + (local + 2) % size])
+            flank_min = np.minimum(mags[prv], mags[nxt[nxt]])
             bad = ((np.abs(steps) >= PHASE_STEP_LIMIT)
                    | (pair_min < 0.25 * flank_min)
                    | (np.abs(np.log(mags[nxt] / mags)) >= 1.25))
@@ -327,12 +355,14 @@ def _sweep(f: Callable, paths, ids: np.ndarray) -> list:
             amins = np.minimum.reduceat(mags, starts)
         n_bad = np.add.reduceat(bad, starts, dtype=np.intp)
         # each flagged sample gets the midpoint to its successor right after
-        # it; the last sample of a path pairs with paths.end
+        # it; the last sample of a path (its successor wraps back) pairs
+        # with paths.end
         at = np.flatnonzero(bad)
-        t_next = np.where(local[at] == size[at] - 1, paths.end, ts[nxt[at]])
-        mids, split = paths.mids(ids[owner[at]], ts[at], t_next)
+        own = np.repeat(np.arange(rows.size), n_bad)
+        t_next = np.where(nxt[at] > at, ts[nxt[at]], paths.end)
+        mids, split = paths.mids(ids[own], ts[at], t_next)
         unsplit = np.zeros(rows.size, dtype=bool)
-        unsplit[owner[at[~split]]] = True
+        unsplit[own[~split]] = True
         settled = (~finite | (amaxs == 0.0) | (amins < FLOOR_RATIO * amaxs)
                    | (n_bad == 0) | (sizes + n_bad > MAX_BOUNDARY_POINTS)
                    | unsplit)
@@ -365,9 +395,9 @@ def _sweep(f: Callable, paths, ids: np.ndarray) -> list:
         live = ~settled
         if not live.any():
             break
-        refine = live[owner[at]]
-        at, mids = at[refine], mids[refine]
-        fmid = np.asarray(f(paths.points(ids[owner[at]], mids)))
+        refine = live[own]
+        at, own, mids = at[refine], own[refine], mids[refine]
+        fmid = np.asarray(f(paths.points(ids[own], mids)))
         ts = np.insert(ts, at + 1, mids)
         fs = np.insert(fs, at + 1, fmid)
         sizes = sizes + np.where(live, n_bad, 0)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 from scipy.special import spherical_jn
 
+from resonlab import ftransform
 from resonlab.ftransform import (
     _spherical_jn_all, asymptotic_residual, conj_symmetry_residual,
     erdelyi_expansion, fourier_many, fourier_pair_many, indicator_estimate,
@@ -163,6 +164,22 @@ def test_pair_function_bits_do_not_depend_on_the_batch():
     assert np.array_equal(f(zs.reshape(20, 15)).ravel(), batch)
 
 
+@pytest.mark.parametrize("v", [GAUSS_SHARP, GAUSS_SMOOTH],
+                         ids=["one-piece", "two-pieces"])
+def test_blocks_change_no_bits(monkeypatch, v):
+    # more points than one default block, with |w| = |z| h on both sides of
+    # the order count 15, on and off the real axis
+    rng = np.random.default_rng(11)
+    n = ftransform._BLOCK + 500
+    zs = rng.uniform(-70.0, 70.0, n) + 1j * rng.uniform(-15.0, 15.0, n)
+    zs[:100] = zs[:100].real
+    vals, errs, _ = fourier_many(v, zs)
+    monkeypatch.setattr(ftransform, "_BLOCK", 3)
+    small_vals, small_errs, _ = fourier_many(v, zs)
+    assert np.array_equal(small_vals, vals)
+    assert np.array_equal(small_errs, errs)
+
+
 def mp_spherical_jn(n, w):
     """j_n(w) = J_{n+1/2}(w) sqrt(pi / (2w)) at 30 digits.
 
@@ -196,6 +213,27 @@ def test_spherical_recurrence_matches_mpmath_at_its_edges(count):
         scale = math.exp(abs(wi.imag)) / max(1.0, abs(wi))
         for n in range(count):
             gap = abs(got[n, i, 0] - mp_spherical_jn(n, wi))
+            assert gap <= 1e-13 * scale, (n, wi, gap / scale)
+
+
+@pytest.mark.parametrize("count", [40, 64])
+def test_spherical_recurrence_off_the_axis_at_many_orders(count):
+    # near |w| = count with a large |Im w| the upward recurrence lost up to
+    # 1e-4 of exp(|Im w|) / |w| at count = 64, and 1e-9 at 40
+    steep = [count * s * np.exp(1j * math.radians(deg))
+             for s in (1.0, 1.3, 2.0, 3.0)
+             for deg in (30.0, 60.0, 90.0, -90.0, 150.0)]
+    # the switch count^2 |Im w| = 8 |w|^2 at |w| = 1.5 count, from both sides
+    theta = math.asin(12.0 / count)
+    switch = [1.5 * count * s * np.exp(1j * theta)
+              for s in (1.0 - 1e-9, 1.0 + 1e-9)]
+    w = np.array(steep + switch, dtype=complex)
+    got = _spherical_jn_all(w, count)
+    orders = [*range(0, count, 5), count - 1]
+    for i, wi in enumerate(w):
+        scale = math.exp(abs(wi.imag)) / abs(wi)
+        for n in orders:
+            gap = abs(got[n, i] - mp_spherical_jn(n, wi))
             assert gap <= 1e-13 * scale, (n, wi, gap / scale)
 
 

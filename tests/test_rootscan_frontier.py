@@ -30,6 +30,20 @@ def test_frontier_batches_the_winding_calls():
     assert sum(n > 3 for n in sizes) <= 300
 
 
+def test_wide_strip_needs_few_refinement_rounds():
+    # 382 zeros; sweeps in batches that start with at most 2048 samples
+    # made 813 calls with more than three points here
+    sizes = []
+
+    def f(z):
+        sizes.append(np.size(z))
+        return two_cosine(z)
+
+    zs = locate_zeros(f, Rectangle(-300.0, 300.0, -2.0, 2.0))
+    assert zs.total_multiplicity() == 382
+    assert sum(n > 3 for n in sizes) <= 400
+
+
 @pytest.mark.parametrize("f, rect", [
     (two_cosine, STRIP),
     (pair_function(make_poly_bump(), 1e-10), Rectangle(0.5, 8.0, -6.0, 6.0)),

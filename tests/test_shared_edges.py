@@ -100,6 +100,37 @@ def test_successive_densities_are_coprime_on_every_side(rect):
     assert np.array_equal(paths.counts[:, :2], paths.counts[:, 2:])
 
 
+def fewest_samples(n, prev_a, prev_b):
+    """The least a + b with 2 (a + b) >= n, each count coprime with its
+    previous one, by brute force."""
+    total = (n + 1) // 2
+    while not any(math.gcd(a, prev_a) == 1 and math.gcd(total - a, prev_b) == 1
+                  for a in range(1, total)):
+        total += 1
+    return total
+
+
+def test_later_densities_take_the_fewest_samples():
+    # the 6.5:1 froese-sharp cells, the 47 x 11 recon-bump box, and more
+    rects = [BOX.quadrisect()[0], Rectangle(0.5, 47.5, -5.5, 5.5), BOX,
+             Rectangle(-300.0, 300.0, -2.0, 2.0), Rectangle(0.0, 1.0, 0.0, 1.0),
+             Rectangle(0.0, 1.0, 0.0, 37.0), Rectangle(0.0, 3.0, 0.0, 1.7)]
+    together = rootscan._RectSides(rects, 64)
+    alone = [rootscan._RectSides([r], 64) for r in rects]
+    for density in range(rootscan.DENSITY_ESCALATIONS):
+        prev, n = together.counts.copy(), together.n
+        together.escalate()
+        for i, paths in enumerate(alone):
+            paths.escalate()
+            assert np.array_equal(paths.counts[0], together.counts[i])
+            a, b = together.counts[i, :2]
+            assert a + b == fewest_samples(2 * n + 17, *prev[i, :2])
+        if density == 0:
+            # raising each side on its own took 65 + 11 and 59 + 17
+            assert together.counts[0, :2].tolist() == [65, 9]
+            assert together.counts[1, :2].tolist() == [61, 13]
+
+
 @contextmanager
 def time_limit(seconds):
     def stop(signum, frame):
