@@ -12,7 +12,6 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
-from scipy.interpolate import CubicSpline
 
 from .quadrature import adaptive_quadrature
 
@@ -196,6 +195,8 @@ def load_table(samples, support_length: float = 1.0) -> Potential:
     endpoint data and the normalization come from the interpolant.
     Every interior sample is a breakpoint, so each piece is one cubic.
     """
+    from scipy.interpolate import CubicSpline
+
     pts = np.asarray(samples, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("samples must be an (n, 2) array of (x, V) pairs")

@@ -265,19 +265,28 @@ class _RectSides:
                              axis=1).ravel()
         self.lengths = np.stack([width, height, width, height], axis=1)
         self.n, self.counts = n, _side_counts(self.lengths, n)
-        self._ticks()
+        self.scale = np.empty(self.counts.size, dtype=np.int64)
+        self.ticks = np.empty_like(self.scale)
+        self._ticks(np.arange(len(rects)))
 
-    def escalate(self) -> None:
-        """Move on to the next density, 2 n + 17."""
+    def escalate(self, ids: np.ndarray | None = None) -> None:
+        """Move the paths ids (default every path) on to the next density,
+        2 n + 17. The other paths keep their counts and are not swept
+        again."""
         self.n = 2 * self.n + 17
-        self.counts = _side_counts(self.lengths, self.n, self.counts)
-        self._ticks()
+        if ids is None:
+            ids = np.arange(len(self.counts))
+        self.counts[ids] = _side_counts(self.lengths[ids], self.n,
+                                        self.counts[ids])
+        self._ticks(ids)
 
-    def _ticks(self) -> None:
-        counts = self.counts.ravel()
-        self.scale = np.array([1 << (52 - c.bit_length())
-                               for c in counts.tolist()], dtype=np.int64)
-        self.ticks = counts * self.scale
+    def _ticks(self, ids: np.ndarray) -> None:
+        k = (4 * ids[:, None] + np.arange(4)).ravel()
+        counts = self.counts[ids].ravel()
+        # 2**K with K = 52 minus the bit length of the count, which is the
+        # exponent frexp gives for an integer below 2**53
+        scale = np.left_shift(np.int64(1), 52 - np.frexp(counts)[1])
+        self.scale[k], self.ticks[k] = scale, counts * scale
 
     def sizes(self, ids: np.ndarray) -> np.ndarray:
         return self.counts[ids].sum(axis=1)
@@ -458,8 +467,8 @@ def _rect_windings(f: Callable, rects: Sequence[Rectangle], *,
     for _ in range(DENSITY_ESCALATIONS):
         if not pending:
             break
-        paths.escalate()
         undecided = list(pending)
+        paths.escalate(np.array(undecided))
         res2 = _windings(f, paths, undecided)
         for i, res in zip(undecided, res2):
             n, amax = pending.pop(i)

@@ -27,7 +27,9 @@ independent check on the Magnus values at the points that are reported. A
 batch of momenta shares one stacked DOP853 solve per piece of V, with the
 tolerances shrunk so that each momentum keeps the bound of a lone solve
 (_jost_many). The scattering matrix on a real grid is one such batch: V is
-real, so Y(k) = conj Y(-k).
+real, so Y(k) = conj Y(-k). solve_ivp is a module-level wrapper that
+imports scipy.integrate on the first DOP853 solve, so that a process which
+never makes one does not pay for that import.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ import math
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .ftransform import pair_function
 from .potential import Potential
@@ -73,6 +74,18 @@ class ScatteringMatrix(NamedTuple):
     r_right: complex              # reflection from the right, Y(k) / X(k)
     l_left: complex               # reflection from the left, Y(-k) / X(k)
     unitarity_defect: float       # | |t|^2 + |r_right|^2 - 1 |
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported on the first call.
+
+    Importing scipy.integrate costs about 0.5 s, and most processes make no
+    DOP853 solve. _solve_m calls this through the module global, so a
+    replacement of scatter.solve_ivp sees every solve.
+    """
+    from scipy.integrate import solve_ivp
+
+    return solve_ivp(*args, **kwargs)
 
 
 def _pieces(v: Potential):

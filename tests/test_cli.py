@@ -316,18 +316,53 @@ def test_main_pipeline_error_reports_module(tmp_path, capsys):
     assert "positive real parts" in err
 
 
-def test_python_dash_m_resonlab_runs_a_pipeline(tmp_path):
-    path = tmp_path / "empty.ini"
-    path.write_text("")
-    out = tmp_path / "r"
+def _src_env():
+    """The environment with this checkout's src first on PYTHONPATH."""
     env = dict(os.environ)
     src = str(Path(resonlab.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_python_dash_m_resonlab_runs_a_pipeline(tmp_path):
+    path = tmp_path / "empty.ini"
+    path.write_text("")
+    out = tmp_path / "r"
     proc = subprocess.run(
         [sys.executable, "-m", "resonlab", "reconstruct", "--config",
          str(path), "--out", str(out)],
-        capture_output=True, text=True, env=env, timeout=300)
+        capture_output=True, text=True, env=_src_env(), timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     assert (out / "reconstruction.txt").stat().st_size > 0
+
+
+_COLD_IMPORTS = """
+import sys
+from dataclasses import replace
+
+import resonlab
+from resonlab.cli import ExperimentConfig, run_subcommand
+
+cfg = ExperimentConfig(out_dir=sys.argv[1])
+for family in ("poly-bump", "gaussian-sharp", "gaussian-smooth"):
+    replace(cfg, family=family).potential()
+run_subcommand("dickson-check", cfg)
+run_subcommand("reconstruct", cfg)
+loaded = [m for m in ("scipy.integrate", "scipy.interpolate")
+          if m in sys.modules]
+assert not loaded, f"loaded before any DOP853 solve or table: {loaded}"
+
+resonlab.jost_solve(resonlab.make_poly_bump(), 1.0)
+assert "scipy.integrate" in sys.modules, "no DOP853 solve loaded scipy"
+"""
+
+
+def test_scipy_integrate_and_interpolate_load_on_first_use(tmp_path):
+    # a fresh interpreter, since this one has imported every module already
+    proc = subprocess.run([sys.executable, "-c", _COLD_IMPORTS, str(tmp_path)],
+                          capture_output=True, text=True, env=_src_env(),
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "reconstruction.txt").stat().st_size > 0

@@ -131,6 +131,27 @@ def test_later_densities_take_the_fewest_samples():
             assert together.counts[1, :2].tolist() == [61, 13]
 
 
+def test_escalation_counts_only_undecided_rectangles(monkeypatch):
+    # the first rectangle has the zero of f on its bottom side and fails at
+    # the first density; only the second goes on to the next density
+    rects = [Rectangle(0.0, 1.0, 0.0, 1.0), Rectangle(2.0, 4.0, 0.0, 1.0)]
+    handed = []
+    side_counts = rootscan._side_counts
+
+    def recording_side_counts(lengths, n, prev=None):
+        if prev is not None:
+            handed.append(lengths.copy())
+        return side_counts(lengths, n, prev)
+
+    monkeypatch.setattr(rootscan, "_side_counts", recording_side_counts)
+    out = rootscan._rect_windings(lambda z: z - 0.5, rects)
+    assert isinstance(out[0], BoundaryZeroError)
+    assert out[1][0] == 0
+    assert handed
+    for lengths in handed:
+        assert lengths.tolist() == [[2.0, 1.0, 2.0, 1.0]]
+
+
 @contextmanager
 def time_limit(seconds):
     def stop(signum, frame):
