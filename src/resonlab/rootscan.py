@@ -6,7 +6,11 @@ depend on the batch it comes in. Winding numbers come from adaptive
 boundary sampling that refines until every phase step is below pi/2; zero
 sets come from quadrisection of the rectangle guided by those winding
 numbers, with a multiplicity-aware Newton polish and a final small-circle
-winding count as the multiplicity certificate.
+winding count as the multiplicity certificate. The same boundary samples
+give each path's argument-principle first moment, the sum of the zeros
+inside, so an isolated cell's Newton run starts at the mean of its zeros
+(its boundary centroid over its count); it starts at the cell's centre only
+when that mean is not finite or lies outside the cell.
 
 The work is batch-first. One sweep takes many closed paths at once: their
 samples sit end to end in one array, neighbours are index arrays that wrap
@@ -44,6 +48,7 @@ zero).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -317,7 +322,33 @@ class _RectSides:
         return side * _SIDE + (ra + rb + (side >= 2)) // 2, rb - ra > 1
 
 
-def _sweep(f: Callable, paths, ids: np.ndarray) -> list:
+def _centroids(paths, ids: np.ndarray, ts: np.ndarray, starts: np.ndarray,
+               sizes: np.ndarray, log_ratios: np.ndarray, steps: np.ndarray,
+               which: np.ndarray) -> np.ndarray:
+    """First moments s1 = (1/2 pi i) ∮ z f'/f dz of the paths marked in
+    which, from their samples alone; nan for the other paths.
+
+    By the argument principle s1 is the sum of the zeros inside, less the
+    poles. Between samples z_j and z_j+1, log f moves by log|f_j+1 / f_j| +
+    i (phase step), and z is taken at the middle of the step (trapezoid).
+    The points are evaluated again, for the marked paths only.
+    """
+    out = np.full(ids.size, complex(math.nan))
+    sel = np.flatnonzero(which)
+    if sel.size:
+        counts = sizes[sel]
+        first = np.cumsum(counts) - counts
+        at = np.arange(counts.sum()) + np.repeat(starts[sel] - first, counts)
+        z = paths.points(np.repeat(ids[sel], counts), ts[at])
+        nxt = np.arange(1, at.size + 1)
+        nxt[first + counts - 1] = first
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = (z + z[nxt]) * (log_ratios[at] + 1j * steps[at])
+            out[sel] = np.add.reduceat(terms, first) / (4j * math.pi)
+    return out
+
+
+def _sweep(f: Callable, paths, ids: np.ndarray, moments: bool) -> list:
     """Winding numbers of f along the closed paths ids of a path family.
 
     paths is a _Curves or a _RectSides. The samples of all paths sit end
@@ -325,8 +356,10 @@ def _sweep(f: Callable, paths, ids: np.ndarray) -> list:
     wrap inside the path, so a refinement round costs one f call however
     many paths still refine. Every test is the one-path test applied to
     the path's own samples. Returns one item per path: (winding, max |f| on
-    the path), or the BoundaryZeroError or RootScanError the path ended
-    with.
+    the path, centroid), or the BoundaryZeroError or RootScanError the path
+    ended with. The centroid is the path's first moment s1 from _centroids,
+    the sum of the zeros it winds around, when moments is true and the
+    winding is not 0; otherwise it is nan.
     """
     out: list = [None] * ids.size
     rows = np.arange(ids.size)
@@ -356,12 +389,16 @@ def _sweep(f: Callable, paths, ids: np.ndarray) -> list:
             # again.
             pair_min = np.minimum(mags, mags[nxt])
             flank_min = np.minimum(mags[prv], mags[nxt[nxt]])
+            log_ratios = np.log(mags[nxt] / mags)
             bad = ((np.abs(steps) >= PHASE_STEP_LIMIT)
                    | (pair_min < 0.25 * flank_min)
-                   | (np.abs(np.log(mags[nxt] / mags)) >= 1.25))
+                   | (np.abs(log_ratios) >= 1.25))
             finite = np.logical_and.reduceat(np.isfinite(fs), starts)
             amaxs = np.maximum.reduceat(mags, starts)
             amins = np.minimum.reduceat(mags, starts)
+            totals = np.add.reduceat(steps, starts)
+            turns = np.rint(totals / (2.0 * math.pi))
+            off_turn = np.abs(totals - 2.0 * math.pi * turns) > 0.5
         n_bad = np.add.reduceat(bad, starts, dtype=np.intp)
         # each flagged sample gets the midpoint to its successor right after
         # it; the last sample of a path (its successor wraps back) pairs
@@ -372,26 +409,28 @@ def _sweep(f: Callable, paths, ids: np.ndarray) -> list:
         mids, split = paths.mids(ids[own], ts[at], t_next)
         unsplit = np.zeros(rows.size, dtype=bool)
         unsplit[own[~split]] = True
-        settled = (~finite | (amaxs == 0.0) | (amins < FLOOR_RATIO * amaxs)
-                   | (n_bad == 0) | (sizes + n_bad > MAX_BOUNDARY_POINTS)
-                   | unsplit)
+        floored = (amaxs == 0.0) | (amins < FLOOR_RATIO * amaxs)
+        wound = finite & ~floored & (n_bad == 0)
+        settled = (~finite | floored | wound
+                   | (sizes + n_bad > MAX_BOUNDARY_POINTS) | unsplit)
+        centroids = _centroids(paths, ids, ts, starts, sizes, log_ratios,
+                               steps,
+                               moments & wound & ~off_turn & (turns != 0))
         for k in np.flatnonzero(settled):
             amax, amin = float(amaxs[k]), float(amins[k])
             if not finite[k]:
                 res = RootScanError(
                     "function returned non-finite boundary values")
-            elif amax == 0.0 or amin < FLOOR_RATIO * amax:
+            elif floored[k]:
                 res = BoundaryZeroError(
                     f"boundary sample magnitude {amin:.3e} below floor "
                     f"({FLOOR_RATIO:.1e} * {amax:.3e})")
-            elif n_bad[k] == 0:
-                total = float(np.sum(steps[starts[k]:starts[k] + sizes[k]]))
-                n = round(total / (2.0 * math.pi))
-                res = (int(n), amax)
-                if abs(total - 2.0 * math.pi * n) > 0.5:
-                    res = RootScanError(
-                        f"phase sum {total:.6f} is not close to a multiple "
-                        "of 2*pi")
+            elif wound[k] and off_turn[k]:
+                res = RootScanError(
+                    f"phase sum {float(totals[k]):.6f} is not close to a "
+                    "multiple of 2*pi")
+            elif wound[k]:
+                res = (int(turns[k]), amax, complex(centroids[k]))
             elif unsplit[k]:
                 res = BoundaryZeroError(
                     "a phase step between adjacent sample parameters cannot "
@@ -416,14 +455,16 @@ def _sweep(f: Callable, paths, ids: np.ndarray) -> list:
     return out
 
 
-def _windings(f: Callable, paths, ids: Sequence[int]) -> list:
+def _windings(f: Callable, paths, ids: Sequence[int], *,
+              moments: bool = False) -> list:
     """_sweep over the paths ids, in batches that start with at most
-    _BATCH_POINTS samples; a path with more goes alone."""
+    _BATCH_POINTS samples; a path with more goes alone. Centroids are
+    computed only when moments is true."""
     ids = np.asarray(ids, dtype=np.intp)
     per = max(1, _BATCH_POINTS // int(paths.sizes(ids).max(initial=1)))
     out: list = []
     for lo in range(0, ids.size, per):
-        out += _sweep(f, paths, ids[lo:lo + per])
+        out += _sweep(f, paths, ids[lo:lo + per], moments)
     return out
 
 
@@ -438,7 +479,7 @@ def _winding_along(f: Callable, path: Callable, *, n_initial: int = 64):
     result, = _windings(f, _Curves(lambda ids, ts: path(ts), n_initial), [0])
     if isinstance(result, Exception):
         raise result
-    return result
+    return result[:2]
 
 
 def _rect_windings(f: Callable, rects: Sequence[Rectangle], *,
@@ -454,11 +495,14 @@ def _rect_windings(f: Callable, rects: Sequence[Rectangle], *,
     of successive densities are coprime (_side_counts), so the two share no
     sample but the corners. Each density is one batched sweep over the
     rectangles still undecided. Returns one item per rectangle: (count, max
-    |f| on its boundary), or the error it ended with.
+    |f| on its boundary, centroid), or the error it ended with; the
+    centroid (_sweep) comes from the last density, the one that confirmed
+    the count, so the first density, which never confirms one, computes
+    none.
     """
     paths = _RectSides(rects, n_initial)
     out: list = [None] * len(rects)
-    pending: dict[int, tuple[int, float]] = {}
+    pending: dict[int, tuple[int, float, complex]] = {}
     for i, res in enumerate(_windings(f, paths, range(len(rects)))):
         if isinstance(res, Exception):
             out[i] = res
@@ -469,13 +513,13 @@ def _rect_windings(f: Callable, rects: Sequence[Rectangle], *,
             break
         undecided = list(pending)
         paths.escalate(np.array(undecided))
-        res2 = _windings(f, paths, undecided)
+        res2 = _windings(f, paths, undecided, moments=True)
         for i, res in zip(undecided, res2):
-            n, amax = pending.pop(i)
+            n, amax, _ = pending.pop(i)
             if isinstance(res, Exception):
                 out[i] = res
             elif res[0] == n:
-                out[i] = (n, max(amax, res[1]))
+                out[i] = (n, max(amax, res[1]), res[2])
             else:
                 pending[i] = res
     for i in pending:
@@ -491,6 +535,7 @@ def _rect_winding(f: Callable, rect: Rectangle, *, n_initial: int = 64):
     The first attempt uses the exact rectangle; on boundary-zero trouble the
     rectangle is alternately inflated and deflated by multiples of 1e-6 times
     its diameter. Zeros inside the jitter band are attributed accordingly.
+    Returns (count, max |f| on the boundary).
     """
     last = None
     for attempt in range(JITTER_RETRIES + 1):
@@ -510,7 +555,7 @@ def _rect_winding(f: Callable, rect: Rectangle, *, n_initial: int = 64):
             f"{last}")
     if isinstance(result, Exception):
         raise result
-    return result
+    return result[:2]
 
 
 def wind_count(f: Callable, rect: Rectangle, *, n_initial: int = 64) -> int:
@@ -650,6 +695,14 @@ class _Cell(NamedTuple):
     local_scale: float
     depth: int
     key: tuple[int, ...]    # child indices from the top; sorts depth-first
+    centroid: complex       # of the boundary samples (_sweep); nan if none
+
+    def newton_start(self) -> complex:
+        """The mean of the zeros inside by the argument principle, where
+        that lies in the cell, else the centre."""
+        z = self.centroid / self.count
+        return z if cmath.isfinite(z) and self.rect.contains(z) \
+            else self.rect.center
 
 
 def locate_zeros(f: Callable, rect: Rectangle, tol: float = 1e-10) -> ZeroSet:
@@ -674,14 +727,14 @@ def locate_zeros(f: Callable, rect: Rectangle, tol: float = 1e-10) -> ZeroSet:
     # then counts the children of every other cell in one batched winding. A
     # parent whose split meets a boundary zero, or whose children's counts
     # do not add up, tries its next split offset in the next batch.
-    frontier = [_Cell(rect, total, top_scale, 0, ())]
+    frontier = [_Cell(rect, total, top_scale, 0, (), complex(math.nan))]
     while frontier:
         live = [cell for cell in frontier if cell.count != 0]
         isolated = [cell.depth <= MAX_DEPTH
                     and (cell.count == 1 or cluster_stop(cell.rect))
                     for cell in live]
         zeros = iter(_polish_in_lockstep(f, [
-            _newton_polish(cell.rect.center, cell.count, tol,
+            _newton_polish(cell.newton_start(), cell.count, tol,
                            tol * cell.local_scale, cell.rect)
             for cell, alone in zip(live, isolated) if alone]))
         splits: list[tuple[_Cell, int]] = []
@@ -713,10 +766,11 @@ def locate_zeros(f: Callable, rect: Rectangle, tol: float = 1e-10) -> ZeroSet:
                 if error is not None and not isinstance(error,
                                                         BoundaryZeroError):
                     raise error
-                if error is None and sum(n for n, _ in counts) == cell.count:
+                if error is None and sum(r[0] for r in counts) == cell.count:
                     frontier += [
-                        _Cell(child, n, amax, cell.depth + 1, cell.key + (c,))
-                        for c, (child, (n, amax))
+                        _Cell(child, n, amax, cell.depth + 1, cell.key + (c,),
+                              s1)
+                        for c, (child, (n, amax, s1))
                         in enumerate(zip(children[s], counts))]
                     continue
                 if j + 1 == len(_SPLIT_JITTER):

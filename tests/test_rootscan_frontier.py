@@ -68,8 +68,23 @@ def test_identical_zeros_merge_exactly():
 
 
 # ZeroSet.to_text() of two scans as the one-cell-at-a-time Newton polish
-# found them; polishing a level's isolated cells in lockstep keeps every bit
+# found them, each run started at its cell's boundary centroid; polishing a
+# level's isolated cells in lockstep keeps every bit
 SINE_LATTICE_TEXT = (
+    "# zeroset v1\n# count: 7\n# columns: re im multiplicity\n"
+    "-4.15216735514688e-22 -8.00849228184188e-21 1\n"
+    "1 2.98705165412606e-25 1\n"
+    "-1 -2.44097227378183e-21 1\n"
+    "2 -2.02277110706873e-21 1\n"
+    "-2 -9.86197363670179e-22 1\n"
+    "3 -6.92847344403791e-22 1\n"
+    "-3 -5.77897600386184e-22 1\n")
+POLY_BUMP_PAIR_TEXT = (
+    "# zeroset v1\n# count: 2\n# columns: re im multiplicity\n"
+    "4.72674286592643 -1.62936353132447 1\n"
+    "4.72674286592643 1.62936353132447 1\n")
+# the same two scans with every Newton run started at its cell's centre
+SINE_LATTICE_CENTRE_START_TEXT = (
     "# zeroset v1\n# count: 7\n# columns: re im multiplicity\n"
     "-9.87076590502616e-26 7.10507627069885e-26 1\n"
     "1 7.62011504648116e-19 1\n"
@@ -78,7 +93,7 @@ SINE_LATTICE_TEXT = (
     "-2 5.44820682825106e-21 1\n"
     "3 -1.02247912773965e-22 1\n"
     "-3 4.48143336892453e-23 1\n")
-POLY_BUMP_PAIR_TEXT = (
+POLY_BUMP_PAIR_CENTRE_START_TEXT = (
     "# zeroset v1\n# count: 2\n# columns: re im multiplicity\n"
     "4.72674286592644 -1.62936353132447 1\n"
     "4.72674286592643 1.62936353132447 1\n")
@@ -98,6 +113,30 @@ SINE_RECT = Rectangle(-3.5, 3.5, -1.0, 1.0)
 ], ids=["sine-lattice", "poly-bump-pair"])
 def test_lockstep_newton_keeps_the_bits(f, rect, text):
     assert locate_zeros(f, rect).to_text() == text
+
+
+@pytest.mark.parametrize("f, rect, text", [
+    (sine, SINE_RECT, SINE_LATTICE_CENTRE_START_TEXT),
+    (pair_function(make_poly_bump(), 1e-10), Rectangle(0.5, 8.0, -6.0, 6.0),
+     POLY_BUMP_PAIR_CENTRE_START_TEXT),
+], ids=["sine-lattice", "poly-bump-pair"])
+def test_centroid_start_moves_the_zeros_by_roundoff_only(f, rect, text):
+    old, _ = ZeroSet.from_text(text)
+    new = locate_zeros(f, rect)
+    assert [m for _, m in new] == [m for _, m in old]
+    for (z, _), (w, _) in zip(new, old):
+        assert abs(z - w) <= 1e-12 * max(1.0, abs(w))
+
+
+@pytest.mark.parametrize("centroid", [np.nan, 1e6], ids=["nan", "far-off"])
+def test_cells_without_a_usable_centroid_start_at_the_centre(monkeypatch,
+                                                             centroid):
+    def unusable(paths, ids, *args):
+        return np.full(ids.size, centroid, dtype=complex)
+
+    monkeypatch.setattr(rootscan, "_centroids", unusable)
+    assert locate_zeros(sine, SINE_RECT).to_text() == \
+        SINE_LATTICE_CENTRE_START_TEXT
 
 
 def recording(g):
