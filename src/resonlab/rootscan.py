@@ -10,7 +10,15 @@ winding count as the multiplicity certificate. The same boundary samples
 give each path's argument-principle first moment, the sum of the zeros
 inside, so an isolated cell's Newton run starts at the mean of its zeros
 (its boundary centroid over its count); it starts at the cell's centre only
-when that mean is not finite or lies outside the cell.
+when that mean is not finite or lies outside the cell. A cell of 2 or 3
+zeros is not split at once: the same samples give the power sums of its
+zeros about its centre, and the roots of the polynomial they define start
+one Newton run per zero. The cell is accepted when every run finds a zero in
+it and every two lie far apart beyond Newton's acceptance; then they are as
+many distinct zeros as the density-certified count, so they are all of the
+cell's zeros and each is simple. Otherwise the cell is split as before. The
+certificates are unchanged: the final circles still count every
+multiplicity, and the multiplicities must still sum to the outer winding.
 
 The work is batch-first. One sweep takes many closed paths at once: their
 samples sit end to end in one array, neighbours are index arrays that wrap
@@ -41,9 +49,10 @@ The scan settings are module constants: FLOOR_RATIO (a boundary sample below
 it times the sampled maximum is a zero on the boundary), MAX_BOUNDARY_POINTS
 samples per path, _BATCH_POINTS (a batch starts with at most that many
 samples, and a larger single path goes alone; it does not bound memory,
-as each f bounds its own temporaries), MAX_DEPTH subdivision levels and
+as each f bounds its own temporaries), MAX_DEPTH subdivision levels,
 MERGE_RESOLUTION (zeros closer than it times |z| merge into one multiple
-zero).
+zero) and _MAX_DIRECT_COUNT (the largest count of a cell polished from its
+power sums instead of being split).
 """
 
 from __future__ import annotations
@@ -70,6 +79,7 @@ MERGE_RESOLUTION = 1e-8
 MAX_DEPTH = 64
 MAX_BOUNDARY_POINTS = 262144
 _BATCH_POINTS = 1 << 14
+_MAX_DIRECT_COUNT = 3      # _power_sum_starts solves up to a cubic
 
 
 class BoundaryZeroError(RuntimeError):
@@ -269,6 +279,7 @@ class _RectSides:
         self.step = np.stack([width, 1j * height, width, 1j * height],
                              axis=1).ravel()
         self.lengths = np.stack([width, height, width, height], axis=1)
+        self.rects = rects
         self.n, self.counts = n, _side_counts(self.lengths, n)
         self.scale = np.empty(self.counts.size, dtype=np.int64)
         self.ticks = np.empty_like(self.scale)
@@ -296,6 +307,9 @@ class _RectSides:
     def sizes(self, ids: np.ndarray) -> np.ndarray:
         return self.counts[ids].sum(axis=1)
 
+    def centers(self, ids: np.ndarray) -> np.ndarray:
+        return np.array([self.rects[i].center for i in ids.tolist()])
+
     def start(self, ids: np.ndarray) -> np.ndarray:
         counts = self.counts[ids].ravel()
         k = np.repeat((4 * ids[:, None] + np.arange(4)).ravel(), counts)
@@ -322,6 +336,20 @@ class _RectSides:
         return side * _SIDE + (ra + rb + (side >= 2)) // 2, rb - ra > 1
 
 
+def _path_samples(paths, ids: np.ndarray, ts: np.ndarray,
+                  starts: np.ndarray, sizes: np.ndarray, sel: np.ndarray):
+    """The samples of the sweep rows sel, end to end: their points, their
+    indices in the sweep's arrays, each path's first index and each
+    sample's successor on its path. The points are evaluated again."""
+    counts = sizes[sel]
+    first = np.cumsum(counts) - counts
+    at = np.arange(counts.sum()) + np.repeat(starts[sel] - first, counts)
+    z = paths.points(np.repeat(ids[sel], counts), ts[at])
+    nxt = np.arange(1, at.size + 1)
+    nxt[first + counts - 1] = first
+    return z, at, first, nxt
+
+
 def _centroids(paths, ids: np.ndarray, ts: np.ndarray, starts: np.ndarray,
                sizes: np.ndarray, log_ratios: np.ndarray, steps: np.ndarray,
                which: np.ndarray) -> np.ndarray:
@@ -336,15 +364,38 @@ def _centroids(paths, ids: np.ndarray, ts: np.ndarray, starts: np.ndarray,
     out = np.full(ids.size, complex(math.nan))
     sel = np.flatnonzero(which)
     if sel.size:
-        counts = sizes[sel]
-        first = np.cumsum(counts) - counts
-        at = np.arange(counts.sum()) + np.repeat(starts[sel] - first, counts)
-        z = paths.points(np.repeat(ids[sel], counts), ts[at])
-        nxt = np.arange(1, at.size + 1)
-        nxt[first + counts - 1] = first
+        z, at, first, nxt = _path_samples(paths, ids, ts, starts, sizes, sel)
         with np.errstate(over="ignore", invalid="ignore"):
             terms = (z + z[nxt]) * (log_ratios[at] + 1j * steps[at])
             out[sel] = np.add.reduceat(terms, first) / (4j * math.pi)
+    return out
+
+
+def _power_sums(paths, ids: np.ndarray, ts: np.ndarray, starts: np.ndarray,
+                sizes: np.ndarray, log_ratios: np.ndarray, steps: np.ndarray,
+                turns: np.ndarray, which: np.ndarray) -> list:
+    """Power sums P_k = (1/2 pi i) ∮ (z - c)^k f'/f dz, k = 2 .. winding,
+    about the centre c of each rectangle path marked in which; () for the
+    other paths.
+
+    By the argument principle P_k is the sum of the k-th powers of the
+    zeros inside, taken about c. The trapezoid is the one of _centroids,
+    on w = z - c: (w_j^k + w_j+1^k) / 2 times the step of log f.
+    """
+    out: list = [()] * ids.size
+    sel = np.flatnonzero(which)
+    if sel.size:
+        z, at, first, nxt = _path_samples(paths, ids, ts, starts, sizes, sel)
+        w = z - np.repeat(paths.centers(ids[sel]), sizes[sel])
+        sums, wk = [], w
+        with np.errstate(over="ignore", invalid="ignore"):
+            dlog = log_ratios[at] + 1j * steps[at]
+            for _ in range(2, _MAX_DIRECT_COUNT + 1):
+                wk = wk * w
+                sums.append(np.add.reduceat((wk + wk[nxt]) * dlog, first)
+                            / (4j * math.pi))
+        for s, k in enumerate(sel.tolist()):
+            out[k] = tuple(complex(p[s]) for p in sums[:int(turns[k]) - 1])
     return out
 
 
@@ -356,10 +407,12 @@ def _sweep(f: Callable, paths, ids: np.ndarray, moments: bool) -> list:
     wrap inside the path, so a refinement round costs one f call however
     many paths still refine. Every test is the one-path test applied to
     the path's own samples. Returns one item per path: (winding, max |f| on
-    the path, centroid), or the BoundaryZeroError or RootScanError the path
-    ended with. The centroid is the path's first moment s1 from _centroids,
-    the sum of the zeros it winds around, when moments is true and the
-    winding is not 0; otherwise it is nan.
+    the path, centroid, power sums), or the BoundaryZeroError or
+    RootScanError the path ended with. The centroid is the path's first
+    moment s1 from _centroids, the sum of the zeros it winds around, when
+    moments is true and the winding is not 0; otherwise it is nan. The
+    power sums P_2 .. P_n (_power_sums) are given when moments is true and
+    the winding n is 2 .. _MAX_DIRECT_COUNT; otherwise they are ().
     """
     out: list = [None] * ids.size
     rows = np.arange(ids.size)
@@ -413,9 +466,12 @@ def _sweep(f: Callable, paths, ids: np.ndarray, moments: bool) -> list:
         wound = finite & ~floored & (n_bad == 0)
         settled = (~finite | floored | wound
                    | (sizes + n_bad > MAX_BOUNDARY_POINTS) | unsplit)
+        moment = moments & wound & ~off_turn
         centroids = _centroids(paths, ids, ts, starts, sizes, log_ratios,
-                               steps,
-                               moments & wound & ~off_turn & (turns != 0))
+                               steps, moment & (turns != 0))
+        sums = _power_sums(paths, ids, ts, starts, sizes, log_ratios, steps,
+                           turns, moment & (turns >= 2)
+                           & (turns <= _MAX_DIRECT_COUNT))
         for k in np.flatnonzero(settled):
             amax, amin = float(amaxs[k]), float(amins[k])
             if not finite[k]:
@@ -430,7 +486,7 @@ def _sweep(f: Callable, paths, ids: np.ndarray, moments: bool) -> list:
                     f"phase sum {float(totals[k]):.6f} is not close to a "
                     "multiple of 2*pi")
             elif wound[k]:
-                res = (int(turns[k]), amax, complex(centroids[k]))
+                res = (int(turns[k]), amax, complex(centroids[k]), sums[k])
             elif unsplit[k]:
                 res = BoundaryZeroError(
                     "a phase step between adjacent sample parameters cannot "
@@ -458,8 +514,8 @@ def _sweep(f: Callable, paths, ids: np.ndarray, moments: bool) -> list:
 def _windings(f: Callable, paths, ids: Sequence[int], *,
               moments: bool = False) -> list:
     """_sweep over the paths ids, in batches that start with at most
-    _BATCH_POINTS samples; a path with more goes alone. Centroids are
-    computed only when moments is true."""
+    _BATCH_POINTS samples; a path with more goes alone. Centroids and power
+    sums are computed only when moments is true."""
     ids = np.asarray(ids, dtype=np.intp)
     per = max(1, _BATCH_POINTS // int(paths.sizes(ids).max(initial=1)))
     out: list = []
@@ -483,7 +539,7 @@ def _winding_along(f: Callable, path: Callable, *, n_initial: int = 64):
 
 
 def _rect_windings(f: Callable, rects: Sequence[Rectangle], *,
-                   n_initial: int = 64) -> list:
+                   n_initial: int = 64, power_sums: bool = False) -> list:
     """Density-certified winding counts over many rectangles at once.
 
     A uniform fast phase rotation along a long edge can alias to a slow
@@ -498,11 +554,14 @@ def _rect_windings(f: Callable, rects: Sequence[Rectangle], *,
     |f| on its boundary, centroid), or the error it ended with; the
     centroid (_sweep) comes from the last density, the one that confirmed
     the count, so the first density, which never confirms one, computes
-    none.
+    none. With power_sums, each item also carries the power sums P_2 ..
+    P_count about the rectangle's centre from that density (_power_sums),
+    () unless the count is 2 .. _MAX_DIRECT_COUNT.
     """
     paths = _RectSides(rects, n_initial)
     out: list = [None] * len(rects)
-    pending: dict[int, tuple[int, float, complex]] = {}
+    pending: dict[int, tuple] = {}
+    width = 4 if power_sums else 3
     for i, res in enumerate(_windings(f, paths, range(len(rects)))):
         if isinstance(res, Exception):
             out[i] = res
@@ -515,11 +574,11 @@ def _rect_windings(f: Callable, rects: Sequence[Rectangle], *,
         paths.escalate(np.array(undecided))
         res2 = _windings(f, paths, undecided, moments=True)
         for i, res in zip(undecided, res2):
-            n, amax, _ = pending.pop(i)
+            n, amax = pending.pop(i)[:2]
             if isinstance(res, Exception):
                 out[i] = res
             elif res[0] == n:
-                out[i] = (n, max(amax, res[1]), res[2])
+                out[i] = (n, max(amax, res[1])) + res[2:width]
             else:
                 pending[i] = res
     for i in pending:
@@ -689,6 +748,45 @@ def _circle_multiplicities(f: Callable, centers: Sequence[complex],
     return out
 
 
+# the cube roots of unity, for Cardano's formula in _power_sum_starts
+_CUBE_ROOTS = (1.0, complex(-0.5, 0.5 * math.sqrt(3.0)),
+               complex(-0.5, -0.5 * math.sqrt(3.0)))
+
+
+def _power_sum_starts(center: complex, s1: complex,
+                      sums: tuple) -> list[complex]:
+    """Newton starts for the n = 2 or 3 zeros of a cell, from its centroid
+    s1 and its power sums sums = (P_2 .. P_n) about its centre.
+
+    With P_1 = s1 - n center, Newton's identities give e1 = P_1,
+    e2 = (e1 P_1 - P_2) / 2 and e3 = (e2 P_1 - e1 P_2 + P_3) / 3; the starts
+    are the centre plus the roots of w^n - e1 w^(n-1) + e2 w^(n-2) - e3, by
+    the quadratic formula or by Cardano's, in Python complex arithmetic.
+    [] when the arithmetic overflows.
+    """
+    n = len(sums) + 1
+    e1 = s1 - n * center
+    e2 = (e1 * e1 - sums[0]) / 2
+    try:
+        if n == 2:
+            d = cmath.sqrt(e1 * e1 - 4.0 * e2)
+            roots = [(e1 + d) / 2, (e1 - d) / 2]
+        else:
+            e3 = (e2 * e1 - e1 * sums[0] + sums[1]) / 3
+            # w = t + e1 / 3 turns the cubic into t^3 + p t + q
+            p = e2 - e1 * e1 / 3
+            q = e1 * e2 / 3 - e3 - 2 * e1 ** 3 / 27
+            d = cmath.sqrt(q * q / 4 + p ** 3 / 27)
+            # the larger of -q/2 +- d, so that no cancellation loses u^3
+            u3 = max(-q / 2 + d, -q / 2 - d, key=abs)
+            u = u3 ** (1 / 3) if u3 else 0.0
+            roots = [e1 / 3 + (u * r - p / (3 * u * r) if u else 0.0)
+                     for r in _CUBE_ROOTS]
+    except (OverflowError, ZeroDivisionError):
+        return []
+    return [center + w for w in roots]
+
+
 class _Cell(NamedTuple):
     rect: Rectangle
     count: int
@@ -696,6 +794,8 @@ class _Cell(NamedTuple):
     depth: int
     key: tuple[int, ...]    # child indices from the top; sorts depth-first
     centroid: complex       # of the boundary samples (_sweep); nan if none
+    power_sums: tuple = ()  # P_2 .. P_count about the centre (_power_sums)
+    failed: bool = False    # a polish from power sums failed on these zeros
 
     def newton_start(self) -> complex:
         """The mean of the zeros inside by the argument principle, where
@@ -703,6 +803,33 @@ class _Cell(NamedTuple):
         z = self.centroid / self.count
         return z if cmath.isfinite(z) and self.rect.contains(z) \
             else self.rect.center
+
+    def direct_starts(self) -> list[complex]:
+        """One Newton start per zero from the power sums (_power_sum_starts),
+        or [] when the cell is to be split: its count is not 2 ..
+        _MAX_DIRECT_COUNT, it has no power sums, a polish from power sums
+        already failed on the same zeros, or a start is not finite or lies
+        farther from the cell than its diameter, where _newton_polish would
+        give up."""
+        if self.failed or not 2 <= self.count <= _MAX_DIRECT_COUNT \
+                or len(self.power_sums) != self.count - 1:
+            return []
+        starts = _power_sum_starts(self.rect.center, self.centroid,
+                                   self.power_sums)
+        pad = self.rect.diameter
+        return starts if all(self.rect.contains(z, pad=pad)
+                             for z in starts) else []
+
+
+def _distinct(zs: list, diameter: float, tol: float) -> bool:
+    """Whether every run found a zero and every two of them lie farther
+    apart than max(1e-3 diameter, 1e3 tol max(1, |z|)): far beyond Newton's
+    acceptance of a zero, so they are as many distinct simple zeros."""
+    if None in zs:
+        return False
+    return all(abs(a - b) > max(1e-3 * diameter,
+                                1e3 * tol * max(1.0, abs(a), abs(b)))
+               for i, a in enumerate(zs) for b in zs[i + 1:])
 
 
 def locate_zeros(f: Callable, rect: Rectangle, tol: float = 1e-10) -> ZeroSet:
@@ -714,6 +841,14 @@ def locate_zeros(f: Callable, rect: Rectangle, tol: float = 1e-10) -> ZeroSet:
     closer together than MERGE_RESOLUTION * |z| merge into one entry with
     summed multiplicity. Subdivision deeper than MAX_DEPTH levels is an
     error; FLOOR_RATIO acts as in wind_count.
+
+    A cell of 2 .. _MAX_DIRECT_COUNT zeros is polished from the roots of
+    its boundary power sums, one simple Newton run per zero, and is split
+    only when a run fails or two zeros lie within max(1e-3 diameter,
+    1e3 tol max(1, |z|)) of each other; a child that then holds all of its
+    zeros is split without a second try. Accepted zeros are as many
+    distinct zeros as the certified count, so the circle multiplicities
+    and the total check certify them as they do every other zero.
     """
     total, top_scale = _rect_winding(f, rect)
     scale0 = rect.diameter
@@ -723,40 +858,50 @@ def locate_zeros(f: Callable, rect: Rectangle, tol: float = 1e-10) -> ZeroSet:
         return cell.diameter <= max(MERGE_RESOLUTION * abs(cell.center),
                                     1e-12 * scale0)
 
-    # Breadth-first: each level polishes all its isolated cells in lockstep,
-    # then counts the children of every other cell in one batched winding. A
-    # parent whose split meets a boundary zero, or whose children's counts
-    # do not add up, tries its next split offset in the next batch.
+    # Breadth-first: each level polishes all its isolated cells, and the
+    # cells of 2 .. _MAX_DIRECT_COUNT zeros that have power-sum starts, in
+    # lockstep, then counts the children of every other cell in one batched
+    # winding. A parent whose split meets a boundary zero, or whose
+    # children's counts do not add up, tries its next split offset in the
+    # next batch.
     frontier = [_Cell(rect, total, top_scale, 0, (), complex(math.nan))]
     while frontier:
         live = [cell for cell in frontier if cell.count != 0]
-        isolated = [cell.depth <= MAX_DEPTH
-                    and (cell.count == 1 or cluster_stop(cell.rect))
+        if any(cell.depth > MAX_DEPTH for cell in live):
+            raise RootScanError("subdivision exceeded the depth budget")
+        isolated = [cell.count == 1 or cluster_stop(cell.rect)
                     for cell in live]
+        starts = [[cell.newton_start()] if alone else cell.direct_starts()
+                  for cell, alone in zip(live, isolated)]
         zeros = iter(_polish_in_lockstep(f, [
-            _newton_polish(cell.newton_start(), cell.count, tol,
+            _newton_polish(z0, cell.count if alone else 1, tol,
                            tol * cell.local_scale, cell.rect)
-            for cell, alone in zip(live, isolated) if alone]))
+            for cell, alone, zs in zip(live, isolated, starts) for z0 in zs]))
         splits: list[tuple[_Cell, int]] = []
-        for cell, alone in zip(live, isolated):
-            if cell.depth > MAX_DEPTH:
-                raise RootScanError("subdivision exceeded the depth budget")
+        for cell, alone, zs in zip(live, isolated, starts):
+            polished = [next(zeros) for _ in zs]
             if alone:
-                z = next(zeros)
-                if z is not None:
-                    found.append((cell.key, z))
+                if polished[0] is not None:
+                    found.append((cell.key, polished[0]))
                     continue
                 if cell.count != 1 or cell.rect.diameter <= 1e-12 * scale0:
                     raise RootScanError(
                         "refinement did not converge in cell around "
                         f"{cell.rect.center:.6g}")
+            elif polished:
+                if _distinct(polished, cell.rect.diameter, tol):
+                    found += [(cell.key + (j,), z)
+                              for j, z in enumerate(polished)]
+                    continue
+                cell = cell._replace(failed=True)
             splits.append((cell, 0))
         frontier = []
         while splits:
             children = [cell.rect.quadrisect(0.5 + _SPLIT_JITTER[j],
                                              0.5 + _SPLIT_JITTER[j])
                         for cell, j in splits]
-            results = _rect_windings(f, [c for quad in children for c in quad])
+            results = _rect_windings(f, [c for quad in children for c in quad],
+                                     power_sums=True)
             retry = []
             for s, (cell, j) in enumerate(splits):
                 # the children in quadrisect order: the first error decides
@@ -767,10 +912,12 @@ def locate_zeros(f: Callable, rect: Rectangle, tol: float = 1e-10) -> ZeroSet:
                                                         BoundaryZeroError):
                     raise error
                 if error is None and sum(r[0] for r in counts) == cell.count:
+                    # a child that holds all the zeros of a failed parent
+                    # is not polished from its power sums either
                     frontier += [
                         _Cell(child, n, amax, cell.depth + 1, cell.key + (c,),
-                              s1)
-                        for c, (child, (n, amax, s1))
+                              s1, sums, cell.failed and n == cell.count)
+                        for c, (child, (n, amax, s1, sums))
                         in enumerate(zip(children[s], counts))]
                     continue
                 if j + 1 == len(_SPLIT_JITTER):

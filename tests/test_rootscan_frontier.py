@@ -68,9 +68,22 @@ def test_identical_zeros_merge_exactly():
 
 
 # ZeroSet.to_text() of two scans as the one-cell-at-a-time Newton polish
-# found them, each run started at its cell's boundary centroid; polishing a
-# level's isolated cells in lockstep keeps every bit
+# found them: each isolated cell's run started at its boundary centroid, and
+# each cell of two or three zeros polished from its power-sum starts;
+# polishing a level's cells in lockstep keeps every bit
 SINE_LATTICE_TEXT = (
+    "# zeroset v1\n# count: 7\n# columns: re im multiplicity\n"
+    "2.03473345377661e-25 -3.6059609668164e-25 1\n"
+    "1 1.23378766492787e-21 1\n"
+    "-1 6.22191374022146e-19 1\n"
+    "2 4.78449451116516e-25 1\n"
+    "-2 -9.5544454049873e-19 1\n"
+    "3 -1.96548374742332e-19 1\n"
+    "-3 8.22576795066609e-19 1\n")
+# the sine lattice with every cell of two or three zeros split until each
+# zero sits alone (the poly-bump pair splits its cell of two zeros into
+# cells of one either way)
+SINE_LATTICE_SPLIT_TEXT = (
     "# zeroset v1\n# count: 7\n# columns: re im multiplicity\n"
     "-4.15216735514688e-22 -8.00849228184188e-21 1\n"
     "1 2.98705165412606e-25 1\n"
@@ -83,7 +96,8 @@ POLY_BUMP_PAIR_TEXT = (
     "# zeroset v1\n# count: 2\n# columns: re im multiplicity\n"
     "4.72674286592643 -1.62936353132447 1\n"
     "4.72674286592643 1.62936353132447 1\n")
-# the same two scans with every Newton run started at its cell's centre
+# the same two scans with every Newton run started at its cell's centre,
+# and every cell split until each zero sits alone
 SINE_LATTICE_CENTRE_START_TEXT = (
     "# zeroset v1\n# count: 7\n# columns: re im multiplicity\n"
     "-9.87076590502616e-26 7.10507627069885e-26 1\n"
@@ -123,6 +137,14 @@ def test_lockstep_newton_keeps_the_bits(f, rect, text):
 def test_centroid_start_moves_the_zeros_by_roundoff_only(f, rect, text):
     old, _ = ZeroSet.from_text(text)
     new = locate_zeros(f, rect)
+    assert [m for _, m in new] == [m for _, m in old]
+    for (z, _), (w, _) in zip(new, old):
+        assert abs(z - w) <= 1e-12 * max(1.0, abs(w))
+
+
+def test_power_sum_starts_move_the_zeros_by_roundoff_only():
+    old, _ = ZeroSet.from_text(SINE_LATTICE_SPLIT_TEXT)
+    new = locate_zeros(sine, SINE_RECT)
     assert [m for _, m in new] == [m for _, m in old]
     for (z, _), (w, _) in zip(new, old):
         assert abs(z - w) <= 1e-12 * max(1.0, abs(w))
