@@ -30,8 +30,8 @@ from .dickson import (containment_exceptions, curvilinear_count,
 from .ftransform import pair_function
 # perfbench/tracing.py hooks eval_product and fit_prefactor by this module's
 # name and fails when a name is missing; fit_prefactor is no longer called
-from .hadamard import (build_product, convergence_curve, eval_product,
-                       fit_prefactor, mirrored_reconstruction,
+from .hadamard import (PERTURB_MODES, build_product, convergence_curve,
+                       eval_product, fit_prefactor, mirrored_reconstruction,
                        stability_experiment, tail_factor)
 from .potential import (Potential, load_table, make_poly_bump,
                         make_truncated_gaussian)
@@ -125,6 +125,12 @@ class ExperimentConfig:
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown potential family {self.family!r}; "
                              f"expected one of {POTENTIAL_FAMILIES}")
+        if self.perturb_mode not in PERTURB_MODES:
+            raise ValueError(f"unknown perturb_mode {self.perturb_mode!r}; "
+                             f"expected one of {PERTURB_MODES}")
+        if not self.root_tol > 0.0:
+            raise ValueError(
+                f"root_tol must be positive, got {self.root_tol!r}")
 
     def to_text(self) -> str:
         """Serialize to INI; parse(to_text()) reproduces the config exactly."""

@@ -6,14 +6,16 @@ depend on the batch it comes in. Winding numbers come from adaptive
 boundary sampling that refines until every phase step is below pi/2; zero
 sets come from quadrisection of the rectangle guided by those winding
 numbers, with a multiplicity-aware Newton polish and a final small-circle
-winding count as the multiplicity certificate. The same boundary samples
-give each path's argument-principle first moment, the sum of the zeros
-inside, so an isolated cell's Newton run starts at the mean of its zeros
-(its boundary centroid over its count); it starts at the cell's centre only
-when that mean is not finite or lies outside the cell. A cell of 2 or 3
-zeros is not split at once: the same samples give the power sums of its
-zeros about its centre, and the roots of the polynomial they define start
-one Newton run per zero. The cell is accepted when every run finds a zero in
+winding count as the multiplicity certificate. Every winding count of a
+rectangle comes as (count, max |f| on the boundary, centroid, power sums).
+One pass over the boundary samples that confirmed the count (_moments)
+gives the argument-principle moments of the zeros inside: the centroid,
+their sum, and the power sums of a cell of 2 or 3 zeros about its centre.
+An isolated cell's Newton run starts at the mean of its zeros (its
+centroid over its count); it starts at the cell's centre only when that
+mean is not finite or lies outside the cell. A cell of 2 or 3 zeros is not
+split at once: the roots of the polynomial its power sums define start one
+Newton run per zero. The cell is accepted when every run finds a zero in
 it and every two lie far apart beyond Newton's acceptance; then they are as
 many distinct zeros as the density-certified count, so they are all of the
 cell's zeros and each is simple. Otherwise the cell is split as before. The
@@ -118,15 +120,6 @@ class Rectangle:
     def diameter(self) -> float:
         return math.hypot(self.width, self.height)
 
-    def corners(self) -> np.ndarray:
-        """Counterclockwise from the lower-left corner."""
-        return np.array([
-            complex(self.re_min, self.im_min),
-            complex(self.re_max, self.im_min),
-            complex(self.re_max, self.im_max),
-            complex(self.re_min, self.im_max),
-        ])
-
     def contains(self, z: complex, pad: float = 0.0) -> bool:
         return (self.re_min - pad <= z.real <= self.re_max + pad
                 and self.im_min - pad <= z.imag <= self.im_max + pad)
@@ -149,21 +142,6 @@ class Rectangle:
             Rectangle(self.re_min, xm, ym, self.im_max),
             Rectangle(xm, self.re_max, ym, self.im_max),
         )
-
-    def boundary_path(self) -> Callable[[np.ndarray], np.ndarray]:
-        """Arc-length parameterization of the counterclockwise boundary."""
-        corners = self.corners()
-        cum = np.cumsum([self.width, self.height, self.width, self.height])
-        breaks = np.concatenate([[0.0], cum / cum[3]])
-
-        def path(ts: np.ndarray) -> np.ndarray:
-            ts = np.mod(np.asarray(ts, dtype=float), 1.0)
-            seg = np.count_nonzero(breaks[1:4] <= ts[..., None], axis=-1)
-            lo, hi = breaks[seg], breaks[seg + 1]
-            return corners[seg] + (ts - lo) / (hi - lo) * (
-                corners[(seg + 1) % 4] - corners[seg])
-
-        return path
 
 
 class _Curves:
@@ -336,67 +314,48 @@ class _RectSides:
         return side * _SIDE + (ra + rb + (side >= 2)) // 2, rb - ra > 1
 
 
-def _path_samples(paths, ids: np.ndarray, ts: np.ndarray,
-                  starts: np.ndarray, sizes: np.ndarray, sel: np.ndarray):
-    """The samples of the sweep rows sel, end to end: their points, their
-    indices in the sweep's arrays, each path's first index and each
-    sample's successor on its path. The points are evaluated again."""
+def _moments(paths, ids: np.ndarray, ts: np.ndarray, starts: np.ndarray,
+             sizes: np.ndarray, log_ratios: np.ndarray, steps: np.ndarray,
+             turns: np.ndarray, which: np.ndarray) -> tuple:
+    """Argument-principle moments of the rectangle paths marked in which,
+    from one evaluation of their samples: the centroids s1 = (1/2 pi i)
+    ∮ z f'/f dz, nan for the other paths, and the power sums P_k =
+    (1/2 pi i) ∮ (z - c)^k f'/f dz, k = 2 .. winding, about each
+    rectangle's centre c, () unless the winding is 2 .. _MAX_DIRECT_COUNT.
+
+    By the argument principle s1 is the sum of the zeros inside, less the
+    poles, and P_k the sum of their k-th powers about c. Between samples
+    z_j and z_j+1, log f moves by log|f_j+1 / f_j| + i (phase step), times
+    the mean of the power at the two ends (trapezoid): (z_j + z_j+1) / 2
+    for s1, about the origin, and (w_j^k + w_j+1^k) / 2 with w = z - c for
+    P_k. The points are evaluated again, for the marked paths only.
+    """
+    centroids = np.full(ids.size, complex(math.nan))
+    sums: list = [()] * ids.size
+    sel = np.flatnonzero(which)
+    if not sel.size:
+        return centroids, sums
     counts = sizes[sel]
     first = np.cumsum(counts) - counts
     at = np.arange(counts.sum()) + np.repeat(starts[sel] - first, counts)
     z = paths.points(np.repeat(ids[sel], counts), ts[at])
     nxt = np.arange(1, at.size + 1)
     nxt[first + counts - 1] = first
-    return z, at, first, nxt
-
-
-def _centroids(paths, ids: np.ndarray, ts: np.ndarray, starts: np.ndarray,
-               sizes: np.ndarray, log_ratios: np.ndarray, steps: np.ndarray,
-               which: np.ndarray) -> np.ndarray:
-    """First moments s1 = (1/2 pi i) ∮ z f'/f dz of the paths marked in
-    which, from their samples alone; nan for the other paths.
-
-    By the argument principle s1 is the sum of the zeros inside, less the
-    poles. Between samples z_j and z_j+1, log f moves by log|f_j+1 / f_j| +
-    i (phase step), and z is taken at the middle of the step (trapezoid).
-    The points are evaluated again, for the marked paths only.
-    """
-    out = np.full(ids.size, complex(math.nan))
-    sel = np.flatnonzero(which)
-    if sel.size:
-        z, at, first, nxt = _path_samples(paths, ids, ts, starts, sizes, sel)
-        with np.errstate(over="ignore", invalid="ignore"):
-            terms = (z + z[nxt]) * (log_ratios[at] + 1j * steps[at])
-            out[sel] = np.add.reduceat(terms, first) / (4j * math.pi)
-    return out
-
-
-def _power_sums(paths, ids: np.ndarray, ts: np.ndarray, starts: np.ndarray,
-                sizes: np.ndarray, log_ratios: np.ndarray, steps: np.ndarray,
-                turns: np.ndarray, which: np.ndarray) -> list:
-    """Power sums P_k = (1/2 pi i) ∮ (z - c)^k f'/f dz, k = 2 .. winding,
-    about the centre c of each rectangle path marked in which; () for the
-    other paths.
-
-    By the argument principle P_k is the sum of the k-th powers of the
-    zeros inside, taken about c. The trapezoid is the one of _centroids,
-    on w = z - c: (w_j^k + w_j+1^k) / 2 times the step of log f.
-    """
-    out: list = [()] * ids.size
-    sel = np.flatnonzero(which)
-    if sel.size:
-        z, at, first, nxt = _path_samples(paths, ids, ts, starts, sizes, sel)
-        w = z - np.repeat(paths.centers(ids[sel]), sizes[sel])
-        sums, wk = [], w
-        with np.errstate(over="ignore", invalid="ignore"):
-            dlog = log_ratios[at] + 1j * steps[at]
-            for _ in range(2, _MAX_DIRECT_COUNT + 1):
-                wk = wk * w
-                sums.append(np.add.reduceat((wk + wk[nxt]) * dlog, first)
-                            / (4j * math.pi))
-        for s, k in enumerate(sel.tolist()):
-            out[k] = tuple(complex(p[s]) for p in sums[:int(turns[k]) - 1])
-    return out
+    w = z - np.repeat(paths.centers(ids[sel]), counts)
+    powers, wk = [], w
+    with np.errstate(over="ignore", invalid="ignore"):
+        dlog = log_ratios[at] + 1j * steps[at]
+        centroids[sel] = (np.add.reduceat((z + z[nxt]) * dlog, first)
+                          / (4j * math.pi))
+        for _ in range(2, _MAX_DIRECT_COUNT + 1):
+            wk = wk * w
+            powers.append(np.add.reduceat((wk + wk[nxt]) * dlog, first)
+                          / (4j * math.pi))
+    for s, k in enumerate(sel.tolist()):
+        n = int(turns[k])
+        if 2 <= n <= _MAX_DIRECT_COUNT:
+            sums[k] = tuple(complex(p[s]) for p in powers[:n - 1])
+    return centroids, sums
 
 
 def _sweep(f: Callable, paths, ids: np.ndarray, moments: bool) -> list:
@@ -408,11 +367,11 @@ def _sweep(f: Callable, paths, ids: np.ndarray, moments: bool) -> list:
     many paths still refine. Every test is the one-path test applied to
     the path's own samples. Returns one item per path: (winding, max |f| on
     the path, centroid, power sums), or the BoundaryZeroError or
-    RootScanError the path ended with. The centroid is the path's first
-    moment s1 from _centroids, the sum of the zeros it winds around, when
-    moments is true and the winding is not 0; otherwise it is nan. The
-    power sums P_2 .. P_n (_power_sums) are given when moments is true and
-    the winding n is 2 .. _MAX_DIRECT_COUNT; otherwise they are ().
+    RootScanError the path ended with. When moments is true, one pass of
+    _moments over the settled paths of winding n != 0 gives both the
+    centroid s1, the sum of the zeros a path winds around, and the power
+    sums P_2 .. P_n where n is 2 .. _MAX_DIRECT_COUNT; otherwise the
+    centroid is nan and the power sums are ().
     """
     out: list = [None] * ids.size
     rows = np.arange(ids.size)
@@ -466,12 +425,9 @@ def _sweep(f: Callable, paths, ids: np.ndarray, moments: bool) -> list:
         wound = finite & ~floored & (n_bad == 0)
         settled = (~finite | floored | wound
                    | (sizes + n_bad > MAX_BOUNDARY_POINTS) | unsplit)
-        moment = moments & wound & ~off_turn
-        centroids = _centroids(paths, ids, ts, starts, sizes, log_ratios,
-                               steps, moment & (turns != 0))
-        sums = _power_sums(paths, ids, ts, starts, sizes, log_ratios, steps,
-                           turns, moment & (turns >= 2)
-                           & (turns <= _MAX_DIRECT_COUNT))
+        centroids, sums = _moments(paths, ids, ts, starts, sizes, log_ratios,
+                                   steps, turns, moments & wound & ~off_turn
+                                   & (turns != 0))
         for k in np.flatnonzero(settled):
             amax, amin = float(amaxs[k]), float(amins[k])
             if not finite[k]:
@@ -514,8 +470,8 @@ def _sweep(f: Callable, paths, ids: np.ndarray, moments: bool) -> list:
 def _windings(f: Callable, paths, ids: Sequence[int], *,
               moments: bool = False) -> list:
     """_sweep over the paths ids, in batches that start with at most
-    _BATCH_POINTS samples; a path with more goes alone. Centroids and power
-    sums are computed only when moments is true."""
+    _BATCH_POINTS samples; a path with more goes alone. The moments
+    (_moments) are computed only when moments is true."""
     ids = np.asarray(ids, dtype=np.intp)
     per = max(1, _BATCH_POINTS // int(paths.sizes(ids).max(initial=1)))
     out: list = []
@@ -524,22 +480,8 @@ def _windings(f: Callable, paths, ids: Sequence[int], *,
     return out
 
 
-def _winding_along(f: Callable, path: Callable, *, n_initial: int = 64):
-    """Winding number of f along one closed path, with boundary diagnostics.
-
-    Returns (winding, max |f| on the path). Raises BoundaryZeroError when
-    the sampled |f| dips below FLOOR_RATIO times the sampled maximum, or
-    when MAX_BOUNDARY_POINTS samples cannot bring all phase steps below
-    pi/2 (both indicate a zero on or near the path).
-    """
-    result, = _windings(f, _Curves(lambda ids, ts: path(ts), n_initial), [0])
-    if isinstance(result, Exception):
-        raise result
-    return result[:2]
-
-
 def _rect_windings(f: Callable, rects: Sequence[Rectangle], *,
-                   n_initial: int = 64, power_sums: bool = False) -> list:
+                   n_initial: int = 64) -> list:
     """Density-certified winding counts over many rectangles at once.
 
     A uniform fast phase rotation along a long edge can alias to a slow
@@ -551,17 +493,16 @@ def _rect_windings(f: Callable, rects: Sequence[Rectangle], *,
     of successive densities are coprime (_side_counts), so the two share no
     sample but the corners. Each density is one batched sweep over the
     rectangles still undecided. Returns one item per rectangle: (count, max
-    |f| on its boundary, centroid), or the error it ended with; the
-    centroid (_sweep) comes from the last density, the one that confirmed
+    |f| on its boundary, centroid, power sums), or the error it ended with.
+    The centroid and the power sums P_2 .. P_count about the rectangle's
+    centre (_moments) come from the last density, the one that confirmed
     the count, so the first density, which never confirms one, computes
-    none. With power_sums, each item also carries the power sums P_2 ..
-    P_count about the rectangle's centre from that density (_power_sums),
+    none. The centroid is nan when the count is 0, and the power sums are
     () unless the count is 2 .. _MAX_DIRECT_COUNT.
     """
     paths = _RectSides(rects, n_initial)
     out: list = [None] * len(rects)
     pending: dict[int, tuple] = {}
-    width = 4 if power_sums else 3
     for i, res in enumerate(_windings(f, paths, range(len(rects)))):
         if isinstance(res, Exception):
             out[i] = res
@@ -578,7 +519,7 @@ def _rect_windings(f: Callable, rects: Sequence[Rectangle], *,
             if isinstance(res, Exception):
                 out[i] = res
             elif res[0] == n:
-                out[i] = (n, max(amax, res[1])) + res[2:width]
+                out[i] = (n, max(amax, res[1])) + res[2:]
             else:
                 pending[i] = res
     for i in pending:
@@ -794,7 +735,7 @@ class _Cell(NamedTuple):
     depth: int
     key: tuple[int, ...]    # child indices from the top; sorts depth-first
     centroid: complex       # of the boundary samples (_sweep); nan if none
-    power_sums: tuple = ()  # P_2 .. P_count about the centre (_power_sums)
+    power_sums: tuple = ()  # P_2 .. P_count about the centre (_moments)
     failed: bool = False    # a polish from power sums failed on these zeros
 
     def newton_start(self) -> complex:
@@ -900,8 +841,7 @@ def locate_zeros(f: Callable, rect: Rectangle, tol: float = 1e-10) -> ZeroSet:
             children = [cell.rect.quadrisect(0.5 + _SPLIT_JITTER[j],
                                              0.5 + _SPLIT_JITTER[j])
                         for cell, j in splits]
-            results = _rect_windings(f, [c for quad in children for c in quad],
-                                     power_sums=True)
+            results = _rect_windings(f, [c for quad in children for c in quad])
             retry = []
             for s, (cell, j) in enumerate(splits):
                 # the children in quadrisect order: the first error decides

@@ -25,16 +25,17 @@ TWO_ZERO_CELL = Rectangle(0.45, 2.6, -0.3, 0.7)
 def test_the_centroid_is_the_sum_of_the_zeros_inside():
     cells = ONE_ZERO_CELLS + [TWO_ZERO_CELL]
     out = rootscan._rect_windings(sine, cells)
-    for k, (cell, (n, _, s1)) in enumerate(zip(ONE_ZERO_CELLS, out), -3):
+    for k, (cell, (n, _, s1, _)) in enumerate(zip(ONE_ZERO_CELLS, out), -3):
         assert n == 1
         assert abs(s1 - k) <= 1e-3 * cell.diameter
-    n, _, s1 = out[-1]
+    n, _, s1, _ = out[-1]
     assert n == 2
     assert abs(s1 - 3.0) <= 1e-3 * TWO_ZERO_CELL.diameter
 
 
 def test_a_cell_without_zeros_has_no_centroid():
-    (n, _, s1), = rootscan._rect_windings(sine, [Rectangle(0.2, 0.8, -1, 1)])
+    (n, _, s1, _), = rootscan._rect_windings(sine,
+                                             [Rectangle(0.2, 0.8, -1, 1)])
     assert n == 0 and math.isnan(s1.real)
 
 

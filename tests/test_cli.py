@@ -276,6 +276,24 @@ def test_main_bad_config_field_diagnostic(tmp_path, capsys):
     assert "grid_points" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, key", [
+    ("[reconstruction]\nperturb_mode = uniform\n", "perturb_mode"),
+    ("[tolerances]\nroot_tol = 0\n", "root_tol"),
+], ids=["unknown-perturb-mode", "zero-root-tol"])
+def test_main_rejects_a_value_that_would_break_the_run(tmp_path, capsys,
+                                                       text, key):
+    # an unknown perturb_mode fails every stability row, and a Newton step
+    # can never be accepted at root_tol = 0
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    out = tmp_path / "artifacts"
+    rc = main(["stability", "--config", str(path), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+    assert not out.exists()
+
+
 def test_main_runs_and_honors_out_and_seed(tmp_path):
     path = tmp_path / "c.ini"
     path.write_text("[potential]\nfamily = zero\n")

@@ -1,6 +1,7 @@
 """Cells of two or three zeros polished from the roots of their boundary
 power sums: the starts, what they save, and the fallback to splitting."""
 
+import cmath
 import math
 
 import numpy as np
@@ -27,8 +28,7 @@ def starts_of(results):
 
 
 def test_the_starts_are_the_zeros_inside():
-    results = rootscan._rect_windings(sine, list(CELLS.values()),
-                                      power_sums=True)
+    results = rootscan._rect_windings(sine, list(CELLS.values()))
     for (zeros, rect), (n, _, _, sums), starts in zip(
             CELLS.items(), results, starts_of(results)):
         assert n == len(zeros) == len(sums) + 1 == len(starts)
@@ -37,13 +37,27 @@ def test_the_starts_are_the_zeros_inside():
 
 
 def test_batch_size_changes_no_start_bit(monkeypatch):
-    batched = rootscan._rect_windings(sine, list(CELLS.values()),
-                                      power_sums=True)
+    batched = rootscan._rect_windings(sine, list(CELLS.values()))
     monkeypatch.setattr(rootscan, "_BATCH_POINTS", 1)
-    alone = rootscan._rect_windings(sine, list(CELLS.values()),
-                                    power_sums=True)
+    alone = rootscan._rect_windings(sine, list(CELLS.values()))
     assert alone == batched
     assert starts_of(alone) == starts_of(batched)
+
+
+def test_every_winding_result_has_one_shape():
+    # cells holding 0 .. 4 integers: (count, max |f|, centroid, power sums)
+    cells = [Rectangle(0.2, 0.8, -1.0, 1.0), Rectangle(0.45, 1.6, -0.3, 0.7),
+             *CELLS.values(), Rectangle(0.4, 4.35, -0.45, 0.6)]
+    results = rootscan._rect_windings(sine, cells)
+    for count, result in enumerate(results):
+        assert isinstance(result, tuple) and len(result) == 4
+        n, _, s1, sums = result
+        assert n == count
+        assert cmath.isnan(s1) == (n == 0)
+        if 2 <= n <= rootscan._MAX_DIRECT_COUNT:
+            assert len(sums) == n - 1
+        else:
+            assert sums == ()
 
 
 @pytest.mark.parametrize("zeros", [
@@ -81,10 +95,11 @@ def test_the_sine_lattice_needs_fewer_splits(monkeypatch):
     assert splits[0] <= 3
 
 
-def nan_power_sums(power_sums):
+def nan_power_sums(moments):
     def fake(*args):
-        return [tuple(complex(math.nan) for _ in sums)
-                for sums in power_sums(*args)]
+        centroids, power_sums = moments(*args)
+        return centroids, [tuple(complex(math.nan) for _ in sums)
+                           for sums in power_sums]
 
     return fake
 
@@ -94,7 +109,7 @@ def equal_starts(_):
 
 
 @pytest.mark.parametrize("name, fake", [
-    ("_power_sums", nan_power_sums),
+    ("_moments", nan_power_sums),
     ("_power_sum_starts", equal_starts),
 ], ids=["nan-power-sums", "equal-starts"])
 def test_a_cell_whose_polish_fails_is_split(monkeypatch, name, fake):

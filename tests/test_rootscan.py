@@ -12,8 +12,7 @@ from resonlab.ftransform import pair_function
 from resonlab.potential import make_poly_bump
 from resonlab.rootscan import (
     BoundaryZeroError, CartwrightStats, Rectangle, RootScanError, ZeroSet,
-    _winding_along, cartwright_stats, locate_zeros, match_zero_sets,
-    wind_count,
+    cartwright_stats, locate_zeros, match_zero_sets, wind_count,
 )
 
 SQUARE = Rectangle(-1.0, 1.0, -1.0, 1.0)
@@ -38,23 +37,11 @@ def test_rectangle_geometry():
     assert r.width == 3.0 and r.height == 2.0
     assert r.center == 1.5 + 0.0j
     assert r.diameter == pytest.approx(math.hypot(3.0, 2.0))
-    c = r.corners()
-    assert c[0] == 0.0 - 1.0j and c[2] == 3.0 + 1.0j
     assert r.contains(1.0 + 0.5j) and not r.contains(1.0 + 1.5j)
     children = r.quadrisect()
     assert sum(ch.width * ch.height for ch in children) == pytest.approx(6.0)
     with pytest.raises(ValueError):
         Rectangle(1.0, 1.0, 0.0, 1.0)
-
-
-def test_boundary_path_traverses_counterclockwise():
-    r = Rectangle(0.0, 2.0, 0.0, 1.0)
-    path = r.boundary_path()
-    pts = path(np.array([0.0, 1.0 / 3.0, 0.5, 5.0 / 6.0]))
-    assert pts[0] == 0.0 + 0.0j          # lower-left start
-    assert pts[1] == 2.0 + 0.0j          # after the bottom edge
-    assert pts[2] == 2.0 + 1.0j          # after the right edge
-    assert pts[3] == 0.0 + 1.0j          # after the top edge
 
 
 # ----------------------------------------------------------------- winding
@@ -83,8 +70,8 @@ def test_wind_count_cosine_strip():
 def test_winding_raises_on_boundary_zero():
     # the exact contour of this rectangle passes through the zero at 0
     rect = Rectangle(0.0, 1.0, -0.5, 0.5)
-    with pytest.raises(BoundaryZeroError):
-        _winding_along(lambda z: np.asarray(z), rect.boundary_path())
+    result, = rootscan._rect_windings(lambda z: z, [rect])
+    assert isinstance(result, BoundaryZeroError)
 
 
 def test_wind_count_jitter_resolves_boundary_zero():

@@ -153,10 +153,13 @@ def test_power_sum_starts_move_the_zeros_by_roundoff_only():
 @pytest.mark.parametrize("centroid", [np.nan, 1e6], ids=["nan", "far-off"])
 def test_cells_without_a_usable_centroid_start_at_the_centre(monkeypatch,
                                                              centroid):
-    def unusable(paths, ids, *args):
-        return np.full(ids.size, centroid, dtype=complex)
+    moments = rootscan._moments
 
-    monkeypatch.setattr(rootscan, "_centroids", unusable)
+    def unusable(paths, ids, *args):
+        _, sums = moments(paths, ids, *args)
+        return np.full(ids.size, centroid, dtype=complex), sums
+
+    monkeypatch.setattr(rootscan, "_moments", unusable)
     assert locate_zeros(sine, SINE_RECT).to_text() == \
         SINE_LATTICE_CENTRE_START_TEXT
 
