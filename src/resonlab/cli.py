@@ -128,9 +128,10 @@ class ExperimentConfig:
         if self.perturb_mode not in PERTURB_MODES:
             raise ValueError(f"unknown perturb_mode {self.perturb_mode!r}; "
                              f"expected one of {PERTURB_MODES}")
-        if not self.root_tol > 0.0:
-            raise ValueError(
-                f"root_tol must be positive, got {self.root_tol!r}")
+        for key in ("root_tol", "strip_height"):
+            if not getattr(self, key) > 0.0:
+                raise ValueError(
+                    f"{key} must be positive, got {getattr(self, key)!r}")
 
     def to_text(self) -> str:
         """Serialize to INI; parse(to_text()) reproduces the config exactly."""

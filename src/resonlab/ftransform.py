@@ -163,20 +163,28 @@ def fourier_many(v: Potential, zs, rtol: float = DEFAULT_RTOL):
     return values, errors, np.zeros(zs.shape, dtype=bool)
 
 
-def fourier_pair_many(v: Potential, zs, rtol: float = DEFAULT_RTOL):
-    """F(z) = Vhat(2z) Vhat(-2z) for a batch, with propagated error estimates."""
+def _pair_halves(v: Potential, zs, rtol: float):
+    """Vhat(2z), Vhat(-2z) and their error estimates, from one fourier_many call."""
     zs = np.asarray(zs, dtype=complex).ravel()
     vals, errs, _ = fourier_many(v, np.concatenate([2.0 * zs, -2.0 * zs]), rtol)
-    (a, b), (ea, eb) = np.split(vals, 2), np.split(errs, 2)
+    return np.split(vals, 2), np.split(errs, 2)
+
+
+def fourier_pair_many(v: Potential, zs, rtol: float = DEFAULT_RTOL):
+    """F(z) = Vhat(2z) Vhat(-2z) for a batch, with propagated error estimates."""
+    (a, b), (ea, eb) = _pair_halves(v, zs, rtol)
     return a * b, np.abs(a) * eb + np.abs(b) * ea + ea * eb
 
 
 def pair_function(v: Potential, rtol: float) -> Callable:
-    """F(z) = Vhat(2z) Vhat(-2z) at tolerance rtol, shape in = shape out."""
+    """F(z) = Vhat(2z) Vhat(-2z) at tolerance rtol, shape in = shape out.
+
+    The error estimates of fourier_pair_many are not formed.
+    """
     def f(zs):
         arr = np.asarray(zs, dtype=complex)
-        vals, _ = fourier_pair_many(v, arr.ravel(), rtol)
-        return vals.reshape(arr.shape)
+        (a, b), _ = _pair_halves(v, arr, rtol)
+        return (a * b).reshape(arr.shape)
 
     return f
 

@@ -3,6 +3,16 @@
 Every potential evaluates to zero outside its support interval. The
 reference family is normalized so that V(0) = 1, V'(0) = 0, and
 Potential.unit_normalized says whether that normalization holds.
+
+Each family has one core, V^(order) on the support, which serves both the
+array call and the scalar call. A float (a Python float or np.float64, which
+the DOP853 right-hand side passes one point at a time) reaches the core as
+a float, with no one-element array around it. A closed-form core uses numpy
+ufunc calls and + - * / only, never **: on a numpy scalar ** goes to libm
+pow, while the array loop of np.power is numpy's own, and the two differ in
+the last bit at some points. (The table's core is scipy's CubicSpline,
+which evaluates a float through its array path.) Written that way, the
+scalar call returns the bits of the array call at every point.
 """
 
 from __future__ import annotations
@@ -47,23 +57,24 @@ class Potential:
     breakpoints: tuple = ()
     abs_moments: tuple = (0.0, 0.0, 0.0)
     legendre: np.ndarray = None
-    _core: Callable[[np.ndarray, int], np.ndarray] = field(repr=False, default=None)
+    _core: Callable[[float | np.ndarray, int], float | np.ndarray] = field(
+        repr=False, default=None)
 
     def _evaluate(self, x, order: int):
         if order not in (0, 1, 2):
             raise ValueError("derivatives available up to order 2 only")
-        arr = np.asarray(x, dtype=float)
-        if arr.ndim == 0:
-            # the DOP853 right-hand side asks for one point at a time; the
-            # core sees the same one-element array as under the mask below
-            if 0.0 <= float(arr) <= self.support_length:
-                return float(self._core(arr.reshape(1), order)[0])
-            return 0.0
-        out = np.zeros(arr.shape)
-        mask = (arr >= 0.0) & (arr <= self.support_length)
-        if mask.any():
-            out[mask] = self._core(arr[mask], order)
-        return out
+        if not isinstance(x, float):
+            arr = np.asarray(x, dtype=float)
+            if arr.ndim:
+                out = np.zeros(arr.shape)
+                mask = (arr >= 0.0) & (arr <= self.support_length)
+                if mask.any():
+                    out[mask] = self._core(arr[mask], order)
+                return out
+            x = float(arr)
+        if 0.0 <= x <= self.support_length:
+            return float(self._core(x, order))
+        return 0.0
 
     def __call__(self, x):
         return self._evaluate(x, 0)
@@ -84,7 +95,7 @@ class Potential:
         if side not in ("left", "right"):
             raise ValueError(f"side must be 'left' or 'right', not {side!r}")
         edge = 0.0 if side == "left" else self.support_length
-        return float(self._core(np.array([edge]), order)[0])
+        return float(self._core(edge, order))
 
 
 def _abs_moment(core: Callable, length: float, order: int,
@@ -136,7 +147,7 @@ def make_poly_bump(support_length: float = 1.0) -> Potential:
         u = x / L
         w = 1.0 - u * u
         if order == 0:
-            return w ** 3
+            return np.power(w, 3)
         if order == 1:
             return -6.0 * u * w * w / L
         return (24.0 * u * u * w - 6.0 * w * w) / (L * L)
@@ -169,11 +180,11 @@ def make_truncated_gaussian(support_length: float = 1.0,
     rate = 1.0 / (L - split)
 
     def taper(x, order):
-        t = np.clip((x - split) * rate, 0.0, 1.0)
+        t = np.minimum(np.maximum((x - split) * rate, 0.0), 1.0)
         if order == 0:
-            return 1.0 - t ** 3 * (10.0 - 15.0 * t + 6.0 * t * t)
+            return 1.0 - np.power(t, 3) * (10.0 - 15.0 * t + 6.0 * t * t)
         if order == 1:
-            return -30.0 * t * t * (1.0 - t) ** 2 * rate
+            return -30.0 * t * t * np.power(1.0 - t, 2) * rate
         return -60.0 * t * (1.0 - t) * (1.0 - 2.0 * t) * rate * rate
 
     def core(x, order):

@@ -26,10 +26,14 @@ confirmation of every located resonance use adaptive DOP853 (_solve_m), an
 independent check on the Magnus values at the points that are reported. A
 batch of momenta shares one stacked DOP853 solve per piece of V, with the
 tolerances shrunk so that each momentum keeps the bound of a lone solve
-(_jost_many). The scattering matrix on a real grid is one such batch: V is
-real, so Y(k) = conj Y(-k). solve_ivp is a module-level wrapper that
-imports scipy.integrate on the first DOP853 solve, so that a process which
-never makes one does not pay for that import.
+(_jost_many). A DOP853 solve costs a Python call per right-hand-side
+evaluation, not arithmetic, so the right-hand side asks V for one float
+point (Potential hands it to its core as a float, at the bits of the array
+call) and writes m' and V m - 2ik m' into one fresh array. The scattering
+matrix on a real grid is one such batch: V is real, so Y(k) = conj Y(-k).
+solve_ivp is a module-level wrapper that imports scipy.integrate on the
+first DOP853 solve, so that a process which never makes one does not pay
+for that import.
 """
 
 from __future__ import annotations
@@ -111,8 +115,15 @@ def _solve_m(v: Potential, ks: np.ndarray, rtol: float, atol: float):
     two_ik = 2j * ks
 
     def rhs(x, y):
-        m, mp = y[:nk], y[nk:]
-        return np.concatenate([mp, v(x) * m - two_ik * mp])
+        # a fresh array per call: scipy's first-step choice holds f(t0, y0)
+        # while it evaluates the next point; the ops and their operand order
+        # are those of v(x) * m - two_ik * mp, so the bits are too
+        mp = y[nk:]
+        dy = np.empty_like(y)
+        dy[:nk] = mp
+        np.multiply(v(x), y[:nk], out=dy[nk:])
+        dy[nk:] -= two_ik * mp
+        return dy
 
     y = np.concatenate([np.ones(nk, dtype=complex), np.zeros(nk, dtype=complex)])
     for a, b in _pieces(v):

@@ -279,11 +279,14 @@ def test_main_bad_config_field_diagnostic(tmp_path, capsys):
 @pytest.mark.parametrize("text, key", [
     ("[reconstruction]\nperturb_mode = uniform\n", "perturb_mode"),
     ("[tolerances]\nroot_tol = 0\n", "root_tol"),
-], ids=["unknown-perturb-mode", "zero-root-tol"])
+    ("[reconstruction]\nstrip_height = -1\n", "strip_height"),
+    ("[reconstruction]\nstrip_height = nan\n", "strip_height"),
+], ids=["unknown-perturb-mode", "zero-root-tol", "negative-strip-height",
+        "nan-strip-height"])
 def test_main_rejects_a_value_that_would_break_the_run(tmp_path, capsys,
                                                        text, key):
-    # an unknown perturb_mode fails every stability row, and a Newton step
-    # can never be accepted at root_tol = 0
+    # an unknown perturb_mode or a strip_height that is not > 0 fails every
+    # stability row, and a Newton step can never be accepted at root_tol = 0
     path = tmp_path / "bad.ini"
     path.write_text(text)
     out = tmp_path / "artifacts"

@@ -162,6 +162,8 @@ def test_pair_function_bits_do_not_depend_on_the_batch():
     shuffled = rng.permutation(300)
     assert np.array_equal(f(zs[shuffled]), batch[shuffled])
     assert np.array_equal(f(zs.reshape(20, 15)).ravel(), batch)
+    # and they are the bits of the pair that carries error estimates
+    assert np.array_equal(fourier_pair_many(GAUSS_SHARP, zs, 1e-12)[0], batch)
 
 
 @pytest.mark.parametrize("v", [GAUSS_SHARP, GAUSS_SMOOTH],

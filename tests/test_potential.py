@@ -191,15 +191,26 @@ def test_endpoint_data_rejects_unknown_orders_and_sides():
 
 
 def test_scalar_call_matches_the_array_call_bit_for_bit():
+    # numpy's scalar ** and its array power loop differ in the last bit at
+    # about 1 point in 20, so the points are many: 20,000 seeded ones on and
+    # around the support, plus its edges, its breakpoints and nan, passed
+    # in turn as np.float64 (as scipy passes them) and as float
+    rng = np.random.default_rng(0)
     xs = np.linspace(0.0, 1.0, 17)
     table = load_table(np.column_stack([xs, np.exp(-xs) * np.cos(4.0 * xs)]), 1.0)
     for v in (make_poly_bump(1.0), make_truncated_gaussian(1.0, sharp_edge=True),
               make_truncated_gaussian(1.0, sharp_edge=False), table):
         L = v.support_length
-        points = np.array([-0.1, 0.0, L / 3.0, *v.breakpoints, L, L + 0.1, np.nan])
+        points = np.concatenate([
+            [-0.1, 0.0, L / 3.0, *v.breakpoints, L, L + 0.1, np.nan],
+            rng.uniform(-0.1 * L, 1.1 * L, 20_000)])
+        scalars = [float(x) if i % 2 else x for i, x in enumerate(points)]
         for order in (0, 1, 2):
             batch = v.derivative(points, order) if order else v(points)
-            for x, expected in zip(points, batch):
-                got = v.derivative(x, order) if order else v(x)
-                assert type(got) is float
-                assert got.hex() == float(expected).hex()
+            got = [v.derivative(x, order) if order else v(x) for x in scalars]
+            assert all(type(g) is float for g in got)
+            differ = np.flatnonzero(np.array(got).view(np.uint64)
+                                    != batch.view(np.uint64))
+            assert differ.size == 0, (
+                f"{v.kind}, order {order}: {differ.size} points differ, "
+                f"the first at x = {points[differ[0]]!r}")

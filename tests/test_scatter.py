@@ -503,3 +503,154 @@ def test_rtol_below_the_floor_is_rejected():
         jost_solve(v, 1.0, rtol=1e-14)
     with pytest.raises(ValueError, match=floor):
         scattering_matrix(v, SCATTER_GRID, rtol=1e-14)
+
+
+# The DOP853 path pinned bit for bit: X(k) and Y(-k) from jost_solve, each
+# as the hex of its real and imaginary parts, for each momentum of
+# JOST_MOMENTA alone and in one batch (the batch shrinks the tolerances, see
+# _jost_many, so its bits are its own). Recorded with numpy 2.4 on an x86-64
+# CPU with AVX-512.
+JOST_MOMENTA = (0.7, 12.0, 2.5 - 1.5j, 6.0 - 3.0j)
+JOST_BITS = {
+    'gaussian-smooth': {
+        "lone": (
+            ("-0x1.58e44786c8025p-2 0x1.631d926f01b2bp-1",
+             "0x1.257c3473f62a6p-2 0x1.32383e0fe31d5p-3"),
+            ("-0x1.412d023442707p-2 0x1.7fde921039bc1p+3",
+             "-0x1.2ad1ba9fe6983p-11 0x1.5d000553049aap-6"),
+            ("0x1.2d8762adf2f09p+0 0x1.3bf6b02de560ep+1",
+             "-0x1.0922dbddd3a9ap-1 0x1.7fd874dcfc259p-2"),
+            ("0x1.575aef3041211p+1 0x1.7f96e6f0c4ea5p+2",
+             "-0x1.1416c820e7da4p-1 0x1.22a43f2eb724cp+0"),
+        ),
+        "batch": (
+            ("-0x1.58e44786d1c05p-2 0x1.631d926efec6ap-1",
+             "0x1.257c3473ebb09p-2 0x1.32383e0ff2980p-3"),
+            ("-0x1.412d0234426d2p-2 0x1.7fde921039bc1p+3",
+             "-0x1.2ad1ba916bad6p-11 0x1.5d00055300981p-6"),
+            ("0x1.2d8762adf3b51p+0 0x1.3bf6b02de5796p+1",
+             "-0x1.0922dbddb5c8ep-1 0x1.7fd874dca768ep-2"),
+            ("0x1.575aef304155ep+1 0x1.7f96e6f0c4edap+2",
+             "-0x1.1416c820823e6p-1 0x1.22a43f2e81517p+0"),
+        ),
+    },
+    'gaussian-sharp': {
+        "lone": (
+            ("-0x1.a8af1461f5506p-2 0x1.5f09f66234095p-1",
+             "0x1.4aea95c59ad0fp-2 0x1.bf0af9547fe53p-3"),
+            ("-0x1.7edc2dfe860cap-2 0x1.7fd06969752aep+3",
+             "-0x1.03dde086ebf08p-7 0x1.2fabbfaeeb1d5p-6"),
+            ("0x1.232cd20f13405p+0 0x1.38fca98675d3fp+1",
+             "-0x1.b06876cecb385p-1 -0x1.432f1f314934ep-2"),
+            ("0x1.53627ac256d02p+1 0x1.7d985c2d06ff1p+2",
+             "-0x1.b9dd28ece7329p+0 -0x1.74c01ce032c78p+2"),
+        ),
+        "batch": (
+            ("-0x1.a8af146204364p-2 0x1.5f09f6622f8bdp-1",
+             "0x1.4aea95c58683ep-2 0x1.bf0af954a3399p-3"),
+            ("-0x1.7edc2dfe860cfp-2 0x1.7fd06969752b1p+3",
+             "-0x1.03dde086ef759p-7 0x1.2fabbfaef5f5cp-6"),
+            ("0x1.232cd20f13ff4p+0 0x1.38fca98676af1p+1",
+             "-0x1.b06876ce50bebp-1 -0x1.432f1f31514bbp-2"),
+            ("0x1.53627ac2547c9p+1 0x1.7d985c2d07a66p+2",
+             "-0x1.b9dd28ed51740p+0 -0x1.74c01cdf4727ap+2"),
+        ),
+    },
+    'poly-bump': {
+        "lone": (
+            ("-0x1.ea5c4572f0e3ep-3 0x1.650e25d6a202cp-1",
+             "0x1.b7fc30c2519cdp-3 0x1.62cfde131b89dp-4"),
+            ("-0x1.d4b2d8f8abfe9p-3 0x1.7fee45c2e0ae3p+3",
+             "-0x1.7742767356f86p-12 0x1.59361103102e7p-6"),
+            ("0x1.43e8e0223b325p+0 0x1.3e4edbf8a65dap+1",
+             "-0x1.1b548f3598f60p-3 0x1.4fb136da4c76fp-2"),
+            ("0x1.62ba6eb3a3af3p+1 0x1.7fc61926e186ap+2",
+             "-0x1.6267eb437af0cp-5 0x1.20fb150c386a1p-2"),
+        ),
+        "batch": (
+            ("-0x1.ea5c4572f7407p-3 0x1.650e25d6a0803p-1",
+             "0x1.b7fc30c2456d9p-3 0x1.62cfde1337620p-4"),
+            ("-0x1.d4b2d8f8abfbcp-3 0x1.7fee45c2e0ae9p+3",
+             "-0x1.77427665c9367p-12 0x1.593611030b60fp-6"),
+            ("0x1.43e8e0223b80ep+0 0x1.3e4edbf8a648cp+1",
+             "-0x1.1b548f35ab41fp-3 0x1.4fb136da2050bp-2"),
+            ("0x1.62ba6eb3a3d05p+1 0x1.7fc61926e1861p+2",
+             "-0x1.6267eb405109cp-5 0x1.20fb150ba01bcp-2"),
+        ),
+    },
+}
+# numpy's exp, pow and complex-product loops at a few points, as they ran
+# where JOST_BITS was recorded. Builds whose loops round differently (no
+# AVX-512, another numpy) move the last bits all along the DOP853 path.
+ARITHMETIC_BITS = (
+    ("0x1.dd62b906fa24bp-1 0x1.68cce09671f71p-1 "
+     "0x1.3064ff4ca9f9cp-1 0x1.2765f72e0901cp-1"),
+    ("0x1.cc198288051c9p-1 0x1.1f7ef9db22d0dp-1 "
+     "0x1.9ef30a4e379b7p-2 0x1.86395810624dcp-2"),
+    ("-0x1.1eb851eb851ebp+0 0x1.0f5c28f5c28f5p+0 "
+     "0x1.03d70a3d70a3dp+0 0x1.1a3d70a3d70a4p+1"),
+)
+
+
+def _arithmetic_bits():
+    # points where these loops and libm round differently
+    x = np.array([0.07, 0.35, 0.52, 0.55])
+    a = np.array([0.3 + 0.7j, 1.1 - 0.3j])
+    b = np.array([0.7 + 1.9j, 0.35 + 2.1j])
+    return tuple(" ".join(float(t).hex() for t in r)
+                 for r in (np.exp(-x), np.power(1.0 - x / 2.0, 3),
+                           (a * b).view(float)))
+
+
+@pytest.mark.parametrize("v", ALL_FAMILIES, ids=lambda v: v.kind)
+def test_jost_solve_keeps_its_recorded_dop853_bits(v):
+    if _arithmetic_bits() != ARITHMETIC_BITS:
+        pytest.skip("JOST_BITS were recorded under numpy loops that round "
+                    "differently from these")
+
+    def hexes(z):
+        return f"{z.real.hex()} {z.imag.hex()}"
+
+    lone = [jost_solve(v, k) for k in JOST_MOMENTA]
+    batch = jost_solve(v, np.array(JOST_MOMENTA))
+    assert JOST_BITS[v.kind] == {
+        "lone": tuple((hexes(j.x_hat), hexes(j.y_hat_minus)) for j in lone),
+        "batch": tuple((hexes(complex(x)), hexes(complex(y)))
+                       for x, y in zip(batch.x_hat, batch.y_hat_minus)),
+    }
+
+
+def test_the_scatter_grid_takes_976_right_hand_side_evaluations(monkeypatch):
+    solve_ivp = scatter.solve_ivp
+    nfev = []
+
+    def counting_solve_ivp(*args, **kwargs):
+        sol = solve_ivp(*args, **kwargs)
+        nfev.append(sol.nfev)
+        return sol
+
+    monkeypatch.setattr(scatter, "solve_ivp", counting_solve_ivp)
+    scattering_matrix(make_truncated_gaussian(sharp_edge=False), SCATTER_GRID)
+    assert sum(nfev) == 976
+
+
+def test_the_right_hand_side_returns_a_fresh_array_on_every_call(monkeypatch):
+    # scipy's first-step choice holds f(t0, y0) while it evaluates the next
+    # point, so an rhs that reused one output buffer would alias the two
+    solve_ivp = scatter.solve_ivp
+    calls = []
+
+    def recording_solve_ivp(fun, *args, **kwargs):
+        def rhs(x, y):
+            dy = fun(x, y)
+            calls.append((y, dy))
+            return dy
+        return solve_ivp(rhs, *args, **kwargs)
+
+    monkeypatch.setattr(scatter, "solve_ivp", recording_solve_ivp)
+    jost_solve(make_truncated_gaussian(sharp_edge=False), np.array([0.7, 3.0j]))
+    assert len(calls) > 2
+    # every output is kept alive above, so owners with distinct ids never
+    # share memory
+    assert all(dy.base is None and dy is not y for y, dy in calls)
+    assert len({id(dy) for _, dy in calls}) == len(calls)
