@@ -16,17 +16,15 @@ from .hadamard import (
 )
 from .ftransform import (
     ExpansionResult, asymptotic_residual, conj_symmetry_residual,
-    erdelyi_expansion, fourier_many, fourier_pair_many, indicator_estimate,
-    pair_function,
+    erdelyi_expansion, fourier_many, pair_function,
 )
 from .potential import (
-    Potential, RelativeDistance, make_poly_bump, make_truncated_gaussian,
-    load_table, relative_sup_distance,
+    Potential, make_poly_bump, make_truncated_gaussian, load_table,
 )
 from .quadrature import QuadratureError, adaptive_quadrature
 from .rootscan import (
-    BoundaryZeroError, CartwrightStats, MatchResult, Rectangle, RootScanError,
-    ZeroSet, cartwright_stats, locate_zeros, match_zero_sets, wind_count,
+    BoundaryZeroError, MatchResult, Rectangle, RootScanError, ZeroSet,
+    locate_zeros, match_zero_sets, wind_count,
 )
 from .scatter import (
     FroeseComparison, FroesePair, JostData, JostIntegrationError,

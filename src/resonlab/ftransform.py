@@ -7,7 +7,7 @@ The transform convention is
 an entire function of exponential type L. Everything downstream (resonance
 comparisons, zero scans, truncated products) consumes either Vhat directly or
 the symmetrized product F(z) = Vhat(2z) * Vhat(-2z), which is even and equals
-|Vhat(2z)|^2 on the real axis.
+|Vhat(2z)|^2 on the real axis. pair_function is the one entry point for F.
 
 There is one evaluation route. Each Potential holds the Legendre
 coefficients c_n of V on every piece [m - h, m + h] between its breakpoints,
@@ -27,8 +27,7 @@ sums run in blocks of _BLOCK points x pieces.
 
 from __future__ import annotations
 
-import math
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -37,9 +36,8 @@ from .potential import Potential
 from .quadrature import adaptive_quadrature
 
 __all__ = [
-    "ExpansionResult", "fourier_many", "fourier_pair_many", "pair_function",
-    "erdelyi_expansion", "asymptotic_residual", "conj_symmetry_residual",
-    "indicator_estimate",
+    "ExpansionResult", "fourier_many", "pair_function", "erdelyi_expansion",
+    "asymptotic_residual", "conj_symmetry_residual",
 ]
 
 DEFAULT_RTOL = 1e-12
@@ -163,27 +161,18 @@ def fourier_many(v: Potential, zs, rtol: float = DEFAULT_RTOL):
     return values, errors, np.zeros(zs.shape, dtype=bool)
 
 
-def _pair_halves(v: Potential, zs, rtol: float):
-    """Vhat(2z), Vhat(-2z) and their error estimates, from one fourier_many call."""
-    zs = np.asarray(zs, dtype=complex).ravel()
-    vals, errs, _ = fourier_many(v, np.concatenate([2.0 * zs, -2.0 * zs]), rtol)
-    return np.split(vals, 2), np.split(errs, 2)
-
-
-def fourier_pair_many(v: Potential, zs, rtol: float = DEFAULT_RTOL):
-    """F(z) = Vhat(2z) Vhat(-2z) for a batch, with propagated error estimates."""
-    (a, b), (ea, eb) = _pair_halves(v, zs, rtol)
-    return a * b, np.abs(a) * eb + np.abs(b) * ea + ea * eb
-
-
 def pair_function(v: Potential, rtol: float) -> Callable:
     """F(z) = Vhat(2z) Vhat(-2z) at tolerance rtol, shape in = shape out.
 
-    The error estimates of fourier_pair_many are not formed.
+    Both halves come from one fourier_many call on [2z, -2z]; its error
+    estimates are not used.
     """
     def f(zs):
         arr = np.asarray(zs, dtype=complex)
-        (a, b), _ = _pair_halves(v, arr, rtol)
+        flat = arr.ravel()
+        vals, _, _ = fourier_many(
+            v, np.concatenate([2.0 * flat, -2.0 * flat]), rtol)
+        a, b = np.split(vals, 2)
         return (a * b).reshape(arr.shape)
 
     return f
@@ -222,7 +211,7 @@ def asymptotic_residual(v: Potential, z: float, rtol: float = DEFAULT_RTOL) -> f
     z = float(z)
     if abs(z) < 1.0:
         raise ValueError("asymptotic residual defined for |z| >= 1")
-    return abs(4.0 * z * z * fourier_pair_many(v, [z], rtol)[0][0] - 1.0)
+    return abs(4.0 * z * z * pair_function(v, rtol)(z) - 1.0)
 
 
 def conj_symmetry_residual(v: Potential, k: float, rtol: float = DEFAULT_RTOL) -> float:
@@ -230,31 +219,3 @@ def conj_symmetry_residual(v: Potential, k: float, rtol: float = DEFAULT_RTOL) -
     k = float(k)
     vals, _, _ = fourier_many(v, [2.0 * k, -2.0 * k], rtol)
     return abs(np.conj(vals[1]) - vals[0])
-
-
-def indicator_estimate(v: Potential, theta: float, radii: Sequence[float],
-                       rtol: float = DEFAULT_RTOL) -> float:
-    """Least-squares slope of log |F(r e^{i theta})| against r.
-
-    Estimates the indicator-function value of F along the ray; rays hugging
-    the real axis give slope ~ 0 and the imaginary axis gives ~ 2L. Samples
-    where F vanishes are re-drawn with a small radial jitter.
-    """
-    radii = np.asarray(radii, dtype=float)
-    if radii.size < 2:
-        raise ValueError("need at least two radii for a slope")
-    direction = np.exp(1j * theta)
-    logs = np.empty(radii.shape)
-    rs = radii.astype(float).copy()
-    for i, r in enumerate(rs):
-        for _ in range(8):
-            val, err = fourier_pair_many(v, [r * direction], rtol)
-            if abs(val[0]) > max(10.0 * err[0], 1e-280):
-                break
-            r *= 1.0 + 1e-3  # direction passes near a zero of F; nudge outward
-        else:
-            raise ValueError(f"F vanished along the ray near r = {r:g}")
-        rs[i] = r
-        logs[i] = math.log(abs(val[0]))
-    slope = np.polyfit(rs, logs, 1)[0]
-    return float(slope)

@@ -111,7 +111,9 @@ def eval_product(p: TruncatedProduct, z):
     the guard range raises ProductOverflowError carrying the log-domain
     result of the first such point.  A scalar z gives a complex, an array an
     array of its shape, bit for bit equal to the scalar calls: the factors
-    follow CPython's complex product and Smith quotient, not numpy's.
+    follow CPython's complex product and Smith quotient, not numpy's.  Each
+    factor is formed as (z_n - z) / z_n, so it keeps its relative accuracy
+    next to a zero.
     """
     zs = np.asarray(z, dtype=complex)
     flat = zs.ravel()
@@ -125,18 +127,20 @@ def eval_product(p: TruncatedProduct, z):
     at_zero = np.zeros(flat.shape, dtype=bool)
     for z_n in locs:
         at_zero |= flat == z_n
-        # z / z_n by CPython's Smith quotient, whose branch depends on z_n
-        # alone; 1.0 - q as CPython forms it (0.0 - qi keeps signed zeros)
+        # (z_n - z) / z_n by CPython's Smith quotient, whose branch depends
+        # on z_n alone; the difference is exact near z_n, where 1 - z/z_n
+        # would cancel the digits of a rounded z/z_n
         br, bi = z_n.real, z_n.imag
+        nr, ni = br - zr, bi - zi
         if abs(br) >= abs(bi):
             ratio = bi / br
             denom = br + bi * ratio
-            qr, qi = (zr + zi * ratio) / denom, (zi - zr * ratio) / denom
+            fr, fi = (nr + ni * ratio) / denom, (ni - nr * ratio) / denom
         else:
             ratio = br / bi
             denom = br * ratio + bi
-            qr, qi = (zr * ratio + zi) / denom, (zi * ratio - zr) / denom
-        acc_r, acc_i = _cmul(acc_r, acc_i, 1.0 - qr, 0.0 - qi)
+            fr, fi = (nr * ratio + ni) / denom, (ni * ratio - nr) / denom
+        acc_r, acc_i = _cmul(acc_r, acc_i, fr, fi)
         mag = np.hypot(acc_r, acc_i)
         for rescale, shift in ((mag > _SCALE_HI, _RESCALE),
                                ((0.0 < mag) & (mag < _SCALE_LO), -_RESCALE)):
@@ -154,7 +158,8 @@ def eval_product(p: TruncatedProduct, z):
     # 0; with no factor exactly 0 the value lies far beyond the guard
     underflow = {}
     for i in np.flatnonzero(~at_zero & (mag == 0.0)) if p.c else ():
-        factors = [1.0 - complex(flat[i]) / complex(z_n) for z_n in locs]
+        factors = [(complex(z_n) - complex(flat[i])) / complex(z_n)
+                   for z_n in locs]
         if 0 not in factors:
             underflow[i] = cmath.log(p.c) + sum(map(cmath.log, factors))
             over[i], log_mag[i] = True, underflow[i].real

@@ -18,7 +18,7 @@ scalar call returns the bits of the array call at every point.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
@@ -26,19 +26,11 @@ from numpy.polynomial import legendre as npleg
 from .quadrature import adaptive_quadrature
 
 __all__ = [
-    "Potential", "RelativeDistance",
-    "make_poly_bump", "make_truncated_gaussian", "load_table",
-    "relative_sup_distance",
+    "Potential", "make_poly_bump", "make_truncated_gaussian", "load_table",
 ]
 
 _NORMALIZATION_TOL = 1e-12
 _EPS = float(np.finfo(float).eps)
-
-
-class RelativeDistance(NamedTuple):
-    value: float
-    excluded: int
-    floor: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,25 +218,3 @@ def load_table(samples, support_length: float = 1.0) -> Potential:
         return spline(xx, nu=order)
 
     return _build("table", L, core, breakpoints=x[1:-1])
-
-
-def relative_sup_distance(v1: Potential, v2: Potential, grid,
-                          floor: float | None = None) -> RelativeDistance:
-    """sup |V1/V2 - 1| over grid points where |V2| clears the floor.
-
-    Points with |V2(x)| below the floor (default 1e-8 times the sup of |V2|
-    on the grid) are excluded from the sup and reported in the count.
-    """
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise ValueError("grid is empty")
-    a = np.atleast_1d(v1(grid))
-    b = np.atleast_1d(v2(grid))
-    if floor is None:
-        floor = 1e-8 * float(np.max(np.abs(b)))
-    keep = (np.abs(b) >= floor) & (np.abs(b) > 0.0)
-    excluded = int(np.sum(~keep))
-    if not keep.any():
-        raise ValueError("every grid point fell below the comparison floor")
-    value = float(np.max(np.abs(a[keep] / b[keep] - 1.0)))
-    return RelativeDistance(value, excluded, float(floor))

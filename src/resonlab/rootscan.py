@@ -53,8 +53,12 @@ samples per path, _BATCH_POINTS (a batch starts with at most that many
 samples, and a larger single path goes alone; it does not bound memory,
 as each f bounds its own temporaries), MAX_DEPTH subdivision levels,
 MERGE_RESOLUTION (zeros closer than it times |z| merge into one multiple
-zero) and _MAX_DIRECT_COUNT (the largest count of a cell polished from its
-power sums instead of being split).
+zero), _MAX_DIRECT_COUNT (the largest count of a cell polished from its
+power sums instead of being split), and _NEWTON_ROUNDS and _DIRECT_ROUNDS,
+the Newton rounds of an isolated cell's run and of a run from a power-sum
+start. The latter is short: a run from a power-sum start that has not
+settled within it is most often converging linearly to a multiple zero,
+and its cell is split instead.
 """
 
 from __future__ import annotations
@@ -68,8 +72,7 @@ import numpy as np
 
 __all__ = [
     "BoundaryZeroError", "RootScanError", "Rectangle", "ZeroSet",
-    "MatchResult", "CartwrightStats", "wind_count", "locate_zeros",
-    "match_zero_sets", "cartwright_stats",
+    "MatchResult", "wind_count", "locate_zeros", "match_zero_sets",
 ]
 
 PHASE_STEP_LIMIT = 0.5 * math.pi
@@ -82,6 +85,9 @@ MAX_DEPTH = 64
 MAX_BOUNDARY_POINTS = 262144
 _BATCH_POINTS = 1 << 14
 _MAX_DIRECT_COUNT = 3      # _power_sum_starts solves up to a cubic
+_NEWTON_ROUNDS = 80        # Newton rounds of an isolated cell's run
+_DIRECT_ROUNDS = 8         # Newton rounds of a run from a power-sum start
+_RADII_BLOCK = 64          # zeros per block of the circles' pairwise gaps
 
 
 class BoundaryZeroError(RuntimeError):
@@ -572,12 +578,14 @@ _SPLIT_JITTER = (0.0, 0.013, -0.013, 0.029, -0.029, 0.047, -0.047, 0.061, -0.061
 
 
 def _newton_polish(z0: complex, multiplicity: int, tol: float,
-                   target: float, region: Rectangle):
+                   target: float, region: Rectangle,
+                   rounds: int = _NEWTON_ROUNDS):
     """Multiplicity-aware Newton iteration as a generator.
 
     It yields the points [z, z + h, z - h] it needs f at, is sent their
     values, and returns the polished zero, or None when it fails to settle.
-    Accepts once |step| <= tol * max(1, |z|); a stalled run needs |f| <= target.
+    Accepts once |step| <= tol * max(1, |z|); a run that has not done so
+    within `rounds` steps has stalled, and then needs |f| <= target.
     """
     wander_pad = region.diameter
     # strict containment up to the boundary-jitter band: anything looser lets
@@ -610,7 +618,7 @@ def _newton_polish(z0: complex, multiplicity: int, tol: float,
         return znew if np.isfinite(znew) and owns(znew) else z
 
     z = complex(z0)
-    for _ in range(80):
+    for _ in range(rounds):
         fz, step = yield from newton_step(z)
         if step is None:
             break
@@ -816,7 +824,8 @@ def locate_zeros(f: Callable, rect: Rectangle, tol: float = 1e-10) -> ZeroSet:
                   for cell, alone in zip(live, isolated)]
         zeros = iter(_polish_in_lockstep(f, [
             _newton_polish(z0, cell.count if alone else 1, tol,
-                           tol * cell.local_scale, cell.rect)
+                           tol * cell.local_scale, cell.rect,
+                           _NEWTON_ROUNDS if alone else _DIRECT_ROUNDS)
             for cell, alone, zs in zip(live, isolated, starts) for z0 in zs]))
         splits: list[tuple[_Cell, int]] = []
         for cell, alone, zs in zip(live, isolated, starts):
@@ -868,21 +877,18 @@ def locate_zeros(f: Callable, rect: Rectangle, tol: float = 1e-10) -> ZeroSet:
             splits = retry
 
     # Multiplicity certificates from small-circle windings, in the order a
-    # depth-first scan finds the zeros.
-    locs = [z for _, z in sorted(found, key=lambda e: e[0])]
-    radii = []
-    loc_array = np.array(locs, dtype=complex)
-    for i, z in enumerate(locs):
-        r = max(1e-6 * max(1.0, abs(z)), 1e-11 * scale0)
-        if len(locs) > 1:
-            # numpy's |z - w| can differ from abs() in the last bit, so it
-            # only shortlists the nearest zeros and abs() decides among them
-            d = np.abs(loc_array - z)
-            d[i] = np.inf
-            gap = min(abs(z - locs[j])
-                      for j in np.flatnonzero(d <= (1 + 1e-6) * d.min()))
-            r = min(r, 0.45 * gap) if gap > 0 else r
-        radii.append(r)
+    # depth-first scan finds the zeros. A circle's radius is cut to 0.45
+    # times the gap to the nearest other zero, where that gap is not 0; the
+    # gaps are formed _RADII_BLOCK rows at a time, so their memory grows
+    # linearly with the number of zeros.
+    locs = np.array([z for _, z in sorted(found, key=lambda e: e[0])],
+                    dtype=complex)
+    radii = np.maximum(1e-6 * np.maximum(1.0, np.abs(locs)), 1e-11 * scale0)
+    for lo in range(0, locs.size, _RADII_BLOCK):
+        d = np.abs(locs[lo:lo + _RADII_BLOCK, None] - locs)
+        np.fill_diagonal(d[:, lo:], np.inf)
+        gap, r = d.min(axis=1), radii[lo:lo + _RADII_BLOCK]
+        r[:] = np.where(gap > 0, np.minimum(r, 0.45 * gap), r)
     mults = _circle_multiplicities(f, locs, radii)
     for z, m in zip(locs, mults):
         if m <= 0:
@@ -1037,41 +1043,3 @@ def match_zero_sets(a: ZeroSet, b: ZeroSet) -> MatchResult:
                   for i, j in zip(rows, cols))
     sup = float(np.max(cost[rows, cols]))
     return MatchResult(pairs, sup)
-
-
-class CartwrightStats(NamedTuple):
-    radii: np.ndarray
-    right_density: np.ndarray     # N(r)/r in the sector |arg z| < eps
-    left_density: np.ndarray      # N(r)/r in the sector |arg z -/+ pi| < eps
-    axis_density: np.ndarray      # combined
-    off_axis_fraction: float
-    partial_sums: np.ndarray      # delta(r) = sum over |a_k| < r of 1/a_k
-
-
-def cartwright_stats(zs: ZeroSet, radii: Sequence[float],
-                     eps_angle: float = 0.1) -> CartwrightStats:
-    """Near-axis counting densities and reciprocal partial sums.
-
-    For zero sets of functions with indicator sigma |sin theta| the density
-    N(r)/r in each near-axis sector tends to the type over pi as r grows and
-    the off-axis fraction tends to zero; delta(r) converges as r -> infinity.
-    """
-    locs = zs.locations(expand=True)
-    if locs.size and np.min(np.abs(locs)) == 0.0:
-        raise ValueError("zero at the origin is not admissible here")
-    radii = np.asarray(sorted(float(r) for r in radii))
-    if radii.size == 0 or radii[0] <= 0.0:
-        raise ValueError("radii must be positive")
-    mods = np.abs(locs)
-    args = np.angle(locs)
-    right = np.abs(args) < eps_angle
-    left = np.abs(np.abs(args) - math.pi) < eps_angle
-    nr = np.array([np.sum(right & (mods < r)) for r in radii], dtype=float)
-    nl = np.array([np.sum(left & (mods < r)) for r in radii], dtype=float)
-    partial = np.array([np.sum(1.0 / locs[mods < r]) for r in radii])
-    total = locs.size
-    off_axis = 0.0
-    if total:
-        off_axis = float(np.sum(~(right | left))) / total
-    return CartwrightStats(radii, nr / radii, nl / radii,
-                           (nr + nl) / radii, off_axis, partial)

@@ -364,6 +364,8 @@ import sys
 from dataclasses import replace
 
 import resonlab
+bare = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+assert not bare, f"a bare import resonlab loaded {sorted(bare)}"
 from resonlab.cli import ExperimentConfig, run_subcommand
 
 cfg = ExperimentConfig(out_dir=sys.argv[1])

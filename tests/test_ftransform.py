@@ -11,8 +11,7 @@ from scipy.special import spherical_jn
 from resonlab import ftransform
 from resonlab.ftransform import (
     _spherical_jn_all, asymptotic_residual, conj_symmetry_residual,
-    erdelyi_expansion, fourier_many, fourier_pair_many, indicator_estimate,
-    pair_function,
+    erdelyi_expansion, fourier_many, pair_function,
 )
 from resonlab.potential import load_table, make_poly_bump, make_truncated_gaussian
 
@@ -162,8 +161,6 @@ def test_pair_function_bits_do_not_depend_on_the_batch():
     shuffled = rng.permutation(300)
     assert np.array_equal(f(zs[shuffled]), batch[shuffled])
     assert np.array_equal(f(zs.reshape(20, 15)).ravel(), batch)
-    # and they are the bits of the pair that carries error estimates
-    assert np.array_equal(fourier_pair_many(GAUSS_SHARP, zs, 1e-12)[0], batch)
 
 
 @pytest.mark.parametrize("v", [GAUSS_SHARP, GAUSS_SMOOTH],
@@ -272,20 +269,36 @@ def test_zero_potential_transforms_to_zero():
 
 def test_pair_evenness():
     z = 1.3 + 0.4j
-    (a, b), _ = fourier_pair_many(BUMP, [z, -z])
+    a, b = pair_function(BUMP, 1e-12)(np.array([z, -z]))
     assert abs(a - b) < 1e-10
 
 
 def test_pair_real_axis_nonnegative():
-    vals, _ = fourier_pair_many(GAUSS_SMOOTH, [0.0, 0.7, 2.3, 11.0])
+    vals = pair_function(GAUSS_SMOOTH, 1e-12)(np.array([0.0, 0.7, 2.3, 11.0]))
     assert np.all(np.abs(vals.imag) < 1e-12)
     assert np.all(vals.real >= -1e-12)
 
 
 def test_pair_conjugation():
     z = 2.2 + 0.9j
-    (a, b), _ = fourier_pair_many(GAUSS_SHARP, [z, np.conj(z)])
+    a, b = pair_function(GAUSS_SHARP, 1e-12)(np.array([z, np.conj(z)]))
     assert abs(np.conj(b) - a) < 1e-10
+
+
+def test_pair_function_matches_mpmath_up_the_imaginary_axis():
+    # F(ir) = Vhat(2ir) Vhat(-2ir): one factor grows like e^{2r}, the other
+    # falls like 1/r, so F is the product of very unequal halves
+    rs = [15.0, 20.0, 25.0, 30.0]
+    zs = 1j * np.array(rs)
+    halves, _, _ = fourier_many(BUMP, np.concatenate([2.0 * zs, -2.0 * zs]))
+    for w, val in zip(np.concatenate([2.0 * zs, -2.0 * zs]), halves):
+        bound = 1e-13 * BUMP.abs_moments[0] * math.exp(max(0.0, w.imag))
+        assert abs(val - mp_transform(bump_profile, w)) <= bound, w
+    values = pair_function(BUMP, 1e-12)(zs)
+    for z, val in zip(zs, values):
+        oracle = (mp_transform(bump_profile, 2.0 * z)
+                  * mp_transform(bump_profile, -2.0 * z))
+        assert abs(val - oracle) <= 1e-11 * abs(oracle), z
 
 
 @settings(max_examples=25, deadline=None)
@@ -366,36 +379,3 @@ def test_asymptotic_residual_detects_wrong_normalization():
 def test_asymptotic_residual_validation():
     with pytest.raises(ValueError):
         asymptotic_residual(BUMP, 0.3)
-
-
-def test_indicator_slope_along_imaginary_axis():
-    # The asymptotic slope is the type 2L = 2; at finite radii an algebraic
-    # -5 log(r) correction (cubic edge contact of the bump) is still visible,
-    # so the tight check is against an oracle slope from direct quadrature.
-    radii = [15.0, 20.0, 25.0, 30.0]
-    slope = indicator_estimate(BUMP, math.pi / 2.0, radii)
-    assert abs(slope - 2.0) < 0.25
-    logs = []
-    for r in radii:
-        f = mp_transform(bump_profile, 2j * r) * mp_transform(bump_profile, -2j * r)
-        logs.append(math.log(abs(f)))
-    oracle = np.polyfit(radii, logs, 1)[0]
-    assert abs(slope - oracle) < 1e-8
-
-
-def test_indicator_ray_ratio():
-    radii = [15.0, 20.0, 25.0, 30.0]
-    s90 = indicator_estimate(BUMP, math.pi / 2.0, radii)
-    s45 = indicator_estimate(BUMP, math.pi / 4.0, radii)
-    assert abs(s90 / s45 - math.sqrt(2.0)) < 0.1 * math.sqrt(2.0)
-
-
-def test_indicator_real_axis_flat():
-    slope = indicator_estimate(BUMP, 0.0, [30.0, 40.0, 50.0, 60.0])
-    assert abs(slope) < 0.1
-
-
-def test_pair_error_propagation_scales():
-    (val,), (err,) = fourier_pair_many(BUMP, [30.0 + 4.0j])
-    assert err > 0.0
-    assert err < 1e-6 * max(1.0, abs(val))

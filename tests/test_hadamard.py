@@ -8,14 +8,17 @@ errors, and prefactors are all checkable against closed forms.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from resonlab.cli import ExperimentConfig
+from resonlab.ftransform import pair_function
 from resonlab.hadamard import (
     LOG_GUARD, ContourCountError, ProductOverflowError, build_product,
     convergence_curve, count_difference, eval_product, fit_prefactor,
-    perturb_zeros, stability_experiment,
+    mirrored_reconstruction, perturb_zeros, stability_experiment,
 )
 from resonlab.potential import make_poly_bump
 from resonlab.rootscan import Rectangle, ZeroSet, match_zero_sets
@@ -74,8 +77,9 @@ def leaves_guard(zero_set, w):
     exactly 0, and log |prod (1 - w/z_n)|, summed in the log domain, lies
     beyond +-LOG_GUARD."""
     locs = zero_set.locations(expand=True)
-    # CPython's complex quotient, which eval_product follows bit for bit
-    factors = [abs(1.0 - complex(w) / complex(z_n)) for z_n in locs]
+    # the factor (z_n - w) / z_n as eval_product forms it: CPython's complex
+    # quotient, which it follows bit for bit
+    factors = [abs((complex(z_n) - complex(w)) / complex(z_n)) for z_n in locs]
     return (w not in locs and 0.0 not in factors
             and abs(math.fsum(map(math.log, factors))) > LOG_GUARD)
 
@@ -109,7 +113,7 @@ def test_appending_a_zero_multiplies_exactly(zeros, z, points):
             eval_product(product, pts)
     if not (out[0] or leaves_guard(base, z)):
         lhs = eval_product(product, z)
-        rhs = eval_product(build_product(base, 20.0), z) * (1.0 - z / z0)
+        rhs = eval_product(build_product(base, 20.0), z) * ((z0 - z) / z0)
         assert type(lhs) is complex
         assert lhs == rhs
     # an array of points, the zeros included, carries the scalar bits
@@ -128,6 +132,30 @@ def log_magnitude(c, zeros, z):
     """log |c prod (1 - z/z_n)|, summed with math.fsum in the log domain."""
     return math.fsum([math.log(abs(c))]
                      + [math.log(abs(1.0 - z / w)) for w in zeros])
+
+
+def test_eval_keeps_its_digits_next_to_a_zero():
+    # the default-config product of F, at distances 1e-3 ... 1e-12 from each
+    # of its zeros: every factor is formed as (z_n - z) / z_n, so the one
+    # next to z keeps its relative accuracy, and the value is within
+    # 8 (n + 1) eps relative of a 40-digit product of the same n factors
+    cfg = ExperimentConfig()
+    f = pair_function(cfg.potential(), cfg.quad_rtol)
+    zeros, c = mirrored_reconstruction(f, cfg.rectangle(), cfg.root_tol)
+    p = build_product(zeros, cfg.radius, c)
+    locs = p.zeros.locations(expand=True)
+    bound = 8.0 * (locs.size + 1) * np.finfo(float).eps
+    mpmath.mp.dps = 40
+    for z_k in locs:
+        for d in 10.0 ** -np.arange(3, 13):
+            for z in (z_k + d * np.exp(0.3j), z_k - d * np.exp(2.0j)):
+                z = complex(z)
+                oracle = mpmath.mpc(c)
+                for z_n in locs:
+                    z_n = mpmath.mpc(complex(z_n))
+                    oracle *= (z_n - z) / z_n
+                gap = abs(mpmath.mpc(eval_product(p, z)) - oracle)
+                assert gap <= bound * abs(oracle), (z_k, d, gap / abs(oracle))
 
 
 def test_eval_rescale_keeps_huge_magnitudes_honest():

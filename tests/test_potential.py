@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 import sympy
 
-from resonlab.potential import (
-    load_table, make_poly_bump, make_truncated_gaussian, relative_sup_distance,
-)
+from resonlab.potential import load_table, make_poly_bump, make_truncated_gaussian
 from resonlab.quadrature import adaptive_quadrature
 
 
@@ -141,34 +139,6 @@ def test_table_normalization_report():
     # not-a-knot slope at 0 is only approximately 0 for sampled data
     assert abs(v.endpoint_data(1, "left")) < 1e-4
     assert not v.unit_normalized
-
-
-def test_relative_sup_distance_identity():
-    v = make_poly_bump(1.0)
-    grid = np.linspace(0.0, 0.9, 40)
-    res = relative_sup_distance(v, v, grid)
-    assert res.value == 0.0
-    assert res.excluded == 0
-
-
-def test_relative_sup_distance_scaling_and_floor():
-    v1 = make_poly_bump(1.0)
-    xs = np.linspace(0.0, 1.0, 40)
-    v2 = load_table(np.column_stack([xs, 1.01 * v1(xs)]), 1.0)
-    grid = np.linspace(0.0, 0.8, 50)
-    res = relative_sup_distance(v2, v1, grid)
-    assert abs(res.value - 0.01) < 1e-3
-    # points near the edge fall below an aggressive floor and are excluded
-    res2 = relative_sup_distance(v2, v1, np.linspace(0.0, 1.0, 50), floor=1e-2)
-    assert res2.excluded > 0
-
-
-def test_relative_sup_distance_errors():
-    v = make_poly_bump(1.0)
-    with pytest.raises(ValueError):
-        relative_sup_distance(v, v, np.array([]))
-    with pytest.raises(ValueError):
-        relative_sup_distance(v, v, np.array([2.0, 3.0]))  # V2 = 0 everywhere
 
 
 def test_endpoint_data_accessors():

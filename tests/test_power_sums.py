@@ -156,6 +156,26 @@ def test_multiple_zeros_keep_their_multiplicities(monkeypatch, f, rect, tol,
     assert 1 <= attempts[0] <= 2
 
 
+@pytest.mark.parametrize("f, rect, mult, calls", [
+    (lambda z: z ** 3, Rectangle(-1, 1, -1, 1), 3, 134),
+    (lambda z: (z - 1.5) ** 2, Rectangle(0.5, 2.5, -1, 1), 2, 86),
+], ids=["triple", "double"])
+def test_a_polish_that_meets_a_multiple_zero_gives_up_early(f, rect, mult,
+                                                            calls):
+    # the runs from power-sum starts converge only linearly to a multiple
+    # zero; _DIRECT_ROUNDS ends them long before an isolated cell's budget
+    # (206 and 111 calls of f when they ran 80 rounds)
+    counted = [0]
+
+    def g(z):
+        counted[0] += 1
+        return f(z)
+
+    zs = locate_zeros(g, rect, 1e-12)
+    assert [m for _, m in zs] == [mult]
+    assert counted[0] <= calls
+
+
 FROESE_BOX = Rectangle(0.5, 72.0, -11.0, -0.05)
 FROESE_TOL = 1e-6
 

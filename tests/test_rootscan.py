@@ -11,8 +11,8 @@ from resonlab import rootscan
 from resonlab.ftransform import pair_function
 from resonlab.potential import make_poly_bump
 from resonlab.rootscan import (
-    BoundaryZeroError, CartwrightStats, Rectangle, RootScanError, ZeroSet,
-    cartwright_stats, locate_zeros, match_zero_sets, wind_count,
+    BoundaryZeroError, Rectangle, RootScanError, ZeroSet, locate_zeros,
+    match_zero_sets, wind_count,
 )
 
 SQUARE = Rectangle(-1.0, 1.0, -1.0, 1.0)
@@ -267,34 +267,6 @@ def test_match_zero_sets():
     assert match.sup_distance == pytest.approx(1e-6, rel=1e-6)
     with pytest.raises(ValueError, match="cardinality"):
         match_zero_sets(a, ZeroSet.from_pairs([(1.0, 1)]))
-
-
-# --------------------------------------------------------------- cartwright
-
-def test_cartwright_stats_symmetric_lattice():
-    zs = ZeroSet.from_pairs(
-        [(float(n), 1) for n in range(1, 101)]
-        + [(float(-n), 1) for n in range(1, 101)])
-    stats = cartwright_stats(zs, radii=[10.5, 50.5, 100.5], eps_angle=0.1)
-    assert isinstance(stats, CartwrightStats)
-    assert stats.off_axis_fraction == 0.0
-    assert stats.axis_density[-1] == pytest.approx(2.0, abs=0.02)
-    assert stats.right_density[-1] == pytest.approx(1.0, abs=0.01)
-    assert stats.left_density[-1] == pytest.approx(1.0, abs=0.01)
-    # reciprocals cancel pairwise for the symmetric lattice
-    assert np.all(np.abs(stats.partial_sums) < 1e-12)
-
-
-def test_cartwright_stats_off_axis_fraction():
-    zs = ZeroSet.from_pairs(
-        [(float(n), 1) for n in (-2, -1, 1, 2)] + [(2.0j, 1), (-2.0j, 1)])
-    stats = cartwright_stats(zs, radii=[3.0])
-    assert stats.off_axis_fraction == pytest.approx(2.0 / 6.0)
-
-
-def test_cartwright_rejects_zero_at_origin():
-    with pytest.raises(ValueError):
-        cartwright_stats(ZeroSet.from_pairs([(0.0, 1)]), radii=[1.0])
 
 
 def test_tall_window_accepts_newton_on_its_step():
