@@ -128,6 +128,12 @@ class ExperimentConfig:
         if self.perturb_mode not in PERTURB_MODES:
             raise ValueError(f"unknown perturb_mode {self.perturb_mode!r}; "
                              f"expected one of {PERTURB_MODES}")
+        # DOP853 never accepts a step at a NaN tolerance, and quad_rtol =
+        # inf ends in an error that does not name it
+        for key in ("quad_rtol", "ode_rtol", "ode_atol"):
+            if not 0.0 < getattr(self, key) < np.inf:
+                raise ValueError(f"{key} must be finite and positive, "
+                                 f"got {getattr(self, key)!r}")
         for key in ("root_tol", "strip_height"):
             if not getattr(self, key) > 0.0:
                 raise ValueError(

@@ -2,8 +2,10 @@
 
 An exponential polynomial sum_j A_j z^{m_j} [1 + eps_j(z)] e^{omega_j z}
 has its large zeros confined to logarithmic strips normal to the sides of
-the convex hull of the conjugated frequencies. This module builds that
-geometry (side angles, tau points, strip slopes), tests strip membership,
+the convex hull of the conjugated frequencies. Every exponential polynomial
+here has collinear frequencies, so that hull is a segment with two sides,
+one per orientation. This module builds that geometry (side angles, tau
+points, strip slopes) for collinear frequencies only, tests strip membership,
 and counts zeros in the curvilinear windows along a strip by mapping the
 window boundary back from its straightened coordinates.
 """
@@ -12,7 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -50,11 +52,8 @@ class ExpPolynomial:
                 raise ValueError("zero coefficients are not allowed")
             if t.power < 0 or t.power != int(t.power):
                 raise ValueError("powers must be nonnegative integers")
-        freqs = [complex(t.frequency) for t in packed]
-        for i in range(len(freqs)):
-            for j in range(i + 1, len(freqs)):
-                if freqs[i] == freqs[j]:
-                    raise ValueError("frequencies must be pairwise distinct")
+        if len({complex(t.frequency) for t in packed}) < len(packed):
+            raise ValueError("frequencies must be pairwise distinct")
         object.__setattr__(self, "terms", packed)
 
     def __call__(self, z) -> np.ndarray:
@@ -75,7 +74,6 @@ def two_cosine_model() -> ExpPolynomial:
 
 class StripData(NamedTuple):
     mu: float               # real slope of the logarithmic strip
-    n_tau: int              # tau points on this sub-segment, endpoints included
     delta_omega: float      # |omega_{kj+1} - omega_{kj}|
     m_start: int
     m_end: int
@@ -90,45 +88,13 @@ class SideData(NamedTuple):
 
 @dataclass(frozen=True)
 class DicksonGeometry:
-    vertices: tuple         # hull of the conjugated frequencies, ccw
-    sides: tuple            # SideData per hull side
+    vertices: tuple         # ends of the frequency segment, lexicographic
+    sides: tuple            # SideData per orientation of the segment
 
 
 def _cross(o, a, b) -> float:
     return ((a.real - o.real) * (b.imag - o.imag)
             - (a.imag - o.imag) * (b.real - o.real))
-
-
-def _convex_hull_ccw(points: Sequence[complex]) -> list[complex]:
-    """Counterclockwise hull starting at the lexicographically smallest
-    point; a fully collinear set yields its two extreme points."""
-    pts = sorted(set((p.real, p.imag) for p in points))
-    pts = [complex(x, y) for x, y in pts]
-    if len(pts) == 1:
-        raise ValueError("hull of a single point is degenerate")
-    if len(pts) == 2:
-        return pts
-    scale = max(abs(p - pts[0]) for p in pts)
-    tol = 1e-12 * scale * scale
-
-    def chain(seq):
-        out: list[complex] = []
-        for p in seq:
-            while len(out) >= 2 and _cross(out[-2], out[-1], p) <= tol:
-                out.pop()
-            out.append(p)
-        return out
-
-    lower = chain(pts)
-    upper = chain(reversed(pts))
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) == 2:
-        return hull
-    area = sum(_cross(hull[0], hull[i], hull[i + 1])
-               for i in range(1, len(hull) - 1))
-    if area <= 0:
-        raise RootScanError("hull orientation check failed")
-    return hull
 
 
 def _normalize_phi(angle: float) -> float:
@@ -141,39 +107,35 @@ def _normalize_phi(angle: float) -> float:
 
 
 def dickson_geometry(p: ExpPolynomial) -> DicksonGeometry:
-    """Hull, side angles, tau points, strip slopes and counts for p.
+    """Segment, side angles, tau points and strip slopes for p.
 
-    A collinear frequency set is allowed: the hull degenerates to a segment
-    traversed in both orientations, giving two sides. Along each side the
-    tau chain is the upper boundary of the convex hull of the tau points,
-    and every tau on that chain starts a new sub-segment, so each strip
-    carries its two endpoint tau points.
+    The frequencies must be collinear, to within 1e-12 of the squared
+    segment length, or ValueError is raised. The conjugated frequencies
+    then span the segment between their lexicographically smallest and
+    largest, traversed in both orientations as two sides, and every
+    frequency lies on both. Along each side the tau chain is the upper
+    boundary of the convex hull of the tau points, and every tau on that
+    chain starts a new sub-segment, so each strip holds exactly its two end
+    tau points.
     """
     conj = [complex(t.frequency).conjugate() for t in p.terms]
     powers = {w: int(t.power) for w, t in zip(conj, p.terms)}
-    hull = _convex_hull_ccw(conj)
-    if len(hull) == 2:
-        sides_vertices = [(hull[0], hull[1]), (hull[1], hull[0])]
-    else:
-        sides_vertices = [(hull[i], hull[(i + 1) % len(hull)])
-                          for i in range(len(hull))]
+    lo = min(conj, key=lambda w: (w.real, w.imag))
+    hi = max(conj, key=lambda w: (w.real, w.imag))
+    tol = 1e-12 * abs(hi - lo) ** 2
+    if not all(abs(_cross(lo, hi, w)) <= tol for w in conj):
+        raise ValueError("dickson_geometry needs collinear frequencies")
 
-    scale = max(abs(b - a) for a, b in sides_vertices)
     sides = []
-    for va, vb in sides_vertices:
+    for va, vb in ((lo, hi), (hi, lo)):
         phi = _normalize_phi(cmath.phase(va - vb))
         e = cmath.exp(1j * phi)
         seg = vb - va
         seg_len = abs(seg)
-        on_side = []
-        for w in conj:
-            rel = w - va
-            crossing = abs(rel.real * seg.imag - rel.imag * seg.real)
-            proj = (rel.real * seg.real + rel.imag * seg.imag) / seg_len
-            if crossing <= 1e-12 * scale * seg_len and -1e-12 * scale <= proj <= seg_len + 1e-12 * scale:
-                on_side.append((proj, w, powers[w]))
-        on_side.sort(key=lambda item: item[0])
-        points = tuple((w, m) for _, w, m in on_side)
+        proj = [((w - va).real * seg.real + (w - va).imag * seg.imag) / seg_len
+                for w in conj]
+        points = tuple((w, powers[w]) for _, w in
+                       sorted(zip(proj, conj), key=lambda item: item[0]))
 
         taus = [w + 1j * m * e for w, m in points]
         # straighten: u = tau/e runs along the negative real axis from the
@@ -193,29 +155,16 @@ def dickson_geometry(p: ExpPolynomial) -> DicksonGeometry:
 
         strips = []
         for a_i, b_i in zip(chain_idx[:-1], chain_idx[1:]):
-            wa, ma = points[a_i]
-            wb, mb = points[b_i]
-            denom = (wa.conjugate() - wb.conjugate()) * e
-            if abs(denom) == 0:
-                raise RootScanError("degenerate strip segment")
-            mu = (ma - mb) / denom
+            (wa, ma), (wb, mb) = points[a_i], points[b_i]
+            mu = (ma - mb) / ((wa.conjugate() - wb.conjugate()) * e)
             if abs(mu.imag) > 1e-9 * (1.0 + abs(mu)):
                 raise RootScanError(f"strip slope {mu} is not real")
-            ta, tb = taus[a_i], taus[b_i]
-            n_tau = 0
-            for t in taus:
-                d = tb - ta
-                cr = (t - ta).real * d.imag - (t - ta).imag * d.real
-                if abs(cr) <= area_tol:
-                    param = ((t - ta) / d).real
-                    if -1e-12 <= param <= 1.0 + 1e-12:
-                        n_tau += 1
-            strips.append(StripData(
-                mu=float(mu.real), n_tau=n_tau,
-                delta_omega=abs(wb - wa), m_start=ma, m_end=mb))
+            strips.append(StripData(mu=float(mu.real),
+                                    delta_omega=abs(wb - wa),
+                                    m_start=ma, m_end=mb))
         sides.append(SideData(phi=phi, e=e, points=points,
                               strips=tuple(strips)))
-    return DicksonGeometry(vertices=tuple(hull), sides=tuple(sides))
+    return DicksonGeometry(vertices=(lo, hi), sides=tuple(sides))
 
 
 def _branch_arg(z: np.ndarray, phi: float) -> np.ndarray:
@@ -298,9 +247,9 @@ def curvilinear_count(f, g: DicksonGeometry, k: int, j: int, alpha: float,
     coordinate zeta = z/e_k + mu Log z; the count is the rectangle winding
     count of f composed with the inverse map, so the window gets the same
     boundary jitter and density-agreement certificate as rootscan. bound_ok
-    reports the window-count inequality |N - s*|d omega|/(2 pi)| < n_tau - 1
-    + 0.5, and stays None when alpha is below the supplied floor where the
-    inequality is not asserted.
+    reports the window-count inequality |N - s*|d omega|/(2 pi)| < 3/2, and
+    stays None when alpha is below the supplied floor where the inequality
+    is not asserted.
     """
     if s <= 0.0 or H <= 0.0:
         raise ValueError("window extent and half-width must be positive")
@@ -314,5 +263,6 @@ def curvilinear_count(f, g: DicksonGeometry, k: int, j: int, alpha: float,
     if alpha_floor is not None and alpha < alpha_floor:
         return CurvilinearCount(count, None)
     expected = s * strip.delta_omega / (2.0 * math.pi)
-    limit = strip.n_tau - 1 + 0.5
-    return CurvilinearCount(count, bool(abs(count - expected) < limit))
+    # one less than the tau points on the strip, plus 1/2; a strip holds
+    # just its two end taus (see dickson_geometry)
+    return CurvilinearCount(count, bool(abs(count - expected) < 1.5))

@@ -142,7 +142,7 @@ def fourier_many(v: Potential, zs, rtol: float = DEFAULT_RTOL):
     """
     zs = np.asarray(zs, dtype=complex).ravel()
     length = v.support_length
-    edges = np.array((0.0, *v.breakpoints, length))
+    edges = np.array(v.edges)
     half, mid = 0.5 * np.diff(edges), 0.5 * (edges[:-1] + edges[1:])
     mags = np.pad(np.abs(v.legendre), ((0, 0), (0, 1)))
     tails = np.cumsum(mags[:, ::-1], axis=1)[:, ::-1]

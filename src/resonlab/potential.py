@@ -39,9 +39,10 @@ class Potential:
 
     Instances are immutable; the callable core is set once by a constructor
     and the absolute moments (integrals of |V|, |V'|, |V''|) are precomputed
-    for tolerance scaling and expansion remainder bounds. Row p of
-    ``legendre`` holds the c_n of V(mid + half t) = sum c_n P_n(t) on the
-    p-th piece between the points (0, *breakpoints, L).
+    for tolerance scaling and expansion remainder bounds. The smooth pieces
+    of V lie between consecutive ``edges`` (0, *breakpoints, L), and row p
+    of ``legendre`` holds the c_n of V(mid + half t) = sum c_n P_n(t) on
+    the p-th piece.
     """
 
     support_length: float
@@ -51,6 +52,11 @@ class Potential:
     legendre: np.ndarray = None
     _core: Callable[[float | np.ndarray, int], float | np.ndarray] = field(
         repr=False, default=None)
+    edges: tuple = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "edges",
+                           (0.0, *self.breakpoints, self.support_length))
 
     def _evaluate(self, x, order: int):
         if order not in (0, 1, 2):
@@ -101,12 +107,13 @@ def _abs_moment(core: Callable, length: float, order: int,
     return float(np.real(val))
 
 
-def _legendre_table(v: Potential, edges: np.ndarray) -> np.ndarray:
+def _legendre_table(v: Potential) -> np.ndarray:
     """Legendre coefficients of V, one zero-padded row per piece.
 
     Gauss-Legendre node counts double until every row's last four sums sink
     below their roundoff floor 16 (n + 1) eps max|V|, which then zeroes them.
     """
+    edges = np.array(v.edges)
     mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
     for m in (16, 32, 64, 128, 256):
         t, w = npleg.leggauss(m)
@@ -128,7 +135,7 @@ def _build(kind: str, length: float, core: Callable,
     moments = tuple(_abs_moment(core, length, n, bp) for n in range(3))
     v = Potential(support_length=length, kind=kind, breakpoints=bp,
                   abs_moments=moments, _core=core)
-    return replace(v, legendre=_legendre_table(v, np.array((0.0, *bp, length))))
+    return replace(v, legendre=_legendre_table(v))
 
 
 def make_poly_bump(support_length: float = 1.0) -> Potential:

@@ -92,14 +92,6 @@ def solve_ivp(*args, **kwargs):
     return solve_ivp(*args, **kwargs)
 
 
-def _pieces(v: Potential):
-    """(upper, lower) ends of the smooth pieces of V, from x = L down to 0."""
-    stops = [v.support_length] + sorted(
-        (b for b in v.breakpoints if 0.0 < b < v.support_length),
-        reverse=True) + [0.0]
-    return list(zip(stops[:-1], stops[1:]))
-
-
 def _solve_m(v: Potential, ks: np.ndarray, rtol: float, atol: float):
     """Batched m(0), m'(0) for all momenta in ks (flat complex array).
 
@@ -126,7 +118,8 @@ def _solve_m(v: Potential, ks: np.ndarray, rtol: float, atol: float):
         return dy
 
     y = np.concatenate([np.ones(nk, dtype=complex), np.zeros(nk, dtype=complex)])
-    for a, b in _pieces(v):
+    ends = v.edges[::-1]
+    for a, b in zip(ends, ends[1:]):
         sol = solve_ivp(rhs, (a, b), y, method="DOP853",
                         rtol=rtol, atol=atol, dense_output=False)
         if not sol.success:
@@ -342,7 +335,8 @@ def _magnus_m(v: Potential, ks: np.ndarray, rtol: float, atol: float,
     Overflow, and a momentum still above its target at 2**_LAST_LEVEL
     cells, raise JostIntegrationError naming k.
     """
-    pieces = _pieces(v)
+    ends = v.edges[::-1]
+    pieces = list(zip(ends, ends[1:]))       # (upper, lower), L down to 0
     ks = np.asarray(ks, dtype=complex)
     table = {} if table is None else table
 
@@ -411,11 +405,14 @@ def _jost_many(v: Potential, ks: np.ndarray, rtol: float, atol: float):
     divided by sqrt(n), which holds every momentum to the bound it would
     get alone. The batch is cut into near-equal chunks small enough that
     rtol / sqrt(n) stays at or above RTOL_FLOOR, where scipy would
-    otherwise raise it silently; an rtol below the floor raises ValueError.
+    otherwise raise it silently; an rtol below the floor, or an atol that
+    is not > 0 (NaN included), raises ValueError.
     """
     if not rtol >= RTOL_FLOOR:
         raise ValueError(f"rtol = {rtol:.3g} is below the DOP853 floor "
                          f"100 eps = {RTOL_FLOOR:.3g}")
+    if not atol > 0.0:
+        raise ValueError(f"atol = {atol!r} is not positive")
     most = int((rtol / RTOL_FLOOR) ** 2)
     while rtol / np.sqrt(most) < RTOL_FLOOR:
         most -= 1

@@ -36,10 +36,13 @@ def test_round_trip_defaults():
 
 finite = st.floats(allow_nan=False, allow_infinity=False,
                    min_value=-1e12, max_value=1e12)
+# a tolerance must be finite and > 0; subnormals included
+positive = st.floats(allow_nan=False, allow_infinity=False,
+                     min_value=0.0, max_value=1e12, exclude_min=True)
 
 
 @settings(max_examples=25, deadline=None)
-@given(re_min=finite, radius=finite, quad_rtol=finite,
+@given(re_min=finite, radius=finite, quad_rtol=positive,
        deltas=st.lists(finite, min_size=1, max_size=5),
        seed=st.integers(min_value=0, max_value=2**31),
        grid_points=st.integers(min_value=1, max_value=10**6))
@@ -281,12 +284,17 @@ def test_main_bad_config_field_diagnostic(tmp_path, capsys):
     ("[tolerances]\nroot_tol = 0\n", "root_tol"),
     ("[reconstruction]\nstrip_height = -1\n", "strip_height"),
     ("[reconstruction]\nstrip_height = nan\n", "strip_height"),
+    ("[tolerances]\node_atol = nan\n", "ode_atol"),
+    ("[tolerances]\node_rtol = nan\n", "ode_rtol"),
+    ("[tolerances]\nquad_rtol = inf\n", "quad_rtol"),
 ], ids=["unknown-perturb-mode", "zero-root-tol", "negative-strip-height",
-        "nan-strip-height"])
+        "nan-strip-height", "nan-ode-atol", "nan-ode-rtol", "inf-quad-rtol"])
 def test_main_rejects_a_value_that_would_break_the_run(tmp_path, capsys,
                                                        text, key):
     # an unknown perturb_mode or a strip_height that is not > 0 fails every
-    # stability row, and a Newton step can never be accepted at root_tol = 0
+    # stability row, a Newton step can never be accepted at root_tol = 0,
+    # a NaN ODE tolerance hangs the DOP853 solves, and quad_rtol = inf ends
+    # in a boundary-zero error that does not name the tolerance
     path = tmp_path / "bad.ini"
     path.write_text(text)
     out = tmp_path / "artifacts"

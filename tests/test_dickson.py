@@ -68,7 +68,6 @@ def test_model_geometry_vertical_segment():
         assert len(side.strips) == 2
         for strip in side.strips:
             assert strip.mu == 0.0
-            assert strip.n_tau == 2
             assert strip.delta_omega == pytest.approx(2.0)
 
 
@@ -82,7 +81,6 @@ def test_real_frequency_triple():
     assert g.sides[1].e == pytest.approx(1.0)
     for side in g.sides:
         assert [s.mu for s in side.strips] == [0.0, 0.0]
-        assert [s.n_tau for s in side.strips] == [2, 2]
 
 
 def test_vertical_pair_hull():
@@ -119,20 +117,33 @@ def test_tau_chain_keeps_peak_and_drops_pit():
     for side in g2.sides:
         assert len(side.strips) == 1
         assert side.strips[0].mu == 0.0
-        assert side.strips[0].n_tau == 2
         assert side.strips[0].delta_omega == pytest.approx(2.0)
 
 
-def test_nondegenerate_hull_is_counterclockwise():
-    p = ExpPolynomial([(1.0, 0, 0.0), (1.0, 0, 1.0),
-                       (1.0, 0, 1 + 1j), (1.0, 0, 1j),
-                       (1.0, 0, 0.5 + 0.5j)])           # interior point
+def test_non_collinear_frequencies_are_rejected():
+    p = ExpPolynomial([(1.0, 0, 0.0), (1.0, 0, 1.0), (1.0, 0, 1j)])
+    # evaluation stays general; only the strip geometry needs a segment
+    expected = 1.0 + np.exp(0.5) + np.exp(0.5j)
+    np.testing.assert_allclose(p(np.array([0.5])), [expected], rtol=1e-14)
+    with pytest.raises(ValueError, match="collinear"):
+        dickson_geometry(p)
+
+
+@pytest.mark.parametrize("n, L", [(0, 1.0), (3, 1.0), (0, 2.0), (3, 2.0)])
+def test_half_line_model_slopes(n, L):
+    # (2i)^{n+2} z^{n+2} + n! c e^{2iLz}: frequencies {0, 2iL}, one strip
+    # per side, of slope -+(n+2)/(2L) across a segment of length 2L
+    c = 0.75
+    p = ExpPolynomial([((2j) ** (n + 2), n + 2, 0.0),
+                       (math.factorial(n) * c, 0, 2j * L)])
     g = dickson_geometry(p)
-    # conjugated square, ccw from the lexicographically smallest vertex
-    assert g.vertices == (-1j, 1 - 1j, 1 + 0j, 0j)
-    assert len(g.sides) == 4
-    # interior frequency contributes no tau point on any side
-    assert all(len(side.points) == 2 for side in g.sides)
+    assert g.vertices == (-2j * L, 0j)
+    assert [len(side.strips) for side in g.sides] == [1, 1]
+    slope = (n + 2) / (2.0 * L)
+    assert [side.strips[0].mu for side in g.sides] == [
+        pytest.approx(-slope, rel=1e-14), pytest.approx(slope, rel=1e-14)]
+    for side in g.sides:
+        assert side.strips[0].delta_omega == 2.0 * L
 
 
 # ------------------------------------------------------------ membership

@@ -7,6 +7,7 @@ gives X(k) explicitly, and the ODE route must reproduce it everywhere in the
 complex plane.
 """
 
+import math
 import re
 import warnings
 
@@ -22,6 +23,7 @@ from resonlab.scatter import (
     _confirm_on_ode, _jost_many, _magnus_m, _x_and_y, froese_compare,
     jost_solve, resonances, scattering_matrix, xhat_function,
 )
+from test_shared_edges import time_limit
 
 WELL_DEPTH = 2.0
 
@@ -118,7 +120,8 @@ def test_scattering_matrix_solves_once_per_piece(monkeypatch):
     for v in ALL_FAMILIES:
         spans.clear()
         scattering_matrix(v, 3.0)
-        assert spans == scatter._pieces(v)
+        ends = v.edges[::-1]
+        assert spans == list(zip(ends, ends[1:]))
 
 
 def test_square_well_closed_form():
@@ -411,7 +414,8 @@ def test_scattering_matrix_grid_solves_once_per_piece(monkeypatch):
     for v in ALL_FAMILIES:
         spans.clear()
         entries = scattering_matrix(v, SCATTER_GRID)
-        assert spans == scatter._pieces(v)
+        ends = v.edges[::-1]
+        assert spans == list(zip(ends, ends[1:]))
         assert [sm.k for sm in entries] == list(SCATTER_GRID)
 
 
@@ -486,7 +490,7 @@ def test_jost_batch_is_chunked_above_the_rtol_floor(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error", UserWarning)
         batch = jost_solve(v, SCATTER_GRID.astype(complex), rtol=rtol, atol=atol)
-        assert len(rtols) > len(scatter._pieces(v))
+        assert len(rtols) > len(v.edges) - 1
         assert min(rtols) >= scatter.RTOL_FLOOR
         for i in range(0, SCATTER_GRID.size, 10):
             lone = jost_solve(v, SCATTER_GRID[i], rtol=rtol, atol=atol)
@@ -503,6 +507,17 @@ def test_rtol_below_the_floor_is_rejected():
         jost_solve(v, 1.0, rtol=1e-14)
     with pytest.raises(ValueError, match=floor):
         scattering_matrix(v, SCATTER_GRID, rtol=1e-14)
+
+
+@pytest.mark.parametrize("atol", [math.nan, 0.0, -1e-12])
+def test_atol_that_is_not_positive_is_rejected(atol):
+    # DOP853 never accepts a step at atol = nan; under the alarm a hang
+    # fails the test instead of stalling the suite
+    v = make_poly_bump()
+    with time_limit(10.0), pytest.raises(ValueError, match="atol"):
+        jost_solve(v, 1.0, atol=atol)
+    with time_limit(10.0), pytest.raises(ValueError, match="atol"):
+        scattering_matrix(v, SCATTER_GRID, atol=atol)
 
 
 # The DOP853 path pinned bit for bit: X(k) and Y(-k) from jost_solve, each
