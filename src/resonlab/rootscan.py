@@ -5,7 +5,7 @@ ndarray and return the values as an ndarray, and a point's value must not
 depend on the batch it comes in. Winding numbers come from adaptive
 boundary sampling that refines until every phase step is below pi/2; zero
 sets come from quadrisection of the rectangle guided by those winding
-numbers, with a multiplicity-aware Newton polish and a final small-circle
+numbers, with a multiplicity-aware Newton polish and a final small-square
 winding count as the multiplicity certificate. Every winding count of a
 rectangle comes as (count, max |f| on the boundary, centroid, power sums).
 One pass over the boundary samples that confirmed the count (_moments)
@@ -19,7 +19,7 @@ Newton run per zero. The cell is accepted when every run finds a zero in
 it and every two lie far apart beyond Newton's acceptance; then they are as
 many distinct zeros as the density-certified count, so they are all of the
 cell's zeros and each is simple. Otherwise the cell is split as before. The
-certificates are unchanged: the final circles still count every
+certificates are unchanged: the final squares still count every
 multiplicity, and the multiplicities must still sum to the outer winding.
 
 The work is batch-first. One sweep takes many closed paths at once: their
@@ -30,9 +30,7 @@ every error stays per path.
 locate_zeros walks the subdivision breadth-first: per level it polishes the
 isolated cells in lockstep, one call of f per Newton round for every cell
 still iterating, then counts the children of all other cells in one batched
-winding, and finally certifies every multiplicity circle in one sweep. The
-zero set is bit for bit the one a depth-first scan that sweeps one contour
-per call and polishes one cell at a time would find.
+winding, and finally certifies every multiplicity square in one sweep.
 
 A rectangle is sampled per side, not by arc length along the whole path
 (_RectSides): each side gets its share of the density by length, and its
@@ -87,7 +85,7 @@ _BATCH_POINTS = 1 << 14
 _MAX_DIRECT_COUNT = 3      # _power_sum_starts solves up to a cubic
 _NEWTON_ROUNDS = 80        # Newton rounds of an isolated cell's run
 _DIRECT_ROUNDS = 8         # Newton rounds of a run from a power-sum start
-_RADII_BLOCK = 64          # zeros per block of the circles' pairwise gaps
+_RADII_BLOCK = 64          # zeros per block of the zeros' pairwise gaps
 
 
 class BoundaryZeroError(RuntimeError):
@@ -139,44 +137,15 @@ class Rectangle:
         return Rectangle(self.re_min - eps, self.re_max + eps,
                          self.im_min - eps, self.im_max + eps)
 
-    def quadrisect(self, fx: float = 0.5, fy: float = 0.5):
-        xm = self.re_min + fx * self.width
-        ym = self.im_min + fy * self.height
+    def quadrisect(self, frac: float = 0.5):
+        xm = self.re_min + frac * self.width
+        ym = self.im_min + frac * self.height
         return (
             Rectangle(self.re_min, xm, self.im_min, ym),
             Rectangle(xm, self.re_max, self.im_min, ym),
             Rectangle(self.re_min, xm, ym, self.im_max),
             Rectangle(xm, self.re_max, ym, self.im_max),
         )
-
-
-class _Curves:
-    """Closed paths curve(ids, ts), ts in [0, 1), sampled uniformly in ts.
-
-    The interface _sweep walks: sizes(ids) and start(ids) give the number
-    and the parameters of the first samples on the paths ids, points(ids,
-    ts) their points, end the parameter that follows a path's last sample,
-    and mids(ids, a, b) the midpoints of the steps a -> b with a flag for
-    the steps that could be split.
-    """
-
-    end = 1.0
-
-    def __init__(self, curve: Callable, n: int):
-        self.curve, self.n = curve, n
-
-    def sizes(self, ids: np.ndarray) -> np.ndarray:
-        return np.full(ids.size, self.n)
-
-    def start(self, ids: np.ndarray) -> np.ndarray:
-        return np.tile(np.linspace(0.0, 1.0, self.n, endpoint=False), ids.size)
-
-    def points(self, ids: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        return self.curve(ids, ts)
-
-    def mids(self, ids: np.ndarray, a: np.ndarray, b: np.ndarray):
-        m = 0.5 * (a + b)
-        return m, (m != a) & (m != b)
 
 
 # A side's samples sit on integer ticks: a sample is side * _SIDE + r, r
@@ -248,11 +217,9 @@ class _RectSides:
     A step between adjacent ticks cannot be split.
     """
 
-    end = 4 * _SIDE
-
-    def __init__(self, rects: Sequence[Rectangle], n: int):
-        bounds = np.array([(r.re_min, r.re_max, r.im_min, r.im_max)
-                           for r in rects])
+    def __init__(self, bounds: np.ndarray, n: int):
+        """bounds: (paths, 4) rows (re_min, re_max, im_min, im_max)."""
+        bounds = np.asarray(bounds, dtype=float)
         re0, re1, im0, im1 = bounds.T
         width, height = re1 - re0, im1 - im0
         ll, lr = re0 + 1j * im0, re1 + 1j * im0
@@ -263,11 +230,13 @@ class _RectSides:
         self.step = np.stack([width, 1j * height, width, 1j * height],
                              axis=1).ravel()
         self.lengths = np.stack([width, height, width, height], axis=1)
-        self.rects = rects
+        # Rectangle.center's arithmetic, its signed zeros included
+        self.centers = (0.5 * (bounds[:, ::2] + bounds[:, 1::2])).view(
+            complex).ravel()
         self.n, self.counts = n, _side_counts(self.lengths, n)
         self.scale = np.empty(self.counts.size, dtype=np.int64)
         self.ticks = np.empty_like(self.scale)
-        self._ticks(np.arange(len(rects)))
+        self._ticks(np.arange(len(bounds)))
 
     def escalate(self, ids: np.ndarray | None = None) -> None:
         """Move the paths ids (default every path) on to the next density,
@@ -291,9 +260,6 @@ class _RectSides:
     def sizes(self, ids: np.ndarray) -> np.ndarray:
         return self.counts[ids].sum(axis=1)
 
-    def centers(self, ids: np.ndarray) -> np.ndarray:
-        return np.array([self.rects[i].center for i in ids.tolist()])
-
     def start(self, ids: np.ndarray) -> np.ndarray:
         counts = self.counts[ids].ravel()
         k = np.repeat((4 * ids[:, None] + np.arange(4)).ravel(), counts)
@@ -313,16 +279,17 @@ class _RectSides:
     def mids(self, ids: np.ndarray, a: np.ndarray, b: np.ndarray):
         side = a // _SIDE
         ra = a - side * _SIDE
-        # the step to the next side's corner ends at the far tick D
+        # the step to the next side's corner (the first sample of the next
+        # side, or of the path) ends at the far tick D
         rb = np.where(b // _SIDE == side, b - side * _SIDE,
                       self.ticks[4 * ids + side])
         # r runs down in J on the top and left sides: round up in r there
         return side * _SIDE + (ra + rb + (side >= 2)) // 2, rb - ra > 1
 
 
-def _moments(paths, ids: np.ndarray, ts: np.ndarray, starts: np.ndarray,
-             sizes: np.ndarray, log_ratios: np.ndarray, steps: np.ndarray,
-             turns: np.ndarray, which: np.ndarray) -> tuple:
+def _moments(paths: _RectSides, ids: np.ndarray, ts: np.ndarray,
+             starts: np.ndarray, sizes: np.ndarray, log_ratios: np.ndarray,
+             steps: np.ndarray, turns: np.ndarray, which: np.ndarray) -> tuple:
     """Argument-principle moments of the rectangle paths marked in which,
     from one evaluation of their samples: the centroids s1 = (1/2 pi i)
     ∮ z f'/f dz, nan for the other paths, and the power sums P_k =
@@ -347,7 +314,7 @@ def _moments(paths, ids: np.ndarray, ts: np.ndarray, starts: np.ndarray,
     z = paths.points(np.repeat(ids[sel], counts), ts[at])
     nxt = np.arange(1, at.size + 1)
     nxt[first + counts - 1] = first
-    w = z - np.repeat(paths.centers(ids[sel]), counts)
+    w = z - np.repeat(paths.centers[ids[sel]], counts)
     powers, wk = [], w
     with np.errstate(over="ignore", invalid="ignore"):
         dlog = log_ratios[at] + 1j * steps[at]
@@ -364,20 +331,20 @@ def _moments(paths, ids: np.ndarray, ts: np.ndarray, starts: np.ndarray,
     return centroids, sums
 
 
-def _sweep(f: Callable, paths, ids: np.ndarray, moments: bool) -> list:
-    """Winding numbers of f along the closed paths ids of a path family.
+def _sweep(f: Callable, paths: _RectSides, ids: np.ndarray,
+           moments: bool) -> list:
+    """Winding numbers of f along the rectangle boundaries ids of paths.
 
-    paths is a _Curves or a _RectSides. The samples of all paths sit end
-    to end in one array, and each path's neighbours are index arrays that
-    wrap inside the path, so a refinement round costs one f call however
-    many paths still refine. Every test is the one-path test applied to
-    the path's own samples. Returns one item per path: (winding, max |f| on
-    the path, centroid, power sums), or the BoundaryZeroError or
-    RootScanError the path ended with. When moments is true, one pass of
-    _moments over the settled paths of winding n != 0 gives both the
-    centroid s1, the sum of the zeros a path winds around, and the power
-    sums P_2 .. P_n where n is 2 .. _MAX_DIRECT_COUNT; otherwise the
-    centroid is nan and the power sums are ().
+    The samples of all paths sit end to end in one array, and each path's
+    neighbours are index arrays that wrap inside the path, so a refinement
+    round costs one f call however many paths still refine. Every test is
+    the one-path test applied to the path's own samples. Returns one item
+    per path: (winding, max |f| on the path, centroid, power sums), or the
+    BoundaryZeroError or RootScanError the path ended with. When moments is
+    true, one pass of _moments over the settled paths of winding n != 0
+    gives both the centroid s1, the sum of the zeros a path winds around,
+    and the power sums P_2 .. P_n where n is 2 .. _MAX_DIRECT_COUNT;
+    otherwise the centroid is nan and the power sums are ().
     """
     out: list = [None] * ids.size
     rows = np.arange(ids.size)
@@ -419,12 +386,10 @@ def _sweep(f: Callable, paths, ids: np.ndarray, moments: bool) -> list:
             off_turn = np.abs(totals - 2.0 * math.pi * turns) > 0.5
         n_bad = np.add.reduceat(bad, starts, dtype=np.intp)
         # each flagged sample gets the midpoint to its successor right after
-        # it; the last sample of a path (its successor wraps back) pairs
-        # with paths.end
+        # it; the successor of a path's last sample is its first
         at = np.flatnonzero(bad)
         own = np.repeat(np.arange(rows.size), n_bad)
-        t_next = np.where(nxt[at] > at, ts[nxt[at]], paths.end)
-        mids, split = paths.mids(ids[own], ts[at], t_next)
+        mids, split = paths.mids(ids[own], ts[at], ts[nxt[at]])
         unsplit = np.zeros(rows.size, dtype=bool)
         unsplit[own[~split]] = True
         floored = (amaxs == 0.0) | (amins < FLOOR_RATIO * amaxs)
@@ -439,6 +404,9 @@ def _sweep(f: Callable, paths, ids: np.ndarray, moments: bool) -> list:
             if not finite[k]:
                 res = RootScanError(
                     "function returned non-finite boundary values")
+            elif amax == 0.0:
+                res = BoundaryZeroError(f"f is 0 at every one of its "
+                                        f"{int(sizes[k])} boundary samples")
             elif floored[k]:
                 res = BoundaryZeroError(
                     f"boundary sample magnitude {amin:.3e} below floor "
@@ -473,7 +441,7 @@ def _sweep(f: Callable, paths, ids: np.ndarray, moments: bool) -> list:
     return out
 
 
-def _windings(f: Callable, paths, ids: Sequence[int], *,
+def _windings(f: Callable, paths: _RectSides, ids: Sequence[int], *,
               moments: bool = False) -> list:
     """_sweep over the paths ids, in batches that start with at most
     _BATCH_POINTS samples; a path with more goes alone. The moments
@@ -506,7 +474,8 @@ def _rect_windings(f: Callable, rects: Sequence[Rectangle], *,
     none. The centroid is nan when the count is 0, and the power sums are
     () unless the count is 2 .. _MAX_DIRECT_COUNT.
     """
-    paths = _RectSides(rects, n_initial)
+    paths = _RectSides([(r.re_min, r.re_max, r.im_min, r.im_max)
+                        for r in rects], n_initial)
     out: list = [None] * len(rects)
     pending: dict[int, tuple] = {}
     for i, res in enumerate(_windings(f, paths, range(len(rects)))):
@@ -541,7 +510,7 @@ def _rect_winding(f: Callable, rect: Rectangle, *, n_initial: int = 64):
     The first attempt uses the exact rectangle; on boundary-zero trouble the
     rectangle is alternately inflated and deflated by multiples of 1e-6 times
     its diameter. Zeros inside the jitter band are attributed accordingly.
-    Returns (count, max |f| on the boundary).
+    Returns (the rectangle counted, count, max |f| on its boundary).
     """
     last = None
     for attempt in range(JITTER_RETRIES + 1):
@@ -561,7 +530,7 @@ def _rect_winding(f: Callable, rect: Rectangle, *, n_initial: int = 64):
             f"{last}")
     if isinstance(result, Exception):
         raise result
-    return result[:2]
+    return (candidate,) + result[:2]
 
 
 def wind_count(f: Callable, rect: Rectangle, *, n_initial: int = 64) -> int:
@@ -570,8 +539,7 @@ def wind_count(f: Callable, rect: Rectangle, *, n_initial: int = 64) -> int:
     The first sweep takes n_initial samples; FLOOR_RATIO decides a zero on
     the boundary, which moves the rectangle along the jitter ladder.
     """
-    n, _ = _rect_winding(f, rect, n_initial=n_initial)
-    return n
+    return _rect_winding(f, rect, n_initial=n_initial)[1]
 
 
 _SPLIT_JITTER = (0.0, 0.013, -0.013, 0.029, -0.029, 0.047, -0.047, 0.061, -0.061)
@@ -664,23 +632,23 @@ def _polish_in_lockstep(f: Callable, runs: list) -> list:
     return out
 
 
-def _circle_multiplicities(f: Callable, centers: Sequence[complex],
-                           radii: Sequence[float]) -> list[int]:
-    """Winding numbers of f on small circles, all circles in one sweep.
-
-    A circle that meets a boundary zero moves on to the next radius scale in
-    the next sweep.
+def _multiplicities(f: Callable, centers: np.ndarray,
+                    radii: np.ndarray) -> list[int]:
+    """Winding numbers of f on the squares inscribed in the circles of the
+    radii about the centers (half-side r / sqrt(2), the corners on the
+    circle), all in one sweep of 32 samples each. A square that meets a
+    boundary zero moves on to the next radius scale in the next sweep.
     """
-    c = np.asarray(centers, dtype=complex)
-    out = [0] * len(centers)
-    pending = list(range(len(centers)))
+    out = [0] * centers.size
+    pending = list(range(centers.size))
     for scale in (1.0, 1.7, 0.59, 2.9, 0.34):
         if not pending:
             break
-        r = np.array([radius * scale for radius in radii])
-        results = _windings(f, _Curves(
-            lambda ids, ts: c[ids] + r[ids] * np.exp(2j * math.pi * ts), 32),
-            pending)
+        h = radii * scale / math.sqrt(2.0)
+        paths = _RectSides(np.stack([centers.real - h, centers.real + h,
+                                     centers.imag - h, centers.imag + h],
+                                    axis=1), 32)
+        results = _windings(f, paths, pending)
         retry = []
         for i, res in zip(pending, results):
             if isinstance(res, BoundaryZeroError):
@@ -693,7 +661,7 @@ def _circle_multiplicities(f: Callable, centers: Sequence[complex],
     if pending:
         raise RootScanError(
             f"could not certify multiplicity near {centers[pending[0]]:.6g} "
-            "by circle winding")
+            "by square winding")
     return out
 
 
@@ -741,7 +709,6 @@ class _Cell(NamedTuple):
     count: int
     local_scale: float
     depth: int
-    key: tuple[int, ...]    # child indices from the top; sorts depth-first
     centroid: complex       # of the boundary samples (_sweep); nan if none
     power_sums: tuple = ()  # P_2 .. P_count about the centre (_moments)
     failed: bool = False    # a polish from power sums failed on these zeros
@@ -796,12 +763,15 @@ def locate_zeros(f: Callable, rect: Rectangle, tol: float = 1e-10) -> ZeroSet:
     only when a run fails or two zeros lie within max(1e-3 diameter,
     1e3 tol max(1, |z|)) of each other; a child that then holds all of its
     zeros is split without a second try. Accepted zeros are as many
-    distinct zeros as the certified count, so the circle multiplicities
+    distinct zeros as the certified count, so the square multiplicities
     and the total check certify them as they do every other zero.
+
+    Where the winding count of rect needs the jitter of wind_count, the
+    subdivision starts from the rectangle that was counted.
     """
-    total, top_scale = _rect_winding(f, rect)
+    rect, total, top_scale = _rect_winding(f, rect)
     scale0 = rect.diameter
-    found: list[tuple[tuple[int, ...], complex]] = []
+    found: list[complex] = []
 
     def cluster_stop(cell: Rectangle) -> bool:
         return cell.diameter <= max(MERGE_RESOLUTION * abs(cell.center),
@@ -813,7 +783,7 @@ def locate_zeros(f: Callable, rect: Rectangle, tol: float = 1e-10) -> ZeroSet:
     # winding. A parent whose split meets a boundary zero, or whose
     # children's counts do not add up, tries its next split offset in the
     # next batch.
-    frontier = [_Cell(rect, total, top_scale, 0, (), complex(math.nan))]
+    frontier = [_Cell(rect, total, top_scale, 0, complex(math.nan))]
     while frontier:
         live = [cell for cell in frontier if cell.count != 0]
         if any(cell.depth > MAX_DEPTH for cell in live):
@@ -832,7 +802,7 @@ def locate_zeros(f: Callable, rect: Rectangle, tol: float = 1e-10) -> ZeroSet:
             polished = [next(zeros) for _ in zs]
             if alone:
                 if polished[0] is not None:
-                    found.append((cell.key, polished[0]))
+                    found.append(polished[0])
                     continue
                 if cell.count != 1 or cell.rect.diameter <= 1e-12 * scale0:
                     raise RootScanError(
@@ -840,15 +810,13 @@ def locate_zeros(f: Callable, rect: Rectangle, tol: float = 1e-10) -> ZeroSet:
                         f"{cell.rect.center:.6g}")
             elif polished:
                 if _distinct(polished, cell.rect.diameter, tol):
-                    found += [(cell.key + (j,), z)
-                              for j, z in enumerate(polished)]
+                    found += polished
                     continue
                 cell = cell._replace(failed=True)
             splits.append((cell, 0))
         frontier = []
         while splits:
-            children = [cell.rect.quadrisect(0.5 + _SPLIT_JITTER[j],
-                                             0.5 + _SPLIT_JITTER[j])
+            children = [cell.rect.quadrisect(0.5 + _SPLIT_JITTER[j])
                         for cell, j in splits]
             results = _rect_windings(f, [c for quad in children for c in quad])
             retry = []
@@ -864,10 +832,10 @@ def locate_zeros(f: Callable, rect: Rectangle, tol: float = 1e-10) -> ZeroSet:
                     # a child that holds all the zeros of a failed parent
                     # is not polished from its power sums either
                     frontier += [
-                        _Cell(child, n, amax, cell.depth + 1, cell.key + (c,),
-                              s1, sums, cell.failed and n == cell.count)
-                        for c, (child, (n, amax, s1, sums))
-                        in enumerate(zip(children[s], counts))]
+                        _Cell(child, n, amax, cell.depth + 1, s1, sums,
+                              cell.failed and n == cell.count)
+                        for child, (n, amax, s1, sums)
+                        in zip(children[s], counts)]
                     continue
                 if j + 1 == len(_SPLIT_JITTER):
                     raise RootScanError(
@@ -876,24 +844,22 @@ def locate_zeros(f: Callable, rect: Rectangle, tol: float = 1e-10) -> ZeroSet:
                 retry.append((cell, j + 1))
             splits = retry
 
-    # Multiplicity certificates from small-circle windings, in the order a
-    # depth-first scan finds the zeros. A circle's radius is cut to 0.45
-    # times the gap to the nearest other zero, where that gap is not 0; the
-    # gaps are formed _RADII_BLOCK rows at a time, so their memory grows
-    # linearly with the number of zeros.
-    locs = np.array([z for _, z in sorted(found, key=lambda e: e[0])],
-                    dtype=complex)
+    # Multiplicity certificates on small squares (_multiplicities). A radius
+    # is cut to 0.45 times the gap to the nearest other zero, where that gap
+    # is not 0; the gaps are formed _RADII_BLOCK rows at a time, so their
+    # memory grows linearly with the number of zeros.
+    locs = np.array(found, dtype=complex)
     radii = np.maximum(1e-6 * np.maximum(1.0, np.abs(locs)), 1e-11 * scale0)
     for lo in range(0, locs.size, _RADII_BLOCK):
         d = np.abs(locs[lo:lo + _RADII_BLOCK, None] - locs)
         np.fill_diagonal(d[:, lo:], np.inf)
         gap, r = d.min(axis=1), radii[lo:lo + _RADII_BLOCK]
         r[:] = np.where(gap > 0, np.minimum(r, 0.45 * gap), r)
-    mults = _circle_multiplicities(f, locs, radii)
+    mults = _multiplicities(f, locs, radii)
     for z, m in zip(locs, mults):
         if m <= 0:
             raise RootScanError(
-                f"confirmation circle near {z:.6g} found no zero")
+                f"confirmation square near {z:.6g} found no zero")
 
     zs = ZeroSet.from_pairs(zip(locs, mults))
     if zs.total_multiplicity() != total:

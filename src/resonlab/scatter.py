@@ -58,11 +58,7 @@ RTOL_FLOOR = 100.0 * np.finfo(float).eps
 
 
 class JostIntegrationError(RuntimeError):
-    """ODE integration broke down; carries the last trusted x."""
-
-    def __init__(self, message: str, last_x: float):
-        super().__init__(f"{message} (last trusted x = {last_x:.6g})")
-        self.last_x = last_x
+    """Jost data could not be computed or confirmed; the message names k."""
 
 
 class JostData(NamedTuple):
@@ -125,8 +121,8 @@ def _solve_m(v: Potential, ks: np.ndarray, rtol: float, atol: float):
         if not sol.success:
             batch = "" if nk == 1 else f" (first of a batch of {nk})"
             raise JostIntegrationError(
-                f"k = {complex(ks[0]):.6g}{batch}: {sol.message}",
-                float(sol.t[-1]))
+                f"k = {complex(ks[0]):.6g}{batch}: {sol.message}; stopped "
+                f"at x = {float(sol.t[-1]):.6g}")
         y = sol.y[:, -1]
     return y[:nk], y[nk:]
 
@@ -365,7 +361,7 @@ def _magnus_m(v: Potential, ks: np.ndarray, rtol: float, atol: float,
                     raise JostIntegrationError(
                         f"k = {complex(k[bad][0]):.6g}: Magnus propagator "
                         f"overflowed on the piece [{lo:.6g}, {hi:.6g}] with "
-                        f"{cells} cells", hi)
+                        f"{cells} cells")
             m[start:start + step], mp[start:start + step] = y0, y1
         return m, mp
 
@@ -387,8 +383,7 @@ def _magnus_m(v: Potential, ks: np.ndarray, rtol: float, atol: float,
     raise JostIntegrationError(
         f"k = {complex(k[i]):.6g}: Magnus estimate {est[i]:.3g} above its "
         f"target {target[i]:.3g} at {1 << _LAST_LEVEL} cells per piece of "
-        f"[0, {v.support_length:.6g}] ({len(pieces)} pieces)",
-        v.support_length)
+        f"[0, {v.support_length:.6g}] ({len(pieces)} pieces)")
 
 
 def _x_and_y(ks, m0, mp0):
@@ -423,7 +418,7 @@ def _jost_many(v: Potential, ks: np.ndarray, rtol: float, atol: float):
     bad = ~(np.isfinite(x_hat) & np.isfinite(y_hat_minus))
     if bad.any():
         raise JostIntegrationError(
-            f"k = {complex(ks[bad][0]):.6g}: Jost data overflowed", 0.0)
+            f"k = {complex(ks[bad][0]):.6g}: Jost data overflowed")
     err = rtol * (np.abs(x_hat) + np.abs(y_hat_minus)) + atol
     return x_hat, y_hat_minus, err
 
@@ -602,7 +597,7 @@ def _confirm_on_ode(v: Potential, zs: ZeroSet, tol: float, rtol: float,
         step = mult[i] * x0[i] * 2.0 * h[i] / (xp[i] - xm[i])
         raise JostIntegrationError(
             f"resonance {z[i]:.10g} is not confirmed on the DOP853 path: its "
-            f"Newton step {abs(step):.3g} exceeds {bound[i]:.3g}", 0.0)
+            f"Newton step {abs(step):.3g} exceeds {bound[i]:.3g}")
 
 
 class FroesePair(NamedTuple):

@@ -53,13 +53,13 @@ def test_batch_size_changes_no_centroid_bit(monkeypatch):
 ], ids=["nan", "inf", "right-of-cell", "above-cell"])
 def test_a_centroid_off_its_cell_falls_back_to_the_centre(centroid):
     rect = Rectangle(0.0, 2.0, -1.0, 1.0)
-    cell = rootscan._Cell(rect, 2, 1.0, 0, (), centroid)
+    cell = rootscan._Cell(rect, 2, 1.0, 0, centroid)
     assert cell.newton_start() == rect.center == 1.0
 
 
 def test_a_centroid_in_its_cell_is_the_start():
     rect = Rectangle(0.0, 2.0, -1.0, 1.0)
-    cell = rootscan._Cell(rect, 2, 1.0, 0, (), 3.0 + 0.5j)
+    cell = rootscan._Cell(rect, 2, 1.0, 0, 3.0 + 0.5j)
     assert cell.newton_start() == 1.5 + 0.25j
 
 

@@ -354,6 +354,19 @@ def _src_env():
     return env
 
 
+@pytest.mark.parametrize("name", ["fourier-zeros", "reconstruct", "stability"])
+def test_main_names_an_identically_zero_f(tmp_path, capsys, name):
+    # F of the zero potential is 0 everywhere, so no winding number exists;
+    # the error must say so rather than quote a floor of 0 * 0
+    path = tmp_path / "c.ini"
+    path.write_text("[potential]\nfamily = zero\n")
+    rc = main([name, "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "f is 0 at every one of its 64 boundary samples" in err
+    assert "below floor" not in err
+
+
 def test_python_dash_m_resonlab_runs_a_pipeline(tmp_path):
     path = tmp_path / "empty.ini"
     path.write_text("")

@@ -226,6 +226,30 @@ def test_window_below_floor_reports_no_bound():
     assert res.bound_ok is None
 
 
+def test_curved_windows_count_the_located_zeros():
+    # the n = 3, L = 1 half-line model of test_half_line_model_slopes: its
+    # strips have mu = -+2.5, so the window boundaries go through the
+    # Newton inversion of zeta; each count must equal the located zeros
+    # whose zeta falls in the window, the mirrors -conj(z) included
+    p = ExpPolynomial([((2j) ** 5, 5, 0.0), (math.factorial(3) * 0.75, 0, 2j)])
+    g = dickson_geometry(p)
+    z = locate_zeros(p, Rectangle(1.0, 80.0, -15.0, 15.0)).locations()
+    z = np.concatenate([z, -z.conj()])
+    H, s = 3.0, math.pi / 2
+    counts = []
+    for k, side in enumerate(g.sides):
+        strip, = side.strips
+        assert strip.mu == pytest.approx(-2.5 if k == 0 else 2.5, rel=1e-14)
+        zeta = _zeta(z, side.e, strip.mu, side.phi)
+        for alpha in range(30, 60, 5):
+            inside = ((np.abs(zeta.real) <= H) & (zeta.imag >= alpha)
+                      & (zeta.imag <= alpha + s))
+            res = curvilinear_count(p, g, k, 0, alpha, s, H)
+            assert res.count == np.count_nonzero(inside)
+            counts.append(res.count)
+    assert counts[:6] == [1, 0, 1, 1, 0, 1]
+
+
 def test_window_validation():
     f = two_cosine_model()
     g = dickson_geometry(f)

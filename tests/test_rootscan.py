@@ -193,6 +193,19 @@ def test_locate_zeros_deterministic():
     assert first == second           # bitwise identical entries
 
 
+@pytest.mark.parametrize("roots", [
+    [1.0, 1.5], [1.0, 1.5, 1.2 + 0.3j]], ids=["two", "three"])
+def test_locate_splits_the_rectangle_it_counted(roots):
+    # the zero at 1 lies on the left edge, so the count needs the jitter;
+    # the split must start from the jittered rectangle, whose children keep
+    # 1 off their edges, and 1.5 sits on the first split line
+    rect = Rectangle(1.0, 2.0, -1.0, 1.0)
+    f = poly_from_roots(roots)
+    assert wind_count(f, rect) == len(roots)
+    zs = locate_zeros(f, rect)
+    assert_matches(zs, [(z, 1) for z in roots], 1e-10)
+
+
 def test_locate_empty_rectangle():
     zs = locate_zeros(lambda z: np.exp(z) + 3.0, SQUARE)
     assert len(zs) == 0 and zs.total_multiplicity() == 0

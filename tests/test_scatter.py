@@ -272,6 +272,18 @@ def test_confirmation_names_a_moved_resonance():
         _confirm_on_ode(vg, moved, 1e-8, DEFAULT_RTOL, DEFAULT_ATOL)
 
 
+def test_confirmation_failure_names_no_integration_position():
+    # the confirmation solve ran to x = 0; the failure is its Newton step,
+    # not a position the integrator stopped at
+    vg = make_truncated_gaussian(sharp_edge=True)
+    moved = ZeroSet([(z + 1e-3, m) for z, m in resonances(
+        vg, Rectangle(0.5, 6.0, -6.5, -0.05), 1e-8)])
+    with pytest.raises(JostIntegrationError) as info:
+        _confirm_on_ode(vg, moved, 1e-8, DEFAULT_RTOL, DEFAULT_ATOL)
+    assert "last trusted x" not in str(info.value)
+    assert re.search(r"exceeds [0-9.e+-]+$", str(info.value))
+
+
 def test_resonances_confirm_with_their_own_defaults():
     # tol = rtol = 1e-10: a Magnus X at rtol 1e-10 puts the zero near
     # 8.13 - 6.52i 2e-9 off, twice the Newton bound of the confirmation, so
