@@ -130,7 +130,8 @@ class ExperimentConfig:
                              f"expected one of {PERTURB_MODES}")
         # DOP853 never accepts a step at a NaN tolerance, and quad_rtol =
         # inf ends in an error that does not name it
-        for key in ("quad_rtol", "ode_rtol", "ode_atol"):
+        for key in ("quad_rtol", "ode_rtol", "ode_atol", "support_length",
+                    "radius"):
             if not 0.0 < getattr(self, key) < np.inf:
                 raise ValueError(f"{key} must be finite and positive, "
                                  f"got {getattr(self, key)!r}")
@@ -138,6 +139,17 @@ class ExperimentConfig:
             if not getattr(self, key) > 0.0:
                 raise ValueError(
                     f"{key} must be positive, got {getattr(self, key)!r}")
+        if not all(d >= 0.0 for d in self.deltas):
+            raise ValueError(f"deltas must be nonnegative, got {self.deltas!r}")
+        # the pipelines would stop on these only once they reach them
+        try:
+            self.rectangle()
+        except ValueError:
+            raise ValueError(
+                "[rectangle] needs re_min < re_max and im_min < im_max, got "
+                f"re {self.re_min!r}..{self.re_max!r}, "
+                f"im {self.im_min!r}..{self.im_max!r}") from None
+        self.grid()
 
     def to_text(self) -> str:
         """Serialize to INI; parse(to_text()) reproduces the config exactly."""
@@ -198,7 +210,8 @@ class ExperimentConfig:
 
     def grid(self) -> np.ndarray:
         if self.grid_points < 1:
-            raise ValueError("grid needs at least one point")
+            raise ValueError("grid_points must be at least 1, got "
+                             f"{self.grid_points!r}")
         return np.linspace(self.grid_start, self.grid_stop, self.grid_points)
 
 

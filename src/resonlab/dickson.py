@@ -184,18 +184,27 @@ def _zeta(z: np.ndarray, e: complex, mu: float, phi: float) -> np.ndarray:
 
 
 def _invert_zeta(w: np.ndarray, e: complex, mu: float, phi: float) -> np.ndarray:
-    """Solve z/e + mu*Log z = w with the branch arg z in (phi, phi+2pi)."""
+    """Solve z/e + mu*Log z = w with the branch arg z in (phi, phi+2pi).
+
+    Newton steps from z = e w; each point stops stepping once it passes the
+    test, so its value does not depend on the batch it comes in.
+    """
     w = np.asarray(w, dtype=complex)
-    z = e * w
     if mu == 0.0:
-        return z
+        return e * w
+    wf = w.ravel()
+    z = e * wf
+    todo = np.arange(wf.size)
     for _ in range(60):
-        fval = _zeta(z, e, mu, phi) - w
-        if np.all(np.abs(fval) <= 1e-13 * (1.0 + np.abs(w))):
-            return z
-        deriv = 1.0 / e + mu / z
-        z = z - fval / deriv
-    raise RootScanError("window boundary inversion did not converge")
+        zt, wt = z[todo], wf[todo]
+        fval = _zeta(zt, e, mu, phi) - wt
+        open_ = ~(np.abs(fval) <= 1e-13 * (1.0 + np.abs(wt)))
+        if not open_.any():
+            return z.reshape(w.shape)
+        todo, zt = todo[open_], zt[open_]
+        z[todo] = zt - fval[open_] / (1.0 / e + mu / zt)
+    raise RootScanError("window boundary inversion did not converge at "
+                        f"w = {complex(wf[todo[0]]):.6g}")
 
 
 def strip_membership(g: DicksonGeometry, z: complex, H: float):

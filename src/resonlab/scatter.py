@@ -19,8 +19,9 @@ resonances and any wind_count on it) comes from sixth-order Magnus steps on
 uniform cells with a closed-form 2x2 exponential (_magnus_m), each momentum
 refining its own mesh, so X(k) has the same bits alone and in any batch.
 The cell exponential is a polynomial in the momentum fed to a Taylor series
-(or, for a large argument, to exp); the polynomial coefficients depend on
-V and the mesh level alone, and each xhat_function closure builds them once
+(or, for a large argument, to exp); the polynomial coefficients are real,
+depend on V and the mesh level alone, and are written out from the Magnus
+formula (_cell_coefficients). Each xhat_function closure builds them once
 per level in a table of its own. jost_solve, scattering_matrix and the
 confirmation of every located resonance use adaptive DOP853 (_solve_m), an
 independent check on the Magnus values at the points that are reported. A
@@ -65,7 +66,6 @@ class JostData(NamedTuple):
     k: complex
     x_hat: complex
     y_hat_minus: complex          # the coefficient of e^{-ikx}, i.e. Y(-k)
-    ode_error_estimate: float     # tolerance-scaled proxy, not a bound
 
 
 class ScatteringMatrix(NamedTuple):
@@ -144,56 +144,6 @@ _RATE = 31.0
 _BLOCK = 1 << 13
 
 
-class _Poly:
-    """A polynomial in p1 with per-cell real coefficients, lowest degree first.
-
-    Just enough arithmetic to run the Omega0 formula of _cell_coefficients
-    with p1 left symbolic; anything that is not a _Poly is a constant.
-    """
-
-    __array_ufunc__ = None          # ndarray op _Poly defers to _Poly
-
-    def __init__(self, *coef):
-        self.coef = coef
-
-    def __add__(self, other):
-        a = self.coef
-        b = other.coef if isinstance(other, _Poly) else (other,)
-        if len(a) < len(b):
-            a, b = b, a
-        return _Poly(*(x + y for x, y in zip(a, b)), *a[len(b):])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _Poly(*(-x for x in self.coef))
-
-    def __sub__(self, other):
-        return self + -other
-
-    def __rsub__(self, other):
-        return -self + other
-
-    def __mul__(self, other):
-        if not isinstance(other, _Poly):
-            return _Poly(*(x * other for x in self.coef))
-        out = [0.0] * (len(self.coef) + len(other.coef) - 1)
-        for i, x in enumerate(self.coef):
-            for j, y in enumerate(other.coef):
-                out[i + j] = out[i + j] + x * y
-        return _Poly(*out)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return _Poly(*(x / other for x in self.coef))
-
-    def stacked(self, cells: int) -> np.ndarray:
-        """The coefficients as one complex array, shape (degree + 1, cells, 1)."""
-        return np.stack([np.broadcast_to(np.asarray(c, dtype=complex),
-                                         (cells, 1)) for c in self.coef])
-
-
 def _cell_coefficients(vs: np.ndarray, h: float):
     """The entries p, q, r of Omega0 on each cell as polynomials in p1.
 
@@ -210,37 +160,44 @@ def _cell_coefficients(vs: np.ndarray, h: float):
         Omega0 = alpha1 + alpha3 / 12
                  + [-20 alpha1 - alpha3 + C1, alpha2 + C2] / 240,
 
-    expanded below for traceless matrices [[p, q], [r, -p]], where
+    written out below for traceless matrices [[p, q], [r, -p]], where
     [x, y] = (q1 r2 - q2 r1, 2 (p1 q2 - q1 p2), 2 (r1 p2 - p1 r2)) and
     alpha2, alpha3 have only an r entry. The momentum enters only through
     the entry p1 = (h/2) w of alpha1, so p, q and r are polynomials in p1
     of degrees 2, 1 and 3 whose real coefficients depend on the cell alone.
-    They come back stacked, lowest degree first, each of shape
-    (degree + 1, cells, 1).
+    Each comes back as a tuple of its coefficients, lowest degree first,
+    every one a real array of shape (cells, 1). Every sum is grouped as in
+    the formula above.
     """
-    cells = vs.shape[0]
     v1, v2, v3 = vs[:, 0:1], vs[:, 1:2], vs[:, 2:3]
     a2 = (np.sqrt(15.0) / 3.0 * h) * (v3 - v1)
     a3 = (10.0 / 3.0 * h) * ((v3 - 2.0 * v2) + v1)
-    p1 = _Poly(0.0, 1.0)                       # alpha1 = (p1, h, r1)
-    r1 = h * v2
-    p1a2 = p1 * a2
-    # [alpha1, 2 alpha3 + C1] with C1 = (h a2, 0, -2 p1 a2)
-    y_r = 2.0 * a3 - 2.0 * p1a2
-    b_p = h * y_r
-    b_q = -2.0 * h * h * a2
-    b_r = 2.0 * (r1 * (h * a2) - p1 * y_r)
-    # U = -20 alpha1 - alpha3 + C1 and W = alpha2 + C2
-    u_p = h * a2 - 20.0 * p1
-    u_q = -20.0 * h
-    u_r = -20.0 * r1 - a3 - 2.0 * p1a2
-    w_p = b_p / -60.0
-    w_q = b_q / -60.0
-    w_r = a2 + b_r / -60.0
-    p = p1 + (u_q * w_r - w_q * u_r) / 240.0
-    q = h + (2.0 * (u_p * w_q - u_q * w_p)) / 240.0
-    r = (r1 + a3 / 12.0) + (2.0 * (u_r * w_p - u_p * w_r)) / 240.0
-    return p.stacked(cells), q.stacked(cells), r.stacked(cells)
+    r1 = h * v2                                # alpha1 = (p1, h, r1)
+    # the sums that start from 0.0 are those of a product of polynomials,
+    # accumulated from +0.0, which fixes the sign of a vanishing coefficient
+    # 2 alpha3 + C1 = (h a2, 0, y0 + y1 p1), as C1 = (h a2, 0, -2 a2 p1)
+    y0, y1 = 2.0 * a3, -2.0 * a2
+    # W = alpha2 + C2 = (wp0 + wp1 p1, wq, wr0 + wr1 p1 + wr2 p1^2)
+    wp0, wp1 = (h * y0) / -60.0, (h * y1) / -60.0
+    wq = (-2.0 * h * h * a2) / -60.0
+    wr0 = a2 + (2.0 * (r1 * (h * a2))) / -60.0
+    wr1 = (-2.0 * y0) / -60.0
+    wr2 = (-2.0 * (0.0 + y1)) / -60.0
+    # U = -20 alpha1 - alpha3 + C1 = (up0 - 20 p1, uq, ur0 + ur1 p1)
+    up0, uq = h * a2, -20.0 * h
+    ur0, ur1 = -20.0 * r1 - a3, -2.0 * a2
+    # Omega0 = alpha1 + alpha3 / 12 + [U, W] / 240
+    p = ((uq * wr0 - wq * ur0) / 240.0 + 0.0,
+         (uq * wr1 - wq * ur1) / 240.0 + 1.0,
+         (uq * wr2) / 240.0)
+    q = (h + (2.0 * (up0 * wq - uq * wp0)) / 240.0,
+         (2.0 * (-20.0 * wq - uq * wp1)) / 240.0)
+    r = ((r1 + a3 / 12.0) + (2.0 * (0.0 + ur0 * wp0 - up0 * wr0)) / 240.0,
+         (2.0 * ((0.0 + ur0 * wp1 + ur1 * wp0)
+                 - (up0 * wr1 - 20.0 * wr0))) / 240.0,
+         (2.0 * (0.0 + ur1 * wp1 - (up0 * wr2 - 20.0 * wr1))) / 240.0,
+         (-2.0 * (0.0 - 20.0 * wr2)) / 240.0)
+    return p, q, r
 
 
 # Taylor coefficients in u = s^2 of cosh(s) = sum u^n / (2n)! and of
@@ -262,8 +219,9 @@ def _horner(coef, x):
 def _cell_propagators(coef, x: np.ndarray):
     """exp(Omega0) on each cell, as the entries (a, b, c, d) of [[a, b], [c, d]].
 
-    coef holds the stacked coefficients of p, q and r from
-    _cell_coefficients, and x = p1 = (h/2) 2ik has shape (1, momenta).
+    coef holds the real coefficient tuples of p, q and r from
+    _cell_coefficients, each coefficient of shape (cells, 1), and
+    x = p1 = (h/2) 2ik has shape (1, momenta).
     Omega0 = [[p, q], [r, -p]] squares to u I with u = s^2 = p^2 + q r, so
     exp(Omega0) = cosh(s) I + sinh(s)/s Omega0, and both cosh(s) and
     sinh(s)/s are entire in u. Where |u| <= 1 they come from their Taylor
@@ -319,13 +277,13 @@ def _magnus_m(v: Potential, ks: np.ndarray, rtol: float, atol: float,
 
     Each piece of V between (L, *breakpoints, 0) carries 2**j uniform
     cells. The first sweep at a level samples V at the Gauss nodes of every
-    cell once and stores the cell coefficients of Omega0 (_cell_coefficients)
-    in table, under the level; later sweeps at that level, in this call or
-    in any later call handed the same table, reuse them. The coefficients
-    depend on V and the level alone, so a table never changes a value.
-    Each momentum doubles its own cell count until
-    |X_2n - X_n| / _RATE <= rtol (|X| + |Y(-k)|) + atol, the proxy that
-    _jost_many reports, and keeps the finer value. All arithmetic is
+    cell once and stores, for each piece, the real coefficient tuples of p,
+    q and r (_cell_coefficients) in table, under the level; later sweeps at
+    that level, in this call or in any later call handed the same table,
+    reuse them. The coefficients depend on V and the level alone, so a
+    table never changes a value. Each momentum doubles its own cell count
+    until |X_2n - X_n| / _RATE <= rtol (|X| + |Y(-k)|) + atol, and keeps
+    the finer value. All arithmetic is
     elementwise per momentum, in blocks held below numpy's in-place
     threshold, so a momentum has the same bits alone and inside any batch.
     Overflow, and a momentum still above its target at 2**_LAST_LEVEL
@@ -392,7 +350,7 @@ def _x_and_y(ks, m0, mp0):
 
 
 def _jost_many(v: Potential, ks: np.ndarray, rtol: float, atol: float):
-    """X(k), Y(-k) and the error proxy for the momenta in ks (flat complex).
+    """X(k) and Y(-k) for the momenta in ks (flat complex).
 
     DOP853 accepts a step when the RMS of the scaled error over the whole
     stacked state is at most 1, so in a batch of n momenta one momentum's
@@ -419,8 +377,7 @@ def _jost_many(v: Potential, ks: np.ndarray, rtol: float, atol: float):
     if bad.any():
         raise JostIntegrationError(
             f"k = {complex(ks[bad][0]):.6g}: Jost data overflowed")
-    err = rtol * (np.abs(x_hat) + np.abs(y_hat_minus)) + atol
-    return x_hat, y_hat_minus, err
+    return x_hat, y_hat_minus
 
 
 def jost_solve(v: Potential, k, *, rtol: float = DEFAULT_RTOL,
@@ -435,13 +392,11 @@ def jost_solve(v: Potential, k, *, rtol: float = DEFAULT_RTOL,
     if np.any(ks == 0):
         raise ValueError("k = 0: the ik normalization of the Jost data degenerates")
     if ks.size == 0:
-        return JostData(ks, ks.copy(), ks.copy(), np.zeros(ks.shape))
-    x_hat, y_hat_minus, err = _jost_many(v, ks.ravel(), rtol, atol)
+        return JostData(ks, ks.copy(), ks.copy())
+    x_hat, y_hat_minus = _jost_many(v, ks.ravel(), rtol, atol)
     if ks.ndim == 0:
-        return JostData(complex(k), complex(x_hat[0]), complex(y_hat_minus[0]),
-                        float(err[0]))
-    return JostData(ks, x_hat.reshape(ks.shape),
-                    y_hat_minus.reshape(ks.shape), err.reshape(ks.shape))
+        return JostData(complex(k), complex(x_hat[0]), complex(y_hat_minus[0]))
+    return JostData(ks, x_hat.reshape(ks.shape), y_hat_minus.reshape(ks.shape))
 
 
 def xhat_function(v: Potential, *, rtol: float = DEFAULT_RTOL,
@@ -587,7 +542,7 @@ def _confirm_on_ode(v: Potential, zs: ZeroSet, tol: float, rtol: float,
     mult = np.array([m for _, m in zs], dtype=float)
     h = 1e-7 * np.maximum(1.0, np.abs(z))
     ks = np.concatenate([z, z + h, z - h])
-    x_hat, _, _ = _jost_many(v, ks, rtol, atol)
+    x_hat, _ = _jost_many(v, ks, rtol, atol)
     x0, xp, xm = np.split(x_hat, 3)
     bound = tol * np.maximum(1.0, np.abs(z))
     # |m X / X'| <= bound, multiplied out so that X' = 0 fails unless X = 0

@@ -34,16 +34,18 @@ def test_round_trip_defaults():
     assert ExperimentConfig.from_text(cfg.to_text()) == cfg
 
 
-finite = st.floats(allow_nan=False, allow_infinity=False,
-                   min_value=-1e12, max_value=1e12)
-# a tolerance must be finite and > 0; subnormals included
+# a tolerance or a radius must be finite and > 0; subnormals included
 positive = st.floats(allow_nan=False, allow_infinity=False,
                      min_value=0.0, max_value=1e12, exclude_min=True)
+# re_min stays below the default re_max, and each delta is >= 0
+below_re_max = st.floats(allow_nan=False, min_value=-1e12,
+                         max_value=ExperimentConfig.re_max, exclude_max=True)
+nonnegative = st.floats(allow_nan=False, min_value=0.0, max_value=1e12)
 
 
 @settings(max_examples=25, deadline=None)
-@given(re_min=finite, radius=finite, quad_rtol=positive,
-       deltas=st.lists(finite, min_size=1, max_size=5),
+@given(re_min=below_re_max, radius=positive, quad_rtol=positive,
+       deltas=st.lists(nonnegative, min_size=1, max_size=5),
        seed=st.integers(min_value=0, max_value=2**31),
        grid_points=st.integers(min_value=1, max_value=10**6))
 def test_round_trip_is_lossless(re_min, radius, quad_rtol, deltas, seed,
@@ -287,14 +289,24 @@ def test_main_bad_config_field_diagnostic(tmp_path, capsys):
     ("[tolerances]\node_atol = nan\n", "ode_atol"),
     ("[tolerances]\node_rtol = nan\n", "ode_rtol"),
     ("[tolerances]\nquad_rtol = inf\n", "quad_rtol"),
+    ("[grid]\ngrid_points = 0\n", "grid_points"),
+    ("[rectangle]\nre_min = 12\nre_max = 0.5\n", "re_min"),
+    ("[rectangle]\nim_min = 4\nim_max = 4\n", "im_min"),
+    ("[potential]\nsupport_length = -1\n", "support_length"),
+    ("[reconstruction]\nradius = -1\n", "radius"),
+    ("[reconstruction]\ndeltas = 0.1 -0.01\n", "deltas"),
 ], ids=["unknown-perturb-mode", "zero-root-tol", "negative-strip-height",
-        "nan-strip-height", "nan-ode-atol", "nan-ode-rtol", "inf-quad-rtol"])
+        "nan-strip-height", "nan-ode-atol", "nan-ode-rtol", "inf-quad-rtol",
+        "no-grid-points", "inverted-rectangle", "flat-rectangle",
+        "negative-support-length", "negative-radius", "negative-delta"])
 def test_main_rejects_a_value_that_would_break_the_run(tmp_path, capsys,
                                                        text, key):
     # an unknown perturb_mode or a strip_height that is not > 0 fails every
     # stability row, a Newton step can never be accepted at root_tol = 0,
     # a NaN ODE tolerance hangs the DOP853 solves, and quad_rtol = inf ends
-    # in a boundary-zero error that does not name the tolerance
+    # in a boundary-zero error that does not name the tolerance; the grid,
+    # rectangle, support, radius and delta values stop a pipeline only
+    # once it reaches them (and scatter-matrix never reads the rectangle)
     path = tmp_path / "bad.ini"
     path.write_text(text)
     out = tmp_path / "artifacts"

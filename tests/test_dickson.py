@@ -10,7 +10,7 @@ from resonlab.dickson import (
     dickson_geometry, recommended_alpha0, recommended_H, strip_membership,
     two_cosine_model, _invert_zeta, _zeta,
 )
-from resonlab.rootscan import Rectangle, locate_zeros
+from resonlab.rootscan import Rectangle, RootScanError, locate_zeros
 
 X0 = math.acos(-0.25) / 2.0       # first positive zero of 2cos(2x) + 1/2
 
@@ -181,6 +181,33 @@ def test_zeta_inversion_round_trip():
         assert np.all((z / e).imag > 0)
 
 
+def half_line_model():
+    """The n = 3, L = 1, c = 0.75 half-line model, strips of mu = -+2.5."""
+    return ExpPolynomial([((2j) ** 5, 5, 0.0),
+                          (math.factorial(3) * 0.75, 0, 2j)])
+
+
+def test_zeta_inversion_does_not_depend_on_the_batch():
+    # 0.01 + 0.001i needs more Newton steps than 1 + 40i, which must stop
+    # at the step that passes its own test, as it does alone
+    side = dickson_geometry(half_line_model()).sides[0]
+    args = (side.e, side.strips[0].mu, side.phi)
+    w = np.array([1 + 40j, 0.01 + 0.001j, 2.5 + 31j, -3 + 57j])
+    batch = _invert_zeta(w, *args)
+    alone = np.concatenate([_invert_zeta(w[i:i + 1], *args)
+                            for i in range(w.size)])
+    assert alone.tobytes() == batch.tobytes()
+    assert _invert_zeta(w.reshape(2, 2), *args).tobytes() == batch.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_zeta_inversion_names_the_point_that_does_not_converge():
+    side = dickson_geometry(half_line_model()).sides[0]
+    w = np.array([1 + 40j, complex(math.nan, 1.0), complex(2.0, math.nan)])
+    with pytest.raises(RootScanError, match=r"did not converge at w = nan\+1j"):
+        _invert_zeta(w, side.e, side.strips[0].mu, side.phi)
+
+
 def test_model_window_counts_match_enumeration():
     f = two_cosine_model()
     g = dickson_geometry(f)
@@ -231,7 +258,7 @@ def test_curved_windows_count_the_located_zeros():
     # strips have mu = -+2.5, so the window boundaries go through the
     # Newton inversion of zeta; each count must equal the located zeros
     # whose zeta falls in the window, the mirrors -conj(z) included
-    p = ExpPolynomial([((2j) ** 5, 5, 0.0), (math.factorial(3) * 0.75, 0, 2j)])
+    p = half_line_model()
     g = dickson_geometry(p)
     z = locate_zeros(p, Rectangle(1.0, 80.0, -15.0, 15.0)).locations()
     z = np.concatenate([z, -z.conj()])

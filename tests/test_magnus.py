@@ -1,9 +1,10 @@
 """The Magnus cell exponential behind the scanned X, and its cached table.
 
 exp(Omega0) is checked against a 50-digit mpmath exponential of Omega0 built
-from the unexpanded commutator formula, so the expansion into polynomials in
-p1 = (h/2) 2ik, the Taylor route for |u| <= 1 and the e^s route beyond it are
-all tested against the same independent value.
+from the unexpanded commutator formula, so the real polynomial coefficients
+in p1 = (h/2) 2ik that _cell_coefficients writes out, the Taylor route for
+|u| <= 1 and the e^s route beyond it are all tested against the same
+independent value.
 """
 
 import gc
@@ -54,7 +55,7 @@ def omega0_exp(vs, h, k):
 
 def u_polynomial(coef, cell):
     """u = p^2 + q r of one cell as a polynomial in p1."""
-    p, q, r = (np.polynomial.Polynomial(c[:, cell, 0].real) for c in coef)
+    p, q, r = (np.polynomial.Polynomial([a[cell, 0] for a in c]) for c in coef)
     return p * p + q * r
 
 
