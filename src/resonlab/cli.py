@@ -141,6 +141,13 @@ class ExperimentConfig:
                     f"{key} must be positive, got {getattr(self, key)!r}")
         if not all(d >= 0.0 for d in self.deltas):
             raise ValueError(f"deltas must be nonnegative, got {self.deltas!r}")
+        # a NaN grid end makes every momentum NaN, and an infinite bound
+        # ends the winding sweep in an error that does not name it
+        for key in ("re_min", "re_max", "im_min", "im_max", "grid_start",
+                    "grid_stop"):
+            if not np.isfinite(getattr(self, key)):
+                raise ValueError(f"{key} must be finite, "
+                                 f"got {getattr(self, key)!r}")
         # the pipelines would stop on these only once they reach them
         try:
             self.rectangle()

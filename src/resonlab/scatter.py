@@ -24,17 +24,21 @@ depend on V and the mesh level alone, and are written out from the Magnus
 formula (_cell_coefficients). Each xhat_function closure builds them once
 per level in a table of its own. jost_solve, scattering_matrix and the
 confirmation of every located resonance use adaptive DOP853 (_solve_m), an
-independent check on the Magnus values at the points that are reported. A
-batch of momenta shares one stacked DOP853 solve per piece of V, with the
-tolerances shrunk so that each momentum keeps the bound of a lone solve
-(_jost_many). A DOP853 solve costs a Python call per right-hand-side
-evaluation, not arithmetic, so the right-hand side asks V for one float
-point (Potential hands it to its core as a float, at the bits of the array
-call) and writes m' and V m - 2ik m' into one fresh array. The scattering
-matrix on a real grid is one such batch: V is real, so Y(k) = conj Y(-k).
-solve_ivp is a module-level wrapper that imports scipy.integrate on the
-first DOP853 solve, so that a process which never makes one does not pay
-for that import.
+independent check on the Magnus values at the points that are reported.
+The stepper is Hairer's compiled DOP853 as scipy ships it (solve_ivp), run
+on the stacked complex state viewed as interleaved reals. A batch of n
+momenta shares one stacked solve per piece of V; its error norm is an RMS
+over 4n reals, so rtol and atol are divided by sqrt(2n), which holds each
+momentum to the bound of a lone solve (_jost_many). The stepper never
+releases the callback it is handed, so that is a module-level function
+and each solve's right-hand side travels in its extra arguments. Its
+steps are compiled, but every right-hand-side evaluation is a Python call,
+so the right-hand side asks V for one float point (Potential hands it to
+its core as a float, at the bits of the array call) and writes m' and
+V m - 2ik m' into one fresh array. The scattering matrix on a real grid is
+one such batch: V is real, so Y(k) = conj Y(-k). solve_ivp imports
+scipy.integrate on the first DOP853 solve, so that a process which never
+makes one does not pay for that import.
 """
 
 from __future__ import annotations
@@ -54,7 +58,9 @@ DEFAULT_ATOL = 1e-12
 # Jost data degenerates at the origin, so scans keep this distance from k = 0
 EXCLUSION_RADIUS = 0.05
 POLE_FLOOR = 1e-12
-# scipy raises any rtol below 100 eps to it, with only a UserWarning
+# no DOP853 solve is handed a smaller rtol: near 100 eps the rounding of a
+# step is a sizeable share of what its error estimate measures, so a
+# smaller rtol would only shrink the steps
 RTOL_FLOOR = 100.0 * np.finfo(float).eps
 
 
@@ -76,36 +82,87 @@ class ScatteringMatrix(NamedTuple):
     unitarity_defect: float       # | |t|^2 + |r_right|^2 - 1 |
 
 
-def solve_ivp(*args, **kwargs):
-    """scipy.integrate.solve_ivp, imported on the first call.
+# Hairer's DOP853 return codes below zero, in scipy's words
+_DOP_MESSAGES = {
+    -1: "input is not consistent",
+    -2: "larger nsteps is needed",
+    -3: "step size becomes too small",
+    -4: "problem is probably stiff (interrupted)",
+}
+# steps one DOP853 solve may take before it stops with "larger nsteps is
+# needed", so that no solve can loop
+MAX_STEPS = 100_000
 
-    Importing scipy.integrate costs about 0.5 s, and most processes make no
-    DOP853 solve. _solve_m calls this through the module global, so a
-    replacement of scatter.solve_ivp sees every solve.
+
+class OdeResult(NamedTuple):
+    t: float                      # the x reached
+    y: np.ndarray                 # the complex state there
+    success: bool
+    message: str
+    nfev: int                     # right-hand-side evaluations
+
+
+def _dop_fcn(x, y, fun):
+    """The stepper's right-hand side: fun on the complex view of y."""
+    return fun(x, y.view(complex)).view(float)
+
+
+def solve_ivp(fun, t_span, y0, *, method: str, rtol: float,
+              atol: float) -> OdeResult:
+    """Integrate y' = fun(x, y) over t_span with scipy's compiled DOP853.
+
+    This is Hairer's code (Hairer, Norsett and Wanner, Solving ODEs I,
+    II.10) as scipy.integrate ships it. The complex state y0 goes to it as
+    interleaved reals, so its RMS error norm runs over the real and
+    imaginary parts one by one; fun takes x and the complex state and
+    returns a fresh complex array. The stepper never releases the fcn it
+    is handed, so that is the module-level _dop_fcn, and each solve's fun
+    travels in the extra-arguments tuple, which is released: a closure
+    handed over per solve would stay alive with everything it holds. No
+    step callback is asked for (iout = 0), so solout is None.
+    scipy.integrate is imported on the first call, as importing it costs
+    about 0.5 s and most processes make no DOP853 solve. _solve_m calls
+    this through the module global, so a replacement of scatter.solve_ivp
+    sees every solve.
     """
-    from scipy.integrate import solve_ivp
+    if method != "DOP853":
+        raise ValueError(f"solve_ivp runs DOP853 only, not {method!r}")
+    from scipy.integrate import _dop
 
-    return solve_ivp(*args, **kwargs)
+    y0 = np.ascontiguousarray(y0, dtype=complex).view(float)
+    work = np.zeros(11 * y0.size + 21)
+    iwork = np.zeros(21, dtype=np.int32)
+    # dopri853(fcn, x, y, xend, rtol, atol, solout, iout, work, iwork,
+    #          nsteps, verbosity, fcn_extra_args) -> (x, y, idid)
+    x, y, idid = _dop.dopri853(_dop_fcn, t_span[0], y0, t_span[1], rtol,
+                               atol, None, 0, work, iwork, MAX_STEPS, -1,
+                               (fun,))
+    return OdeResult(float(x), y.view(complex), idid > 0,
+                     _DOP_MESSAGES.get(idid, f"return code {idid}"),
+                     int(iwork[16]))
 
 
 def _solve_m(v: Potential, ks: np.ndarray, rtol: float, atol: float):
     """Batched m(0), m'(0) for all momenta in ks (flat complex array).
 
     One adaptive solve per piece of V carries the whole batch; the state is
-    (m, m') stacked over momenta, and DOP853 controls an RMS norm of the
-    error over that whole state, so rtol and atol bound the batch, not each
+    (m, m') stacked over momenta, which solve_ivp hands to the compiled
+    stepper as interleaved reals. DOP853 controls an RMS norm of the error
+    over that whole state, so rtol and atol bound the batch, not each
     momentum (_jost_many shrinks them to do that), and each result depends
-    in its last bits on the batch it was solved in. Integration restarts at
-    interior breakpoints of V to keep the high-order method on smooth
-    segments.
+    in its last bits on the batch it was solved in. The right-hand side is
+    a closure over the batch, so solve_ivp passes it to the stepper as an
+    extra argument of a module-level callback, which the stepper releases.
+    Integration restarts at interior breakpoints of V to keep the
+    high-order method on smooth segments.
     """
     nk = ks.size
     two_ik = 2j * ks
 
     def rhs(x, y):
-        # a fresh array per call: scipy's first-step choice holds f(t0, y0)
-        # while it evaluates the next point; the ops and their operand order
-        # are those of v(x) * m - two_ik * mp, so the bits are too
+        # a fresh array per call, so that no caller of fun sees one result
+        # overwritten by the next; the ops and their operand order are
+        # those of v(x) * m - two_ik * mp, so the bits are too
         mp = y[nk:]
         dy = np.empty_like(y)
         dy[:nk] = mp
@@ -116,14 +173,13 @@ def _solve_m(v: Potential, ks: np.ndarray, rtol: float, atol: float):
     y = np.concatenate([np.ones(nk, dtype=complex), np.zeros(nk, dtype=complex)])
     ends = v.edges[::-1]
     for a, b in zip(ends, ends[1:]):
-        sol = solve_ivp(rhs, (a, b), y, method="DOP853",
-                        rtol=rtol, atol=atol, dense_output=False)
+        sol = solve_ivp(rhs, (a, b), y, method="DOP853", rtol=rtol, atol=atol)
         if not sol.success:
             batch = "" if nk == 1 else f" (first of a batch of {nk})"
             raise JostIntegrationError(
                 f"k = {complex(ks[0]):.6g}{batch}: {sol.message}; stopped "
-                f"at x = {float(sol.t[-1]):.6g}")
-        y = sol.y[:, -1]
+                f"at x = {sol.t:.6g}")
+        y = sol.y
     return y[:nk], y[nk:]
 
 
@@ -352,25 +408,30 @@ def _x_and_y(ks, m0, mp0):
 def _jost_many(v: Potential, ks: np.ndarray, rtol: float, atol: float):
     """X(k) and Y(-k) for the momenta in ks (flat complex).
 
-    DOP853 accepts a step when the RMS of the scaled error over the whole
-    stacked state is at most 1, so in a batch of n momenta one momentum's
-    share may be sqrt(n) times what a lone solve allows. rtol and atol are
-    divided by sqrt(n), which holds every momentum to the bound it would
-    get alone. The batch is cut into near-equal chunks small enough that
-    rtol / sqrt(n) stays at or above RTOL_FLOOR, where scipy would
-    otherwise raise it silently; an rtol below the floor, or an atol that
-    is not > 0 (NaN included), raises ValueError.
+    DOP853 accepts a step when the RMS of the scaled error over the 4n
+    reals of the stacked state is at most 1, so in a batch of n momenta one
+    momentum's share may be sqrt(n) times what its own reals allow. rtol
+    and atol are divided by sqrt(2n): sqrt(n) for that share, and sqrt(2)
+    more, without which Y(-k) on complex momenta came out less accurate
+    than from a stepper that measures each complex entry by its modulus.
+    The batch is cut into near-equal chunks small enough that
+    rtol / sqrt(2n) stays at or above RTOL_FLOOR, and a lone momentum whose
+    rtol / sqrt(2) is below it is solved at the floor; an rtol below the
+    floor, or an atol that is not > 0 (NaN included), raises ValueError.
     """
     if not rtol >= RTOL_FLOOR:
         raise ValueError(f"rtol = {rtol:.3g} is below the DOP853 floor "
                          f"100 eps = {RTOL_FLOOR:.3g}")
     if not atol > 0.0:
         raise ValueError(f"atol = {atol!r} is not positive")
-    most = int((rtol / RTOL_FLOOR) ** 2)
-    while rtol / np.sqrt(most) < RTOL_FLOOR:
+    most = max(1, int((rtol / RTOL_FLOOR) ** 2 / 2.0))
+    while most > 1 and rtol / np.sqrt(2.0 * most) < RTOL_FLOOR:
         most -= 1
-    parts = [_solve_m(v, c, rtol / np.sqrt(c.size), atol / np.sqrt(c.size))
-             for c in np.array_split(ks, -(-ks.size // most))]
+    parts = []
+    for c in np.array_split(ks, -(-ks.size // most)):
+        shrink = np.sqrt(2.0 * c.size)
+        parts.append(_solve_m(v, c, max(rtol / shrink, RTOL_FLOOR),
+                              atol / shrink))
     m0, mp0 = (np.concatenate(p) for p in zip(*parts))
     x_hat, y_hat_minus = _x_and_y(ks, m0, mp0)
     bad = ~(np.isfinite(x_hat) & np.isfinite(y_hat_minus))
@@ -386,11 +447,16 @@ def jost_solve(v: Potential, k, *, rtol: float = DEFAULT_RTOL,
 
     A scalar k gives a JostData of Python scalars. An array gives a JostData
     of arrays of its shape, from one stacked DOP853 solve per piece of V
-    (see _jost_many). k = 0 is excluded by the normalization.
+    (see _jost_many). k = 0 is excluded by the normalization, and a
+    momentum that is not finite raises ValueError naming it.
     """
     ks = np.asarray(k, dtype=complex)
     if np.any(ks == 0):
         raise ValueError("k = 0: the ik normalization of the Jost data degenerates")
+    finite = np.isfinite(ks)
+    if not finite.all():
+        raise ValueError(
+            f"k = {complex(ks[~finite][0]):.6g}: not a finite momentum")
     if ks.size == 0:
         return JostData(ks, ks.copy(), ks.copy())
     x_hat, y_hat_minus = _jost_many(v, ks.ravel(), rtol, atol)
@@ -427,20 +493,23 @@ def scattering_matrix(v: Potential, k, *, rtol: float = DEFAULT_RTOL,
     would take the same steps and return exactly these conjugate bits. The
     defect | |T|^2 + |R|^2 - 1 | is reported, not asserted.
 
-    A scalar k returns a ScatteringMatrix, or raises ValueError at k = 0 or
-    next to a transmission pole. An array returns a list with one entry per
-    momentum, in order: its ScatteringMatrix, or the ValueError that the
-    scalar call would raise there. A scalar is a batch of one, so it has
-    the bits of a lone solve.
+    A scalar k returns a ScatteringMatrix, or raises ValueError at k = 0,
+    at a k that is not finite, or next to a transmission pole. An array
+    returns a list with one entry per momentum, in order: its
+    ScatteringMatrix, or the ValueError that the scalar call would raise
+    there. A scalar is a batch of one, so it has the bits of a lone solve.
     """
     ks = np.asarray(k, dtype=float)
     if ks.ndim > 1:
         raise ValueError("scattering_matrix takes a real momentum or a 1-D "
                          f"array of them, not shape {ks.shape}")
     flat = ks.ravel()
+    finite = np.isfinite(flat)
     entries = [ValueError("k = 0: the transmission coefficient divides by ik")
                if kk == 0.0 else None for kk in flat]
-    live = np.flatnonzero(flat != 0.0)
+    for i in np.flatnonzero(~finite):
+        entries[i] = ValueError(f"k = {flat[i]:g}: not a finite momentum")
+    live = np.flatnonzero(finite & (flat != 0.0))
     jost = jost_solve(v, flat[live].astype(complex), rtol=rtol, atol=atol)
     for i, x_hat, y_hat_minus in zip(live, jost.x_hat, jost.y_hat_minus):
         entries[i] = _smatrix_entry(float(flat[i]), complex(x_hat),

@@ -292,21 +292,25 @@ def test_main_bad_config_field_diagnostic(tmp_path, capsys):
     ("[grid]\ngrid_points = 0\n", "grid_points"),
     ("[rectangle]\nre_min = 12\nre_max = 0.5\n", "re_min"),
     ("[rectangle]\nim_min = 4\nim_max = 4\n", "im_min"),
+    ("[rectangle]\nre_max = inf\n", "re_max"),
+    ("[grid]\ngrid_start = nan\n", "grid_start"),
     ("[potential]\nsupport_length = -1\n", "support_length"),
     ("[reconstruction]\nradius = -1\n", "radius"),
     ("[reconstruction]\ndeltas = 0.1 -0.01\n", "deltas"),
 ], ids=["unknown-perturb-mode", "zero-root-tol", "negative-strip-height",
         "nan-strip-height", "nan-ode-atol", "nan-ode-rtol", "inf-quad-rtol",
         "no-grid-points", "inverted-rectangle", "flat-rectangle",
+        "inf-rectangle-bound", "nan-grid-start",
         "negative-support-length", "negative-radius", "negative-delta"])
 def test_main_rejects_a_value_that_would_break_the_run(tmp_path, capsys,
                                                        text, key):
     # an unknown perturb_mode or a strip_height that is not > 0 fails every
     # stability row, a Newton step can never be accepted at root_tol = 0,
-    # a NaN ODE tolerance hangs the DOP853 solves, and quad_rtol = inf ends
-    # in a boundary-zero error that does not name the tolerance; the grid,
-    # rectangle, support, radius and delta values stop a pipeline only
-    # once it reaches them (and scatter-matrix never reads the rectangle)
+    # DOP853 accepts no step at a NaN ODE tolerance or a NaN momentum (a
+    # NaN grid end), and quad_rtol = inf or an infinite rectangle bound
+    # ends in an error that does not name it; the grid, rectangle,
+    # support, radius and delta values stop a pipeline only once it reaches
+    # them (and scatter-matrix never reads the rectangle)
     path = tmp_path / "bad.ini"
     path.write_text(text)
     out = tmp_path / "artifacts"
