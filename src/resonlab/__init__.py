@@ -24,12 +24,12 @@ from .potential import (
 from .quadrature import QuadratureError, adaptive_quadrature
 from .rootscan import (
     BoundaryZeroError, MatchResult, Rectangle, RootScanError, ZeroSet,
-    locate_zeros, match_zero_sets, wind_count,
+    certify, locate_zeros, match_zero_sets, wind_count,
 )
 from .scatter import (
     FroeseComparison, FroesePair, JostData, JostIntegrationError,
     ScatteringMatrix, froese_compare, jost_solve, resonances,
-    scattering_matrix, xhat_function,
+    scattering_matrix, spectral_resonances, xhat_function,
 )
 from .cli import SUBCOMMANDS, ExperimentConfig, run_subcommand
 

@@ -22,6 +22,15 @@ cell's zeros and each is simple. Otherwise the cell is split as before. The
 certificates are unchanged: the final squares still count every
 multiplicity, and the multiplicities must still sum to the outer winding.
 
+certify takes the zeros from given starts instead of the subdivision, under
+the same certificates. It counts the rectangle once; a count of 0 ends it
+before the starts are asked for. Each start gets one Newton run on the
+counted rectangle (all in lockstep, a stalled run dropped), the zeros
+strictly inside it are kept and coincident ones merged, and the squares and
+the total check of locate_zeros (_certified_set) run on them. When a
+square finds no zero or the multiplicities miss the count, a start was
+missing or wrong, and the result is locate_zeros on the same f.
+
 The work is batch-first. One sweep takes many closed paths at once: their
 samples sit end to end in one array, neighbours are index arrays that wrap
 inside each path (built from the path ends alone), and each refinement
@@ -70,7 +79,8 @@ import numpy as np
 
 __all__ = [
     "BoundaryZeroError", "RootScanError", "Rectangle", "ZeroSet",
-    "MatchResult", "wind_count", "locate_zeros", "match_zero_sets",
+    "MatchResult", "wind_count", "locate_zeros", "certify",
+    "match_zero_sets",
 ]
 
 PHASE_STEP_LIMIT = 0.5 * math.pi
@@ -844,12 +854,23 @@ def locate_zeros(f: Callable, rect: Rectangle, tol: float = 1e-10) -> ZeroSet:
                 retry.append((cell, j + 1))
             splits = retry
 
-    # Multiplicity certificates on small squares (_multiplicities). A radius
-    # is cut to 0.45 times the gap to the nearest other zero, where that gap
-    # is not 0; the gaps are formed _RADII_BLOCK rows at a time, so their
-    # memory grows linearly with the number of zeros.
+    return _certified_set(f, found, total, scale0)
+
+
+def _certified_set(f: Callable, found: list, total: int,
+                   scale: float) -> ZeroSet:
+    """The zeros found, with the multiplicities their squares certify.
+
+    Each zero gets a small square (_multiplicities), inscribed in a circle
+    of radius 1e-6 max(1, |z|) (at least 1e-11 scale) cut to 0.45 times the
+    gap to the nearest other zero, where that gap is not 0; the gaps are
+    formed _RADII_BLOCK rows at a time, so their memory grows linearly with
+    the number of zeros. RootScanError when a square finds no zero, or when
+    the multiplicities do not sum to total, the winding of the rectangle
+    the zeros were found in.
+    """
     locs = np.array(found, dtype=complex)
-    radii = np.maximum(1e-6 * np.maximum(1.0, np.abs(locs)), 1e-11 * scale0)
+    radii = np.maximum(1e-6 * np.maximum(1.0, np.abs(locs)), 1e-11 * scale)
     for lo in range(0, locs.size, _RADII_BLOCK):
         d = np.abs(locs[lo:lo + _RADII_BLOCK, None] - locs)
         np.fill_diagonal(d[:, lo:], np.inf)
@@ -867,6 +888,39 @@ def locate_zeros(f: Callable, rect: Rectangle, tol: float = 1e-10) -> ZeroSet:
             f"located multiplicities sum to {zs.total_multiplicity()} "
             f"but the boundary winding is {total}")
     return zs
+
+
+def certify(f: Callable, rect: Rectangle, starts: Callable[[], Iterable],
+            tol: float = 1e-10) -> ZeroSet:
+    """All zeros of f in the rectangle, certified from given Newton starts.
+
+    The same ZeroSet contract as locate_zeros, without its search. The
+    rectangle is counted first (_rect_winding, with its density agreement
+    and jitter); a count of 0 returns the empty set at once, and starts,
+    a callable that returns the starts, is called only when the count is
+    not 0. Each start is polished by one Newton run on the counted
+    rectangle, all runs in lockstep; a run that stalls is dropped, never
+    accepted on |f|. The zeros strictly inside the counted rectangle are
+    kept (Newton's acceptance pad would admit one just outside it), and
+    zeros within MERGE_RESOLUTION of each other merge before their squares
+    are counted, so that no zero counts twice. The set stands when every
+    square counts a zero and the multiplicities sum to the winding
+    (_certified_set); otherwise the result is locate_zeros(f, rect, tol),
+    whose first winding samples the points the count here took, so a
+    memoised f evaluates none of them again.
+    """
+    counted, total, _ = _rect_winding(f, rect)
+    if total == 0:
+        return ZeroSet(())
+    runs = [_newton_polish(z0, 1, tol, 0.0, counted) for z0 in starts()]
+    inside = [z for z in _polish_in_lockstep(f, runs) if z is not None
+              and counted.re_min < z.real < counted.re_max
+              and counted.im_min < z.imag < counted.im_max]
+    merged = ZeroSet.from_pairs((z, 1) for z in inside).locations()
+    try:
+        return _certified_set(f, merged, total, counted.diameter)
+    except RootScanError:
+        return locate_zeros(f, rect, tol)
 
 
 def _canonical_order(entries: list[tuple[complex, int]]):

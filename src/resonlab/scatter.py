@@ -14,6 +14,15 @@ k, so rectangle scans with the argument-principle machinery apply verbatim;
 resonances are the zeros of X, sought in Im k < 0 under this e^{ikx}
 outgoing convention.
 
+resonances does not search the rectangle for them. spectral_resonances
+collocates the outgoing problem on Chebyshev points and returns its
+eigenvalues, which approximate the resonances without any root finding;
+rootscan.certify counts the rectangle on X, polishes the eigenvalues inside
+it into zeros of X and certifies them with the multiplicity squares and the
+total check, and searches the rectangle (locate_zeros) only when they do
+not account for the count. A rectangle that holds no zero takes no
+eigen-solve.
+
 Two propagators carry the system. The X that scans see (xhat_function, so
 resonances and any wind_count on it) comes from sixth-order Magnus steps on
 uniform cells with a closed-form 2x2 exponential (_magnus_m), each momentum
@@ -50,7 +59,8 @@ import numpy as np
 
 from .ftransform import pair_function
 from .potential import Potential
-from .rootscan import Rectangle, ZeroSet, locate_zeros, match_zero_sets
+from .rootscan import (Rectangle, ZeroSet, certify, locate_zeros,
+                       match_zero_sets)
 
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
@@ -58,6 +68,16 @@ DEFAULT_ATOL = 1e-12
 # Jost data degenerates at the origin, so scans keep this distance from k = 0
 EXCLUSION_RADIUS = 0.05
 POLE_FLOOR = 1e-12
+# Chebyshev nodes of the one collocation block of spectral_resonances. On
+# gaussian-sharp (L = 1) its eigenvalues below |k| = 72 lie within 6e-11
+# relative of the zeros of X, and within 1e-6 up to |k| = 85; more nodes
+# reach further at a higher eig cost (97: |k| = 120 at twice the time), but
+# are no closer below, as the collocated u'' rounds at about n^4 eps
+SPECTRAL_NODES = 65
+# resonances keeps the eigenvalues that lie in the rectangle inflated by
+# this times its diameter, so that the jitter of the winding count, or an
+# eigenvalue a little off, costs no zero near an edge its start
+_START_MARGIN = 1e-3
 # no DOP853 solve is handed a smaller rtol: near 100 eps the rounding of a
 # step is a sizeable share of what its error estimate measures, so a
 # smaller rtol would only shrink the steps
@@ -569,27 +589,80 @@ def _exact_memo(f: Callable) -> Callable:
     return memo
 
 
+def spectral_resonances(v: Potential, line: str) -> np.ndarray:
+    """Outgoing eigenvalues of -u'' + V u = k^2 u on [0, L], as Newton starts.
+
+    u is collocated on SPECTRAL_NODES Chebyshev points of [0, L], one block
+    over the whole support, with u'(L) = ik u(L) and, on the full line
+    (line "full"), u'(0) = -ik u(0), or on the half line ("half") u(0) = 0
+    (Bindel and Zworski, Theory and computation of resonances in 1D
+    scattering). The boundary rows are linear in k and the interior rows
+    quadratic. With k = i kappa every row is real: kappa u = -u'(L) at L
+    and kappa u = u'(0) at 0 (full line), kappa^2 u = u'' - V u inside.
+    Those rows, with w = kappa u at the interior nodes, are a standard
+    eigenproblem kappa z = M z in z = (u, w), of order 2n - 2 on the full
+    line and 2n - 3 on the half line, where u(0) = 0 leaves the unknowns;
+    it is the companion pencil of the quadratic problem with its two or
+    three infinite eigenvalues solved out (Tisseur and Meerbergen, SIAM
+    Rev. 43, 2001). One real LAPACK eigenvalue call (numpy.linalg.eigvals)
+    gives every kappa, and k = i kappa. The values come with no claim of
+    accuracy: the resolved ones are the zeros of X (full line) or of the
+    Jost function m(0) (half line) to about 1e-6 relative, the others are
+    artefacts of the discretization.
+    """
+    if line not in ("full", "half"):
+        raise ValueError(f"line must be 'full' or 'half', not {line!r}")
+    n = SPECTRAL_NODES
+    j = np.arange(n)
+    t = np.cos(np.pi * j / (n - 1))         # node j sits at x = L (1 + t) / 2
+    c = np.where((j == 0) | (j == n - 1), 2.0, 1.0) * (-1.0) ** j
+    d1 = np.outer(c, 1.0 / c) / (t[:, None] - t + np.eye(n))
+    d1 -= np.diag(d1.sum(axis=1))
+    d1 *= 2.0 / v.support_length
+    d2 = d1 @ d1
+    m = n if line == "full" else n - 1      # the unknowns u, then w
+    inner = np.arange(1, n - 1)
+    mat = np.zeros((m + n - 2, m + n - 2))
+    mat[0, :m] = -d1[0, :m]
+    if line == "full":
+        mat[n - 1, :m] = d1[n - 1]
+    mat[inner, m + inner - 1] = 1.0
+    mat[m:, :m] = d2[1:n - 1, :m]
+    mat[m + inner - 1, inner] -= v(0.5 * v.support_length * (1.0 + t[inner]))
+    return 1j * np.linalg.eigvals(mat)
+
+
 def resonances(v: Potential, rect: Rectangle, tol: float = 1e-10, *,
                rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL) -> ZeroSet:
     """Zeros of X over the rectangle, canonically ordered by modulus.
 
-    The scan runs on the Magnus X of xhat_function at rtol min(rtol,
-    tol / 10): a Newton step of tol * max(1, |z|) can be trusted only from an
-    X that is accurate well below it. Every zero the scan reports is then
-    confirmed on the DOP853 path at rtol by _confirm_on_ode.
+    The zeros are certified on the Magnus X of xhat_function at rtol
+    min(rtol, tol / 10): a Newton step of tol * max(1, |z|) can be trusted
+    only from an X that is accurate well below it. rootscan.certify counts
+    the rectangle and, unless it holds no zero, polishes the eigenvalues of
+    spectral_resonances(v, "full") that lie in the rectangle inflated by
+    _START_MARGIN times its diameter; where those do not account for the
+    count, it searches the rectangle with locate_zeros instead. Every zero
+    is then confirmed on the DOP853 path at rtol by _confirm_on_ode.
 
     The scan's X goes through _exact_memo, which lives for this call: the
     winding sweeps sample the edges that neighbouring cells share at the
-    same bits (rootscan's per-side ticks), and such a momentum is evaluated
-    once. The Magnus X of a momentum has the same bits alone and in any
-    batch, so a reused value is the value a new evaluation would give, and
-    the zero set does not change.
+    same bits (rootscan's per-side ticks), and the search that certify may
+    fall back on counts the rectangle at the bits certify counted it at,
+    so such a momentum is evaluated once. The Magnus X of a momentum has
+    the same bits alone and in any batch, so a reused value is the value a
+    new evaluation would give, and the zero set does not change.
     """
     if rect.distance_to(0.0) < EXCLUSION_RADIUS:
         raise ValueError(f"rectangle comes within {EXCLUSION_RADIUS:g} of "
                          "k = 0; shift it")
     x = xhat_function(v, rtol=min(rtol, tol / 10.0), atol=atol)
-    zs = locate_zeros(_exact_memo(x), rect, tol)
+    near = rect.inflated(_START_MARGIN * rect.diameter)
+
+    def starts():
+        return [k for k in spectral_resonances(v, "full") if near.contains(k)]
+
+    zs = certify(_exact_memo(x), rect, starts, tol)
     _confirm_on_ode(v, zs, tol, rtol, atol)
     return zs
 

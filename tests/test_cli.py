@@ -410,9 +410,11 @@ for family in ("poly-bump", "gaussian-sharp", "gaussian-smooth"):
     replace(cfg, family=family).potential()
 run_subcommand("dickson-check", cfg)
 run_subcommand("reconstruct", cfg)
-loaded = [m for m in ("scipy.integrate", "scipy.interpolate")
+loaded = [m for m in ("scipy.integrate", "scipy.interpolate", "scipy.linalg")
           if m in sys.modules]
 assert not loaded, f"loaded before any DOP853 solve or table: {loaded}"
+resonlab.scatter.spectral_resonances(resonlab.make_poly_bump(), "full")
+assert "scipy.linalg" not in sys.modules, "the eigen-solve loaded scipy.linalg"
 
 resonlab.jost_solve(resonlab.make_poly_bump(), 1.0)
 assert "scipy.integrate" in sys.modules, "no DOP853 solve loaded scipy"

@@ -211,6 +211,79 @@ def test_locate_empty_rectangle():
     assert len(zs) == 0 and zs.total_multiplicity() == 0
 
 
+# ------------------------------------------------------------------ certify
+
+CUBIC = [0.3 + 0.2j, -0.5 - 0.4j, 0.6 - 0.7j]
+
+
+def no_search(monkeypatch):
+    def search(*args):
+        raise AssertionError("certify fell back to locate_zeros")
+
+    monkeypatch.setattr(rootscan, "locate_zeros", search)
+
+
+def test_certify_without_a_start_falls_back_to_the_search(monkeypatch):
+    f = poly_from_roots(CUBIC)
+    locate, searched = rootscan.locate_zeros, []
+
+    def recording(*args):
+        searched.append(args[1:])
+        return locate(*args)
+
+    monkeypatch.setattr(rootscan, "locate_zeros", recording)
+    zs = rootscan.certify(f, SQUARE, lambda: [z + 1e-3 for z in CUBIC[1:]],
+                          1e-12)
+    assert searched == [(SQUARE, 1e-12)]
+    assert zs == locate(f, SQUARE, 1e-12)
+    assert_matches(zs, [(z, 1) for z in CUBIC], 1e-12)
+
+
+def test_certify_drops_a_spurious_and_a_duplicate_start(monkeypatch):
+    # 2.9 runs to the zero at 3, outside the square; the duplicate start
+    # runs to the zero that CUBIC[0] + 1e-3 finds too
+    no_search(monkeypatch)
+    f = poly_from_roots(CUBIC + [3.0])
+    starts = [z + 1e-3 for z in CUBIC] + [CUBIC[0] - 1e-3j, 2.9]
+    zs = rootscan.certify(f, SQUARE, lambda: starts, 1e-12)
+    assert_matches(zs, [(z, 1) for z in CUBIC], 1e-12)
+
+
+def test_certify_counts_a_double_zero_on_its_square(monkeypatch):
+    # two runs to the double zero end apart by less than MERGE_RESOLUTION
+    # and merge; its square then counts 2
+    no_search(monkeypatch)
+    f = poly_from_roots([1.0, 1.0, 2.0])
+    rect = Rectangle(0.5, 2.5, -0.5, 0.5)
+    starts = [1.05 + 0.02j, 0.97 - 0.01j, 2.03]
+    zs = rootscan.certify(f, rect, lambda: starts, 1e-10)
+    assert_matches(zs, [(1.0, 2), (2.0, 1)], 1e-8)
+
+
+def test_certify_keeps_no_zero_from_outside_the_counted_rectangle(
+        monkeypatch):
+    # the zero at 1 + 1e-5 lies outside the square but inside Newton's
+    # acceptance pad of 1e-5 times its diameter, so the run accepts it
+    outside = 1.0 + 1e-5 + 0.3j
+    f = poly_from_roots([0.2 + 0.1j, outside])
+    polished, = rootscan._polish_in_lockstep(f, [rootscan._newton_polish(
+        1.0 + 0.3j, 1, 1e-12, 0.0, SQUARE)])
+    assert abs(polished - outside) <= 1e-12
+    no_search(monkeypatch)
+    zs = rootscan.certify(f, SQUARE, lambda: [0.2 + 0.1j, 1.0 + 0.3j], 1e-12)
+    assert_matches(zs, [(0.2 + 0.1j, 1)], 1e-12)
+
+
+def test_certify_of_a_zero_free_rectangle_asks_for_no_starts(monkeypatch):
+    no_search(monkeypatch)
+
+    def starts():
+        raise AssertionError("starts asked for")
+
+    zs = rootscan.certify(poly_from_roots([2.0 + 2.0j]), SQUARE, starts)
+    assert zs == ZeroSet(())
+
+
 # ------------------------------------------------------------------ ZeroSet
 
 def test_zeroset_canonical_order_and_merge():

@@ -645,8 +645,8 @@ def test_pole_proximity_keeps_its_place_in_a_grid(monkeypatch):
 
 
 def test_jost_batch_is_chunked_above_the_rtol_floor(monkeypatch):
-    # scipy raises an rtol below 100 eps to that floor with a UserWarning;
-    # 1e-13 / sqrt(201) would be below it, so the batch is cut into chunks
+    # no DOP853 solve is handed an rtol below scatter.RTOL_FLOOR = 100 eps;
+    # 1e-13 / sqrt(2 * 201) would be below it, so the batch is cut into chunks
     solve_ivp = scatter.solve_ivp
     rtols = []
 
