@@ -6,7 +6,8 @@ compactly supported potentials, and for the entire-function machinery
 from .dickson import (
     CurvilinearCount, DicksonGeometry, ExpPolynomial, ExpTerm, SideData,
     StripData, containment_exceptions, curvilinear_count, dickson_geometry,
-    recommended_H, recommended_alpha0, strip_membership, two_cosine_model,
+    model_zeros, recommended_H, recommended_alpha0, strip_membership,
+    two_cosine_model,
 )
 from .hadamard import (
     ContourCountError, ConvergenceCurve, ProductOverflowError, StabilityRow,
@@ -24,7 +25,7 @@ from .potential import (
 from .quadrature import QuadratureError, adaptive_quadrature
 from .rootscan import (
     BoundaryZeroError, MatchResult, Rectangle, RootScanError, ZeroSet,
-    certify, locate_zeros, match_zero_sets, wind_count,
+    locate_zeros, match_zero_sets, wind_count,
 )
 from .scatter import (
     FroeseComparison, FroesePair, JostData, JostIntegrationError,

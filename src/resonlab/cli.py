@@ -25,8 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from .dickson import (containment_exceptions, curvilinear_count,
-                      dickson_geometry, recommended_H, recommended_alpha0,
-                      strip_membership, two_cosine_model)
+                      dickson_geometry, model_zeros, recommended_H,
+                      recommended_alpha0, strip_membership, two_cosine_model)
 from .ftransform import pair_function
 # perfbench/tracing.py hooks eval_product and fit_prefactor by this module's
 # name and fails when a name is missing; fit_prefactor is no longer called
@@ -290,7 +290,8 @@ def _run_dickson_check(cfg: ExperimentConfig, out: Path) -> list[Path]:
     g = dickson_geometry(f)
     alpha0 = recommended_alpha0(f)
     H = recommended_H(f, alpha0)
-    zs = locate_zeros(f, cfg.rectangle(), cfg.root_tol)
+    rect = cfg.rectangle()
+    zs = locate_zeros(f, rect, cfg.root_tol, lambda: model_zeros(f, rect))
     exceptions = containment_exceptions(g, zs, H, r_min=1.0)
 
     big = [z for z, _ in zs if abs(z) > 1.0]

@@ -7,7 +7,10 @@ here has collinear frequencies, so that hull is a segment with two sides,
 one per orientation. This module builds that geometry (side angles, tau
 points, strip slopes) for collinear frequencies only, tests strip membership,
 and counts zeros in the curvilinear windows along a strip by mapping the
-window boundary back from its straightened coordinates.
+window boundary back from its straightened coordinates. A model with
+powers 0, no corrections and frequencies on one lattice omega_0 + n delta
+is a polynomial in u = e^{delta z} times e^{omega_0 z}, so model_zeros
+gives its zeros in closed form, as starts for rootscan.locate_zeros.
 """
 
 from __future__ import annotations
@@ -19,14 +22,19 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .rootscan import Rectangle, RootScanError, wind_count
+from .rootscan import START_MARGIN, Rectangle, RootScanError, wind_count
 
 __all__ = [
     "ExpTerm", "ExpPolynomial", "StripData", "SideData", "DicksonGeometry",
     "CurvilinearCount", "dickson_geometry", "strip_membership",
     "curvilinear_count", "containment_exceptions", "recommended_alpha0",
-    "recommended_H", "two_cosine_model",
+    "recommended_H", "two_cosine_model", "model_zeros",
 ]
+
+# the largest denominator of a ratio of frequency gaps, and the most lattice
+# steps the frequencies may span, for model_zeros
+_MAX_DENOMINATOR = 64
+_MAX_DEGREE = 1024
 
 
 class ExpTerm(NamedTuple):
@@ -70,6 +78,68 @@ class ExpPolynomial:
 def two_cosine_model() -> ExpPolynomial:
     """2 cos(2z) + 1/2 written with frequencies {2i, 0, -2i}."""
     return ExpPolynomial([(1.0, 0, 2j), (1.0, 0, -2j), (0.5, 0, 0.0)])
+
+
+def model_zeros(p: ExpPolynomial, rect: Rectangle) -> np.ndarray:
+    """The zeros of p in rect, inflated by rootscan.START_MARGIN times its
+    diameter, in closed form.
+
+    Every term of p must have power 0 and no correction, and its frequency
+    must lie on one lattice omega_j = omega_0 + n_j delta with integers
+    n_j >= 0, the least of them 0 and the largest at most _MAX_DEGREE.
+    delta is the gap from the first frequency to its nearest other over the
+    least common multiple of the denominators, each at most
+    _MAX_DENOMINATOR, that make every ratio of gaps an integer to 1e-12
+    relative. Otherwise ValueError names the first term that breaks this.
+    Then p(z) = e^{omega_0 z} sum_j A_j u^{n_j} with u = e^{delta z}, and
+    each root u_r of that polynomial (numpy.roots) gives the zeros
+    z = (Log u_r + 2 pi i m) / delta for every integer m. A root of
+    multiplicity k comes back as k nearby values, to the accuracy
+    numpy.roots gives it.
+    """
+    freqs = [complex(t.frequency) for t in p.terms]
+    for j, t in enumerate(p.terms):
+        if t.power != 0 or t.correction is not None:
+            raise ValueError(
+                "model_zeros needs terms of power 0 with no correction; "
+                f"term {j} has " + (f"power {t.power}" if t.power != 0
+                                    else "a correction"))
+    step = min((w - freqs[0] for w in freqs[1:]), key=abs)
+    ratios = [(w - freqs[0]) / step for w in freqs]
+    denominators = []
+    for j, r in enumerate(ratios):
+        q = next((q for q in range(1, _MAX_DENOMINATOR + 1)
+                  if abs(r * q - round(r.real * q))
+                  <= 1e-12 * q * max(1.0, abs(r))), None)
+        if q is None:
+            raise ValueError(f"term {j} has frequency {freqs[j]:g}, off the "
+                             f"lattice {freqs[0]:g} + n {step:g} / q with "
+                             f"integers n and q <= {_MAX_DENOMINATOR}")
+        denominators.append(q)
+    q = math.lcm(*denominators)
+    n = [round(r.real * q) for r in ratios]
+    n = [k - min(n) for k in n]
+    if max(n) > _MAX_DEGREE:
+        raise ValueError(f"the frequencies span {max(n)} lattice steps, "
+                         f"more than {_MAX_DEGREE}")
+    delta = step / q
+    coeffs = np.zeros(max(n) + 1, dtype=complex)
+    coeffs[n] = [t.coefficient for t in p.terms]
+    logs = np.log(np.roots(coeffs[::-1]))
+    near = rect.inflated(START_MARGIN * rect.diameter)
+    period = 2j * math.pi / delta
+    corners = np.array([complex(x, y) for x in (near.re_min, near.re_max)
+                        for y in (near.im_min, near.im_max)])
+    zs = []
+    for lg in logs:
+        # z = (lg + 2 pi i m) / delta steps along the period, and the m of a
+        # z in the rectangle lies between the m of its corners' projections
+        t = ((corners - lg / delta) / period).real
+        for m in range(math.ceil(t.min()), math.floor(t.max()) + 1):
+            z = (lg + 2j * math.pi * m) / delta
+            if near.contains(z):
+                zs.append(z)
+    return np.array(zs, dtype=complex)
 
 
 class StripData(NamedTuple):

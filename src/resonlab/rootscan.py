@@ -22,14 +22,15 @@ cell's zeros and each is simple. Otherwise the cell is split as before. The
 certificates are unchanged: the final squares still count every
 multiplicity, and the multiplicities must still sum to the outer winding.
 
-certify takes the zeros from given starts instead of the subdivision, under
-the same certificates. It counts the rectangle once; a count of 0 ends it
-before the starts are asked for. Each start gets one Newton run on the
-counted rectangle (all in lockstep, a stalled run dropped), the zeros
-strictly inside it are kept and coincident ones merged, and the squares and
-the total check of locate_zeros (_certified_set) run on them. When a
+Given starts, locate_zeros takes the zeros from them instead of the
+subdivision, under the same certificates. It counts the rectangle once; a
+count of 0 ends it before the starts are asked for. Each start gets one
+Newton run on the counted rectangle (all in lockstep, a stalled run
+dropped), the zeros strictly inside it are kept and coincident ones merged,
+and the squares and the total check (_certified_set) run on them. When a
 square finds no zero or the multiplicities miss the count, a start was
-missing or wrong, and the result is locate_zeros on the same f.
+missing or wrong, and the subdivision (_search) goes on from the rectangle
+already counted.
 
 The work is batch-first. One sweep takes many closed paths at once: their
 samples sit end to end in one array, neighbours are index arrays that wrap
@@ -79,8 +80,7 @@ import numpy as np
 
 __all__ = [
     "BoundaryZeroError", "RootScanError", "Rectangle", "ZeroSet",
-    "MatchResult", "wind_count", "locate_zeros", "certify",
-    "match_zero_sets",
+    "MatchResult", "wind_count", "locate_zeros", "match_zero_sets",
 ]
 
 PHASE_STEP_LIMIT = 0.5 * math.pi
@@ -96,6 +96,10 @@ _MAX_DIRECT_COUNT = 3      # _power_sum_starts solves up to a cubic
 _NEWTON_ROUNDS = 80        # Newton rounds of an isolated cell's run
 _DIRECT_ROUNDS = 8         # Newton rounds of a run from a power-sum start
 _RADII_BLOCK = 64          # zeros per block of the zeros' pairwise gaps
+# callers of locate_zeros gather starts in the rectangle inflated by this
+# times its diameter, so that the jitter of the winding count, or a start a
+# little off, costs no zero near an edge its start
+START_MARGIN = 1e-3
 
 
 class BoundaryZeroError(RuntimeError):
@@ -758,15 +762,51 @@ def _distinct(zs: list, diameter: float, tol: float) -> bool:
                for i, a in enumerate(zs) for b in zs[i + 1:])
 
 
-def locate_zeros(f: Callable, rect: Rectangle, tol: float = 1e-10) -> ZeroSet:
+def locate_zeros(f: Callable, rect: Rectangle, tol: float = 1e-10,
+                 starts: Callable[[], Iterable] | None = None) -> ZeroSet:
     """All zeros of f in the rectangle as a canonical ZeroSet.
 
     tol is the Newton acceptance: a zero is located once its Newton step is
     at most tol * max(1, |z|), and then takes one more step; a stalled run
-    needs |f| within tol times the boundary maximum of f on its cell. Zeros
-    closer together than MERGE_RESOLUTION * |z| merge into one entry with
-    summed multiplicity. Subdivision deeper than MAX_DEPTH levels is an
-    error; FLOOR_RATIO acts as in wind_count.
+    of the search needs |f| within tol times the boundary maximum of f on
+    its cell. Zeros closer together than MERGE_RESOLUTION * |z| merge into
+    one entry with summed multiplicity. Subdivision deeper than MAX_DEPTH
+    levels is an error; FLOOR_RATIO acts as in wind_count.
+
+    The rectangle is counted once (_rect_winding, with its density
+    agreement and jitter), and everything after works on the rectangle
+    that was counted; a count of 0 returns the empty set at once. starts,
+    when given, is a callable that returns Newton starts. Each start is
+    polished by one Newton run on the counted rectangle, all runs in
+    lockstep; a run that stalls is dropped, never accepted on |f|. The
+    zeros strictly inside the counted rectangle are kept (Newton's
+    acceptance pad would admit one just outside it), and zeros within
+    MERGE_RESOLUTION of each other merge before their squares are counted,
+    so that no zero counts twice. The set stands when every square counts a
+    zero and the multiplicities sum to the winding (_certified_set);
+    otherwise, and when no starts are given, the rectangle is searched
+    (_search).
+    """
+    rect, total, top_scale = _rect_winding(f, rect)
+    if total == 0:
+        return ZeroSet(())
+    if starts is not None:
+        runs = [_newton_polish(z0, 1, tol, 0.0, rect) for z0 in starts()]
+        inside = [z for z in _polish_in_lockstep(f, runs) if z is not None
+                  and rect.re_min < z.real < rect.re_max
+                  and rect.im_min < z.imag < rect.im_max]
+        merged = ZeroSet.from_pairs((z, 1) for z in inside).locations()
+        try:
+            return _certified_set(f, merged, total, rect.diameter)
+        except RootScanError:
+            pass
+    return _search(f, rect, total, top_scale, tol)
+
+
+def _search(f: Callable, rect: Rectangle, total: int, top_scale: float,
+            tol: float) -> ZeroSet:
+    """The zeros of locate_zeros by subdivision of the counted rectangle,
+    which holds total zeros and has max |f| top_scale on its boundary.
 
     A cell of 2 .. _MAX_DIRECT_COUNT zeros is polished from the roots of
     its boundary power sums, one simple Newton run per zero, and is split
@@ -775,11 +815,7 @@ def locate_zeros(f: Callable, rect: Rectangle, tol: float = 1e-10) -> ZeroSet:
     zeros is split without a second try. Accepted zeros are as many
     distinct zeros as the certified count, so the square multiplicities
     and the total check certify them as they do every other zero.
-
-    Where the winding count of rect needs the jitter of wind_count, the
-    subdivision starts from the rectangle that was counted.
     """
-    rect, total, top_scale = _rect_winding(f, rect)
     scale0 = rect.diameter
     found: list[complex] = []
 
@@ -888,39 +924,6 @@ def _certified_set(f: Callable, found: list, total: int,
             f"located multiplicities sum to {zs.total_multiplicity()} "
             f"but the boundary winding is {total}")
     return zs
-
-
-def certify(f: Callable, rect: Rectangle, starts: Callable[[], Iterable],
-            tol: float = 1e-10) -> ZeroSet:
-    """All zeros of f in the rectangle, certified from given Newton starts.
-
-    The same ZeroSet contract as locate_zeros, without its search. The
-    rectangle is counted first (_rect_winding, with its density agreement
-    and jitter); a count of 0 returns the empty set at once, and starts,
-    a callable that returns the starts, is called only when the count is
-    not 0. Each start is polished by one Newton run on the counted
-    rectangle, all runs in lockstep; a run that stalls is dropped, never
-    accepted on |f|. The zeros strictly inside the counted rectangle are
-    kept (Newton's acceptance pad would admit one just outside it), and
-    zeros within MERGE_RESOLUTION of each other merge before their squares
-    are counted, so that no zero counts twice. The set stands when every
-    square counts a zero and the multiplicities sum to the winding
-    (_certified_set); otherwise the result is locate_zeros(f, rect, tol),
-    whose first winding samples the points the count here took, so a
-    memoised f evaluates none of them again.
-    """
-    counted, total, _ = _rect_winding(f, rect)
-    if total == 0:
-        return ZeroSet(())
-    runs = [_newton_polish(z0, 1, tol, 0.0, counted) for z0 in starts()]
-    inside = [z for z in _polish_in_lockstep(f, runs) if z is not None
-              and counted.re_min < z.real < counted.re_max
-              and counted.im_min < z.imag < counted.im_max]
-    merged = ZeroSet.from_pairs((z, 1) for z in inside).locations()
-    try:
-        return _certified_set(f, merged, total, counted.diameter)
-    except RootScanError:
-        return locate_zeros(f, rect, tol)
 
 
 def _canonical_order(entries: list[tuple[complex, int]]):

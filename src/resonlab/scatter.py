@@ -17,11 +17,11 @@ outgoing convention.
 resonances does not search the rectangle for them. spectral_resonances
 collocates the outgoing problem on Chebyshev points and returns its
 eigenvalues, which approximate the resonances without any root finding;
-rootscan.certify counts the rectangle on X, polishes the eigenvalues inside
-it into zeros of X and certifies them with the multiplicity squares and the
-total check, and searches the rectangle (locate_zeros) only when they do
-not account for the count. A rectangle that holds no zero takes no
-eigen-solve.
+rootscan.locate_zeros, given them as starts, counts the rectangle on X,
+polishes the eigenvalues inside it into zeros of X and certifies them with
+the multiplicity squares and the total check, and searches the rectangle
+only when they do not account for the count. A rectangle that holds no
+zero takes no eigen-solve.
 
 Two propagators carry the system. The X that scans see (xhat_function, so
 resonances and any wind_count on it) comes from sixth-order Magnus steps on
@@ -59,7 +59,7 @@ import numpy as np
 
 from .ftransform import pair_function
 from .potential import Potential
-from .rootscan import (Rectangle, ZeroSet, certify, locate_zeros,
+from .rootscan import (START_MARGIN, Rectangle, ZeroSet, locate_zeros,
                        match_zero_sets)
 
 DEFAULT_RTOL = 1e-10
@@ -74,10 +74,6 @@ POLE_FLOOR = 1e-12
 # reach further at a higher eig cost (97: |k| = 120 at twice the time), but
 # are no closer below, as the collocated u'' rounds at about n^4 eps
 SPECTRAL_NODES = 65
-# resonances keeps the eigenvalues that lie in the rectangle inflated by
-# this times its diameter, so that the jitter of the winding count, or an
-# eigenvalue a little off, costs no zero near an edge its start
-_START_MARGIN = 1e-3
 # no DOP853 solve is handed a smaller rtol: near 100 eps the rounding of a
 # step is a sizeable share of what its error estimate measures, so a
 # smaller rtol would only shrink the steps
@@ -638,31 +634,31 @@ def resonances(v: Potential, rect: Rectangle, tol: float = 1e-10, *,
 
     The zeros are certified on the Magnus X of xhat_function at rtol
     min(rtol, tol / 10): a Newton step of tol * max(1, |z|) can be trusted
-    only from an X that is accurate well below it. rootscan.certify counts
-    the rectangle and, unless it holds no zero, polishes the eigenvalues of
-    spectral_resonances(v, "full") that lie in the rectangle inflated by
-    _START_MARGIN times its diameter; where those do not account for the
-    count, it searches the rectangle with locate_zeros instead. Every zero
-    is then confirmed on the DOP853 path at rtol by _confirm_on_ode.
+    only from an X that is accurate well below it. rootscan.locate_zeros
+    counts the rectangle and, unless it holds no zero, polishes its starts:
+    the eigenvalues of spectral_resonances(v, "full") that lie in the
+    rectangle inflated by rootscan.START_MARGIN times its diameter. Where
+    those do not account for the count, it searches the rectangle it
+    counted instead. Every zero is then confirmed on the DOP853 path at
+    rtol by _confirm_on_ode.
 
     The scan's X goes through _exact_memo, which lives for this call: the
-    winding sweeps sample the edges that neighbouring cells share at the
-    same bits (rootscan's per-side ticks), and the search that certify may
-    fall back on counts the rectangle at the bits certify counted it at,
-    so such a momentum is evaluated once. The Magnus X of a momentum has
-    the same bits alone and in any batch, so a reused value is the value a
-    new evaluation would give, and the zero set does not change.
+    winding sweeps of the search sample the edges that neighbouring cells
+    share at the same bits (rootscan's per-side ticks), so such a momentum
+    is evaluated once. The Magnus X of a momentum has the same bits alone
+    and in any batch, so a reused value is the value a new evaluation would
+    give, and the zero set does not change.
     """
     if rect.distance_to(0.0) < EXCLUSION_RADIUS:
         raise ValueError(f"rectangle comes within {EXCLUSION_RADIUS:g} of "
                          "k = 0; shift it")
     x = xhat_function(v, rtol=min(rtol, tol / 10.0), atol=atol)
-    near = rect.inflated(_START_MARGIN * rect.diameter)
+    near = rect.inflated(START_MARGIN * rect.diameter)
 
     def starts():
         return [k for k in spectral_resonances(v, "full") if near.contains(k)]
 
-    zs = certify(_exact_memo(x), rect, starts, tol)
+    zs = locate_zeros(_exact_memo(x), rect, tol, starts)
     _confirm_on_ode(v, zs, tol, rtol, atol)
     return zs
 

@@ -1,4 +1,5 @@
-"""Strip geometry and window counts for exponential polynomials."""
+"""Strip geometry, window counts and closed-form zeros for exponential
+polynomials."""
 
 import math
 
@@ -7,10 +8,13 @@ import pytest
 
 from resonlab.dickson import (
     ExpPolynomial, curvilinear_count, containment_exceptions,
-    dickson_geometry, recommended_alpha0, recommended_H, strip_membership,
-    two_cosine_model, _invert_zeta, _zeta,
+    dickson_geometry, model_zeros, recommended_alpha0, recommended_H,
+    strip_membership, two_cosine_model, _invert_zeta, _zeta,
 )
-from resonlab.rootscan import Rectangle, RootScanError, locate_zeros
+from resonlab.rootscan import (
+    START_MARGIN, Rectangle, RootScanError, locate_zeros,
+)
+from test_rootscan import no_search
 
 X0 = math.acos(-0.25) / 2.0       # first positive zero of 2cos(2x) + 1/2
 
@@ -300,3 +304,77 @@ def test_containment_flags_off_strip_point():
     g = dickson_geometry(two_cosine_model())
     fake = [(30.0j, 1), (12.3, 1)]
     assert containment_exceptions(g, fake, H=2.0) == [30.0j]
+
+
+# ------------------------------------------------------ closed-form zeros
+
+WIDE = Rectangle(-300.0, 300.0, -2.0, 2.0)      # the dickson-wide box
+NARROW = Rectangle(0.5, 30.0, -1.5, 1.5)
+
+
+@pytest.mark.parametrize("rect", [WIDE, NARROW])
+def test_two_cosine_starts_match_the_enumeration(rect):
+    starts = model_zeros(two_cosine_model(), rect)
+    near = rect.inflated(START_MARGIN * rect.diameter)
+    assert starts.size == model_zero_count(near.re_min, near.re_max)
+    assert np.all(np.abs(starts.imag) <= 1e-12)
+    # each start is n pi + X0 or n pi - X0
+    off = np.mod(starts.real, math.pi)
+    miss = np.minimum(np.abs(off - X0), np.abs(off - (math.pi - X0)))
+    assert np.all(miss <= 1e-12 * np.maximum(1.0, np.abs(starts)))
+
+
+@pytest.mark.parametrize("rect", [WIDE, NARROW])
+def test_certified_zeros_equal_the_search(rect):
+    # the bound on the moved dickson_membership.txt of dickson-check
+    f = two_cosine_model()
+    g = dickson_geometry(f)
+    H = recommended_H(f, recommended_alpha0(f))
+    certified = locate_zeros(f, rect, 1e-9, lambda: model_zeros(f, rect))
+    searched = locate_zeros(f, rect, 1e-9)
+    assert len(certified) == len(searched) \
+        == model_zero_count(rect.re_min, rect.re_max)
+    for (a, m), (b, n) in zip(certified, searched):
+        assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
+        assert m == n == 1
+        if abs(b) > 1.0:
+            assert strip_membership(g, a, H) == strip_membership(g, b, H)
+
+
+def test_a_double_model_root_gets_multiplicity_two(monkeypatch):
+    # e^{2iz} - 2 e^{iz} + 1 = (u - 1)^2 with u = e^{iz}: a double zero at
+    # each 2 pi n
+    no_search(monkeypatch)
+    p = ExpPolynomial([(1.0, 0, 2j), (-2.0, 0, 1j), (1.0, 0, 0.0)])
+    rect = Rectangle(1.0, 20.0, -1.0, 1.0)
+    assert model_zeros(p, rect).size == 6
+    zs = locate_zeros(p, rect, 1e-10, lambda: model_zeros(p, rect))
+    assert [m for _, m in zs] == [2, 2, 2]
+    for n, (z, _) in enumerate(zs, start=1):
+        assert abs(z - 2.0 * math.pi * n) <= 1e-8
+
+
+@pytest.mark.parametrize("terms, named", [
+    ([(1.0, 0, 2j), (1.0, 1, 0.0)], "term 1 has power 1"),
+    ([(1.0, 0, 2j), (1.0, 0, 0.0, lambda z: 0.1 / z)],
+     "term 1 has a correction"),
+    ([(1.0, 0, 0.0), (1.0, 0, 1j), (1.0, 0, math.sqrt(2.0) * 1j)],
+     "term 2 has frequency"),
+])
+def test_model_zeros_rejects_other_models(terms, named):
+    with pytest.raises(ValueError, match=named):
+        model_zeros(ExpPolynomial(terms), NARROW)
+
+
+def test_the_wide_box_is_certified_from_its_model_starts(monkeypatch):
+    # dickson-check's scan: 21,470 points, against 223,085 for the search
+    no_search(monkeypatch)
+    f, points = two_cosine_model(), []
+
+    def counting(z):
+        points.append(np.size(z))
+        return f(z)
+
+    zs = locate_zeros(counting, WIDE, 1e-9, lambda: model_zeros(f, WIDE))
+    assert len(zs) == model_zero_count(-300.0, 300.0) == 382
+    assert sum(points) <= 25_000

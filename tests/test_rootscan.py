@@ -211,32 +211,47 @@ def test_locate_empty_rectangle():
     assert len(zs) == 0 and zs.total_multiplicity() == 0
 
 
-# ------------------------------------------------------------------ certify
+# ------------------------------------------------------------------ starts
 
 CUBIC = [0.3 + 0.2j, -0.5 - 0.4j, 0.6 - 0.7j]
 
 
 def no_search(monkeypatch):
     def search(*args):
-        raise AssertionError("certify fell back to locate_zeros")
+        raise AssertionError("locate_zeros searched instead of certifying")
 
-    monkeypatch.setattr(rootscan, "locate_zeros", search)
+    monkeypatch.setattr(rootscan, "_search", search)
 
 
 def test_certify_without_a_start_falls_back_to_the_search(monkeypatch):
     f = poly_from_roots(CUBIC)
-    locate, searched = rootscan.locate_zeros, []
+    search, searched = rootscan._search, []
 
     def recording(*args):
-        searched.append(args[1:])
-        return locate(*args)
+        # the rectangle, its count and tol
+        searched.append((args[1], args[2], args[4]))
+        return search(*args)
 
-    monkeypatch.setattr(rootscan, "locate_zeros", recording)
-    zs = rootscan.certify(f, SQUARE, lambda: [z + 1e-3 for z in CUBIC[1:]],
-                          1e-12)
-    assert searched == [(SQUARE, 1e-12)]
-    assert zs == locate(f, SQUARE, 1e-12)
+    monkeypatch.setattr(rootscan, "_search", recording)
+    zs = locate_zeros(f, SQUARE, 1e-12,
+                      lambda: [z + 1e-3 for z in CUBIC[1:]])
+    assert searched == [(SQUARE, 3, 1e-12)]
+    assert zs == locate_zeros(f, SQUARE, 1e-12)
     assert_matches(zs, [(z, 1) for z in CUBIC], 1e-12)
+
+
+def test_a_failed_start_counts_the_rectangle_once():
+    # the fallback searches the rectangle already counted: the first sweep
+    # of its boundary is not evaluated again
+    poly, calls = poly_from_roots(CUBIC), []
+
+    def f(z):
+        calls.append(np.array(z, copy=True))
+        return poly(z)
+
+    zs = locate_zeros(f, SQUARE, 1e-12, lambda: [CUBIC[1]])
+    assert_matches(zs, [(z, 1) for z in CUBIC], 1e-12)
+    assert sum(np.array_equal(c, calls[0]) for c in calls) == 1
 
 
 def test_certify_drops_a_spurious_and_a_duplicate_start(monkeypatch):
@@ -245,7 +260,7 @@ def test_certify_drops_a_spurious_and_a_duplicate_start(monkeypatch):
     no_search(monkeypatch)
     f = poly_from_roots(CUBIC + [3.0])
     starts = [z + 1e-3 for z in CUBIC] + [CUBIC[0] - 1e-3j, 2.9]
-    zs = rootscan.certify(f, SQUARE, lambda: starts, 1e-12)
+    zs = locate_zeros(f, SQUARE, 1e-12, lambda: starts)
     assert_matches(zs, [(z, 1) for z in CUBIC], 1e-12)
 
 
@@ -256,7 +271,7 @@ def test_certify_counts_a_double_zero_on_its_square(monkeypatch):
     f = poly_from_roots([1.0, 1.0, 2.0])
     rect = Rectangle(0.5, 2.5, -0.5, 0.5)
     starts = [1.05 + 0.02j, 0.97 - 0.01j, 2.03]
-    zs = rootscan.certify(f, rect, lambda: starts, 1e-10)
+    zs = locate_zeros(f, rect, 1e-10, lambda: starts)
     assert_matches(zs, [(1.0, 2), (2.0, 1)], 1e-8)
 
 
@@ -270,7 +285,7 @@ def test_certify_keeps_no_zero_from_outside_the_counted_rectangle(
         1.0 + 0.3j, 1, 1e-12, 0.0, SQUARE)])
     assert abs(polished - outside) <= 1e-12
     no_search(monkeypatch)
-    zs = rootscan.certify(f, SQUARE, lambda: [0.2 + 0.1j, 1.0 + 0.3j], 1e-12)
+    zs = locate_zeros(f, SQUARE, 1e-12, lambda: [0.2 + 0.1j, 1.0 + 0.3j])
     assert_matches(zs, [(0.2 + 0.1j, 1)], 1e-12)
 
 
@@ -280,7 +295,7 @@ def test_certify_of_a_zero_free_rectangle_asks_for_no_starts(monkeypatch):
     def starts():
         raise AssertionError("starts asked for")
 
-    zs = rootscan.certify(poly_from_roots([2.0 + 2.0j]), SQUARE, starts)
+    zs = locate_zeros(poly_from_roots([2.0 + 2.0j]), SQUARE, 1e-10, starts)
     assert zs == ZeroSet(())
 
 

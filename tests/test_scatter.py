@@ -317,10 +317,13 @@ def test_the_scan_rtol_is_the_smaller_of_rtol_and_a_tenth_of_tol(
         return xhat_function(v, rtol=rtol, atol=atol)
 
     monkeypatch.setattr(scatter, "xhat_function", recording)
-    monkeypatch.setattr(scatter, "locate_zeros", lambda *a: ZeroSet(()))
+    scans = []
+    monkeypatch.setattr(scatter, "locate_zeros",
+                        lambda *a: scans.append(a) or ZeroSet(()))
     resonances(make_poly_bump(), Rectangle(0.5, 9.0, -2.0, -0.05), tol,
                rtol=rtol)
     assert seen == [scanned]
+    assert len(scans) == 1
 
 
 def test_a_resonance_scan_evaluates_each_momentum_once(monkeypatch):
