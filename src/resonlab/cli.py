@@ -128,17 +128,14 @@ class ExperimentConfig:
         if self.perturb_mode not in PERTURB_MODES:
             raise ValueError(f"unknown perturb_mode {self.perturb_mode!r}; "
                              f"expected one of {PERTURB_MODES}")
-        # DOP853 never accepts a step at a NaN tolerance, and quad_rtol =
-        # inf ends in an error that does not name it
-        for key in ("quad_rtol", "ode_rtol", "ode_atol", "support_length",
-                    "radius"):
+        # DOP853 never accepts a step at a NaN tolerance; quad_rtol = inf
+        # and strip_height = inf end in errors that do not name them, and
+        # root_tol = inf accepts the first Newton step
+        for key in ("quad_rtol", "ode_rtol", "ode_atol", "root_tol",
+                    "support_length", "radius", "strip_height"):
             if not 0.0 < getattr(self, key) < np.inf:
                 raise ValueError(f"{key} must be finite and positive, "
                                  f"got {getattr(self, key)!r}")
-        for key in ("root_tol", "strip_height"):
-            if not getattr(self, key) > 0.0:
-                raise ValueError(
-                    f"{key} must be positive, got {getattr(self, key)!r}")
         if not all(d >= 0.0 for d in self.deltas):
             raise ValueError(f"deltas must be nonnegative, got {self.deltas!r}")
         # a NaN grid end makes every momentum NaN, and an infinite bound
@@ -291,7 +288,7 @@ def _run_dickson_check(cfg: ExperimentConfig, out: Path) -> list[Path]:
     alpha0 = recommended_alpha0(f)
     H = recommended_H(f, alpha0)
     rect = cfg.rectangle()
-    zs = locate_zeros(f, rect, cfg.root_tol, lambda: model_zeros(f, rect))
+    zs = locate_zeros(f, rect, cfg.root_tol, lambda near: model_zeros(f, near))
     exceptions = containment_exceptions(g, zs, H, r_min=1.0)
 
     big = [z for z, _ in zs if abs(z) > 1.0]

@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .rootscan import START_MARGIN, Rectangle, RootScanError, wind_count
+from .rootscan import Rectangle, RootScanError, wind_count
 
 __all__ = [
     "ExpTerm", "ExpPolynomial", "StripData", "SideData", "DicksonGeometry",
@@ -81,8 +81,7 @@ def two_cosine_model() -> ExpPolynomial:
 
 
 def model_zeros(p: ExpPolynomial, rect: Rectangle) -> np.ndarray:
-    """The zeros of p in rect, inflated by rootscan.START_MARGIN times its
-    diameter, in closed form.
+    """The zeros of p in rect, in closed form.
 
     Every term of p must have power 0 and no correction, and its frequency
     must lie on one lattice omega_j = omega_0 + n_j delta with integers
@@ -95,7 +94,9 @@ def model_zeros(p: ExpPolynomial, rect: Rectangle) -> np.ndarray:
     each root u_r of that polynomial (numpy.roots) gives the zeros
     z = (Log u_r + 2 pi i m) / delta for every integer m. A root of
     multiplicity k comes back as k nearby values, to the accuracy
-    numpy.roots gives it.
+    numpy.roots gives it. As starts of rootscan.locate_zeros, pass
+    lambda near: model_zeros(p, near): locate_zeros hands it the
+    rectangle it scans with its start margin around it.
     """
     freqs = [complex(t.frequency) for t in p.terms]
     for j, t in enumerate(p.terms):
@@ -126,10 +127,9 @@ def model_zeros(p: ExpPolynomial, rect: Rectangle) -> np.ndarray:
     coeffs = np.zeros(max(n) + 1, dtype=complex)
     coeffs[n] = [t.coefficient for t in p.terms]
     logs = np.log(np.roots(coeffs[::-1]))
-    near = rect.inflated(START_MARGIN * rect.diameter)
     period = 2j * math.pi / delta
-    corners = np.array([complex(x, y) for x in (near.re_min, near.re_max)
-                        for y in (near.im_min, near.im_max)])
+    corners = np.array([complex(x, y) for x in (rect.re_min, rect.re_max)
+                        for y in (rect.im_min, rect.im_max)])
     zs = []
     for lg in logs:
         # z = (lg + 2 pi i m) / delta steps along the period, and the m of a
@@ -137,7 +137,7 @@ def model_zeros(p: ExpPolynomial, rect: Rectangle) -> np.ndarray:
         t = ((corners - lg / delta) / period).real
         for m in range(math.ceil(t.min()), math.floor(t.max()) + 1):
             z = (lg + 2j * math.pi * m) / delta
-            if near.contains(z):
+            if rect.contains(z):
                 zs.append(z)
     return np.array(zs, dtype=complex)
 

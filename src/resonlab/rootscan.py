@@ -24,13 +24,14 @@ multiplicity, and the multiplicities must still sum to the outer winding.
 
 Given starts, locate_zeros takes the zeros from them instead of the
 subdivision, under the same certificates. It counts the rectangle once; a
-count of 0 ends it before the starts are asked for. Each start gets one
-Newton run on the counted rectangle (all in lockstep, a stalled run
-dropped), the zeros strictly inside it are kept and coincident ones merged,
-and the squares and the total check (_certified_set) run on them. When a
-square finds no zero or the multiplicities miss the count, a start was
-missing or wrong, and the subdivision (_search) goes on from the rectangle
-already counted.
+count of 0 ends it before the starts are asked for. It asks for them in
+the rectangle it was given, inflated by _START_MARGIN times its diameter,
+and keeps those that lie in it. Each gets one Newton run on the
+counted rectangle (all in lockstep, a stalled run dropped), the zeros
+strictly inside it are kept and coincident ones merged, and the squares
+and the total check (_certified_set) run on them. When a square finds no
+zero or the multiplicities miss the count, a start was missing or wrong,
+and the subdivision (_search) goes on from the rectangle already counted.
 
 The work is batch-first. One sweep takes many closed paths at once: their
 samples sit end to end in one array, neighbours are index arrays that wrap
@@ -48,12 +49,13 @@ samples and refinement midpoints are integer ticks counted from the side's
 lower or left end, whichever way the path runs. So the cells of a
 subdivision that share an edge sample it at the same bits: siblings on
 their inner edges, neighbours of the same depth, and (where the halving is
-exact) a child on the half-side that starts at a corner of its parent. A
-caller that remembers values by momentum (scatter.resonances) evaluates
-each such point once. Successive densities have coprime counts on every
-side and share no sample but the corners, so their agreement stays an
-independent check; after the first density the counts of a rectangle are
-chosen jointly, the fewest that keep those rules.
+exact) a child on the half-side that starts at a corner of its parent.
+Nothing now consumes those shared bits, but they stay, as the ticks and
+counts that keep the sampling per side give them at no cost. Successive
+densities have coprime counts on every side and share no sample but the
+corners, so their agreement stays an independent check; after the first
+density the counts of a rectangle are chosen jointly, the fewest that
+keep those rules.
 
 The scan settings are module constants: FLOOR_RATIO (a boundary sample below
 it times the sampled maximum is a zero on the boundary), MAX_BOUNDARY_POINTS
@@ -96,10 +98,10 @@ _MAX_DIRECT_COUNT = 3      # _power_sum_starts solves up to a cubic
 _NEWTON_ROUNDS = 80        # Newton rounds of an isolated cell's run
 _DIRECT_ROUNDS = 8         # Newton rounds of a run from a power-sum start
 _RADII_BLOCK = 64          # zeros per block of the zeros' pairwise gaps
-# callers of locate_zeros gather starts in the rectangle inflated by this
-# times its diameter, so that the jitter of the winding count, or a start a
-# little off, costs no zero near an edge its start
-START_MARGIN = 1e-3
+# locate_zeros asks for starts in the rectangle inflated by this times its
+# diameter, so that the jitter of the winding count, or a start a little
+# off, costs no zero near an edge its start
+_START_MARGIN = 1e-3
 
 
 class BoundaryZeroError(RuntimeError):
@@ -763,7 +765,8 @@ def _distinct(zs: list, diameter: float, tol: float) -> bool:
 
 
 def locate_zeros(f: Callable, rect: Rectangle, tol: float = 1e-10,
-                 starts: Callable[[], Iterable] | None = None) -> ZeroSet:
+                 starts: Callable[[Rectangle], Iterable] | None = None
+                 ) -> ZeroSet:
     """All zeros of f in the rectangle as a canonical ZeroSet.
 
     tol is the Newton acceptance: a zero is located once its Newton step is
@@ -776,31 +779,34 @@ def locate_zeros(f: Callable, rect: Rectangle, tol: float = 1e-10,
     The rectangle is counted once (_rect_winding, with its density
     agreement and jitter), and everything after works on the rectangle
     that was counted; a count of 0 returns the empty set at once. starts,
-    when given, is a callable that returns Newton starts. Each start is
-    polished by one Newton run on the counted rectangle, all runs in
-    lockstep; a run that stalls is dropped, never accepted on |f|. The
-    zeros strictly inside the counted rectangle are kept (Newton's
-    acceptance pad would admit one just outside it), and zeros within
-    MERGE_RESOLUTION of each other merge before their squares are counted,
-    so that no zero counts twice. The set stands when every square counts a
-    zero and the multiplicities sum to the winding (_certified_set);
-    otherwise, and when no starts are given, the rectangle is searched
-    (_search).
+    when given, is called with the rectangle near, rect inflated by
+    _START_MARGIN times its diameter, and returns Newton starts; those
+    that lie in near are polished, in the order given, by one Newton run
+    each on the counted rectangle, all runs in lockstep. A run that stalls
+    is dropped, never accepted on |f|. The zeros strictly inside the
+    counted rectangle are kept (Newton's acceptance pad would admit one
+    just outside it), and zeros within MERGE_RESOLUTION of each other
+    merge before their squares are counted, so that no zero counts twice.
+    The set stands when every square counts a zero and the multiplicities
+    sum to the winding (_certified_set); otherwise, and when no starts are
+    given, the rectangle is searched (_search).
     """
-    rect, total, top_scale = _rect_winding(f, rect)
+    counted, total, top_scale = _rect_winding(f, rect)
     if total == 0:
         return ZeroSet(())
     if starts is not None:
-        runs = [_newton_polish(z0, 1, tol, 0.0, rect) for z0 in starts()]
+        near = rect.inflated(_START_MARGIN * rect.diameter)
+        runs = [_newton_polish(z0, 1, tol, 0.0, counted)
+                for z0 in starts(near) if near.contains(z0)]
         inside = [z for z in _polish_in_lockstep(f, runs) if z is not None
-                  and rect.re_min < z.real < rect.re_max
-                  and rect.im_min < z.imag < rect.im_max]
+                  and counted.re_min < z.real < counted.re_max
+                  and counted.im_min < z.imag < counted.im_max]
         merged = ZeroSet.from_pairs((z, 1) for z in inside).locations()
         try:
-            return _certified_set(f, merged, total, rect.diameter)
+            return _certified_set(f, merged, total, counted.diameter)
         except RootScanError:
             pass
-    return _search(f, rect, total, top_scale, tol)
+    return _search(f, counted, total, top_scale, tol)
 
 
 def _search(f: Callable, rect: Rectangle, total: int, top_scale: float,

@@ -15,7 +15,8 @@ resonances are the zeros of X, sought in Im k < 0 under this e^{ikx}
 outgoing convention.
 
 resonances does not search the rectangle for them. spectral_resonances
-collocates the outgoing problem on Chebyshev points and returns its
+collocates the outgoing problem on Chebyshev points, as many as the
+largest |k| of the rectangle needs (SPECTRAL_RUNGS), and returns its
 eigenvalues, which approximate the resonances without any root finding;
 rootscan.locate_zeros, given them as starts, counts the rectangle on X,
 polishes the eigenvalues inside it into zeros of X and certifies them with
@@ -59,8 +60,7 @@ import numpy as np
 
 from .ftransform import pair_function
 from .potential import Potential
-from .rootscan import (START_MARGIN, Rectangle, ZeroSet, locate_zeros,
-                       match_zero_sets)
+from .rootscan import Rectangle, ZeroSet, locate_zeros, match_zero_sets
 
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
@@ -68,12 +68,17 @@ DEFAULT_ATOL = 1e-12
 # Jost data degenerates at the origin, so scans keep this distance from k = 0
 EXCLUSION_RADIUS = 0.05
 POLE_FLOOR = 1e-12
-# Chebyshev nodes of the one collocation block of spectral_resonances. On
-# gaussian-sharp (L = 1) its eigenvalues below |k| = 72 lie within 6e-11
-# relative of the zeros of X, and within 1e-6 up to |k| = 85; more nodes
-# reach further at a higher eig cost (97: |k| = 120 at twice the time), but
-# are no closer below, as the collocated u'' rounds at about n^4 eps
-SPECTRAL_NODES = 65
+# The rungs (reach, nodes) of spectral_resonances: its one collocation
+# block takes the nodes of the first rung whose reach holds |k| L, or of
+# the last. The reach is the |k| L up to which every eigenvalue lay within
+# 1e-6 relative of a zero of X on both gaussian-sharp and poly-bump (L = 1,
+# zeros to |k| = 150): 65 nodes miss by 1.0e-6 at 75.5 on poly-bump (and
+# by 1.6e-6 at 88.4 on gaussian-sharp), 97 by 1.0e-6 at 119.3 on poly-bump
+# (4.1e-6 at 148.0 on gaussian-sharp). More nodes round worse at depth, as
+# the collocated u'' rounds at about n^4 eps: 113 and 129 miss 1e-6 below
+# |k| = 72 on poly-bump, so the ladder stops at 97. The eig of 97 nodes
+# takes about twice the time of 65.
+SPECTRAL_RUNGS = ((75.0, 65), (119.0, 97))
 # no DOP853 solve is handed a smaller rtol: near 100 eps the rounding of a
 # step is a sizeable share of what its error estimate measures, so a
 # smaller rtol would only shrink the steps
@@ -123,8 +128,7 @@ def _dop_fcn(x, y, fun):
     return fun(x, y.view(complex)).view(float)
 
 
-def solve_ivp(fun, t_span, y0, *, method: str, rtol: float,
-              atol: float) -> OdeResult:
+def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float) -> OdeResult:
     """Integrate y' = fun(x, y) over t_span with scipy's compiled DOP853.
 
     This is Hairer's code (Hairer, Norsett and Wanner, Solving ODEs I,
@@ -141,8 +145,6 @@ def solve_ivp(fun, t_span, y0, *, method: str, rtol: float,
     this through the module global, so a replacement of scatter.solve_ivp
     sees every solve.
     """
-    if method != "DOP853":
-        raise ValueError(f"solve_ivp runs DOP853 only, not {method!r}")
     from scipy.integrate import _dop
 
     y0 = np.ascontiguousarray(y0, dtype=complex).view(float)
@@ -189,7 +191,7 @@ def _solve_m(v: Potential, ks: np.ndarray, rtol: float, atol: float):
     y = np.concatenate([np.ones(nk, dtype=complex), np.zeros(nk, dtype=complex)])
     ends = v.edges[::-1]
     for a, b in zip(ends, ends[1:]):
-        sol = solve_ivp(rhs, (a, b), y, method="DOP853", rtol=rtol, atol=atol)
+        sol = solve_ivp(rhs, (a, b), y, rtol=rtol, atol=atol)
         if not sol.success:
             batch = "" if nk == 1 else f" (first of a batch of {nk})"
             raise JostIntegrationError(
@@ -549,52 +551,20 @@ def _smatrix_entry(k: float, x_hat: complex, y_hat_minus: complex):
     return ScatteringMatrix(k, t, r_right, l_left, defect)
 
 
-def _exact_memo(f: Callable) -> Callable:
-    """f with every distinct momentum evaluated once over the memo's life.
-
-    A momentum is keyed by its exact 16 bytes, so -0.0 and +0.0 stay
-    apart; keys and values live in two sorted numpy arrays. Repeats within
-    one call are evaluated once, and the momenta not seen before go to f in
-    one call, in the order they first appear. Reuse is exact only for an f
-    whose value at a point does not depend on the batch it comes in, as
-    xhat_function's does not.
-    """
-    keys = np.empty(0, dtype="V16")
-    vals = np.empty(0, dtype=complex)
-
-    def memo(ks):
-        nonlocal keys, vals
-        arr = np.asarray(ks, dtype=complex)
-        flat = arr.ravel()
-        uniq, first, inverse = np.unique(flat.view("V16"), return_index=True,
-                                         return_inverse=True)
-        at = np.searchsorted(keys, uniq)
-        known = at < keys.size
-        known[known] = keys[at[known]] == uniq[known]
-        out = np.empty(uniq.size, dtype=complex)
-        out[known] = vals[at[known]]
-        new = np.flatnonzero(~known)
-        if new.size:
-            new = new[np.argsort(first[new])]
-            out[new] = f(flat[first[new]])
-            new.sort()
-            keys = np.insert(keys, at[new], uniq[new])
-            vals = np.insert(vals, at[new], out[new])
-        return out[inverse].reshape(arr.shape)
-
-    return memo
-
-
-def spectral_resonances(v: Potential, line: str) -> np.ndarray:
+def spectral_resonances(v: Potential, line: str,
+                        k_max: float = 0.0) -> np.ndarray:
     """Outgoing eigenvalues of -u'' + V u = k^2 u on [0, L], as Newton starts.
 
-    u is collocated on SPECTRAL_NODES Chebyshev points of [0, L], one block
-    over the whole support, with u'(L) = ik u(L) and, on the full line
-    (line "full"), u'(0) = -ik u(0), or on the half line ("half") u(0) = 0
+    u is collocated on n Chebyshev points of [0, L], one block over the
+    whole support, with u'(L) = ik u(L) and, on the full line (line
+    "full"), u'(0) = -ik u(0), or on the half line ("half") u(0) = 0
     (Bindel and Zworski, Theory and computation of resonances in 1D
-    scattering). The boundary rows are linear in k and the interior rows
-    quadratic. With k = i kappa every row is real: kappa u = -u'(L) at L
-    and kappa u = u'(0) at 0 (full line), kappa^2 u = u'' - V u inside.
+    scattering). n is the nodes of the first rung of SPECTRAL_RUNGS whose
+    reach holds k_max L (by default the first rung), or of the last rung,
+    where k_max is the largest |k| the caller needs resolved. The boundary
+    rows are linear in k and the interior rows quadratic. With k = i kappa
+    every row is real: kappa u = -u'(L) at L and kappa u = u'(0) at 0
+    (full line), kappa^2 u = u'' - V u inside.
     Those rows, with w = kappa u at the interior nodes, are a standard
     eigenproblem kappa z = M z in z = (u, w), of order 2n - 2 on the full
     line and 2n - 3 on the half line, where u(0) = 0 leaves the unknowns;
@@ -602,13 +572,15 @@ def spectral_resonances(v: Potential, line: str) -> np.ndarray:
     three infinite eigenvalues solved out (Tisseur and Meerbergen, SIAM
     Rev. 43, 2001). One real LAPACK eigenvalue call (numpy.linalg.eigvals)
     gives every kappa, and k = i kappa. The values come with no claim of
-    accuracy: the resolved ones are the zeros of X (full line) or of the
-    Jost function m(0) (half line) to about 1e-6 relative, the others are
-    artefacts of the discretization.
+    accuracy: the resolved ones, those below the reach of the rung, are the
+    zeros of X (full line) or of the Jost function m(0) (half line) to
+    about 1e-6 relative, the others are artefacts of the discretization.
     """
     if line not in ("full", "half"):
         raise ValueError(f"line must be 'full' or 'half', not {line!r}")
-    n = SPECTRAL_NODES
+    kl = k_max * v.support_length
+    n = next((n for reach, n in SPECTRAL_RUNGS if kl <= reach),
+             SPECTRAL_RUNGS[-1][1])
     j = np.arange(n)
     t = np.cos(np.pi * j / (n - 1))         # node j sits at x = L (1 + t) / 2
     c = np.where((j == 0) | (j == n - 1), 2.0, 1.0) * (-1.0) ** j
@@ -636,29 +608,23 @@ def resonances(v: Potential, rect: Rectangle, tol: float = 1e-10, *,
     min(rtol, tol / 10): a Newton step of tol * max(1, |z|) can be trusted
     only from an X that is accurate well below it. rootscan.locate_zeros
     counts the rectangle and, unless it holds no zero, polishes its starts:
-    the eigenvalues of spectral_resonances(v, "full") that lie in the
-    rectangle inflated by rootscan.START_MARGIN times its diameter. Where
-    those do not account for the count, it searches the rectangle it
+    the eigenvalues of spectral_resonances(v, "full", k_max) in the
+    rectangle near that it asks them for, k_max the largest |k| of near.
+    Where those do not account for the count, it searches the rectangle it
     counted instead. Every zero is then confirmed on the DOP853 path at
     rtol by _confirm_on_ode.
-
-    The scan's X goes through _exact_memo, which lives for this call: the
-    winding sweeps of the search sample the edges that neighbouring cells
-    share at the same bits (rootscan's per-side ticks), so such a momentum
-    is evaluated once. The Magnus X of a momentum has the same bits alone
-    and in any batch, so a reused value is the value a new evaluation would
-    give, and the zero set does not change.
     """
     if rect.distance_to(0.0) < EXCLUSION_RADIUS:
         raise ValueError(f"rectangle comes within {EXCLUSION_RADIUS:g} of "
                          "k = 0; shift it")
     x = xhat_function(v, rtol=min(rtol, tol / 10.0), atol=atol)
-    near = rect.inflated(START_MARGIN * rect.diameter)
 
-    def starts():
-        return [k for k in spectral_resonances(v, "full") if near.contains(k)]
+    def starts(near):
+        k_max = max(abs(complex(a, b)) for a in (near.re_min, near.re_max)
+                    for b in (near.im_min, near.im_max))
+        return spectral_resonances(v, "full", k_max)
 
-    zs = locate_zeros(_exact_memo(x), rect, tol, starts)
+    zs = locate_zeros(x, rect, tol, starts)
     _confirm_on_ode(v, zs, tol, rtol, atol)
     return zs
 

@@ -284,8 +284,10 @@ def test_main_bad_config_field_diagnostic(tmp_path, capsys):
 @pytest.mark.parametrize("text, key", [
     ("[reconstruction]\nperturb_mode = uniform\n", "perturb_mode"),
     ("[tolerances]\nroot_tol = 0\n", "root_tol"),
+    ("[tolerances]\nroot_tol = inf\n", "root_tol"),
     ("[reconstruction]\nstrip_height = -1\n", "strip_height"),
     ("[reconstruction]\nstrip_height = nan\n", "strip_height"),
+    ("[reconstruction]\nstrip_height = inf\n", "strip_height"),
     ("[tolerances]\node_atol = nan\n", "ode_atol"),
     ("[tolerances]\node_rtol = nan\n", "ode_rtol"),
     ("[tolerances]\nquad_rtol = inf\n", "quad_rtol"),
@@ -297,17 +299,19 @@ def test_main_bad_config_field_diagnostic(tmp_path, capsys):
     ("[potential]\nsupport_length = -1\n", "support_length"),
     ("[reconstruction]\nradius = -1\n", "radius"),
     ("[reconstruction]\ndeltas = 0.1 -0.01\n", "deltas"),
-], ids=["unknown-perturb-mode", "zero-root-tol", "negative-strip-height",
-        "nan-strip-height", "nan-ode-atol", "nan-ode-rtol", "inf-quad-rtol",
+], ids=["unknown-perturb-mode", "zero-root-tol", "inf-root-tol",
+        "negative-strip-height", "nan-strip-height", "inf-strip-height",
+        "nan-ode-atol", "nan-ode-rtol", "inf-quad-rtol",
         "no-grid-points", "inverted-rectangle", "flat-rectangle",
         "inf-rectangle-bound", "nan-grid-start",
         "negative-support-length", "negative-radius", "negative-delta"])
 def test_main_rejects_a_value_that_would_break_the_run(tmp_path, capsys,
                                                        text, key):
-    # an unknown perturb_mode or a strip_height that is not > 0 fails every
-    # stability row, a Newton step can never be accepted at root_tol = 0,
-    # DOP853 accepts no step at a NaN ODE tolerance or a NaN momentum (a
-    # NaN grid end), and quad_rtol = inf or an infinite rectangle bound
+    # an unknown perturb_mode or a strip_height that is not finite and > 0
+    # fails every stability row, a Newton step can never be accepted at
+    # root_tol = 0 and the first is accepted at root_tol = inf, DOP853
+    # accepts no step at a NaN ODE tolerance or a NaN momentum (a NaN grid
+    # end), and quad_rtol = inf or an infinite rectangle bound
     # ends in an error that does not name it; the grid, rectangle,
     # support, radius and delta values stop a pipeline only once it reaches
     # them (and scatter-matrix never reads the rectangle)

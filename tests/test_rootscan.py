@@ -234,7 +234,7 @@ def test_certify_without_a_start_falls_back_to_the_search(monkeypatch):
 
     monkeypatch.setattr(rootscan, "_search", recording)
     zs = locate_zeros(f, SQUARE, 1e-12,
-                      lambda: [z + 1e-3 for z in CUBIC[1:]])
+                      lambda near: [z + 1e-3 for z in CUBIC[1:]])
     assert searched == [(SQUARE, 3, 1e-12)]
     assert zs == locate_zeros(f, SQUARE, 1e-12)
     assert_matches(zs, [(z, 1) for z in CUBIC], 1e-12)
@@ -249,18 +249,18 @@ def test_a_failed_start_counts_the_rectangle_once():
         calls.append(np.array(z, copy=True))
         return poly(z)
 
-    zs = locate_zeros(f, SQUARE, 1e-12, lambda: [CUBIC[1]])
+    zs = locate_zeros(f, SQUARE, 1e-12, lambda near: [CUBIC[1]])
     assert_matches(zs, [(z, 1) for z in CUBIC], 1e-12)
     assert sum(np.array_equal(c, calls[0]) for c in calls) == 1
 
 
 def test_certify_drops_a_spurious_and_a_duplicate_start(monkeypatch):
-    # 2.9 runs to the zero at 3, outside the square; the duplicate start
-    # runs to the zero that CUBIC[0] + 1e-3 finds too
+    # 2.9 lies outside the square and its margin, so it is never polished;
+    # the duplicate start runs to the zero that CUBIC[0] + 1e-3 finds too
     no_search(monkeypatch)
     f = poly_from_roots(CUBIC + [3.0])
     starts = [z + 1e-3 for z in CUBIC] + [CUBIC[0] - 1e-3j, 2.9]
-    zs = locate_zeros(f, SQUARE, 1e-12, lambda: starts)
+    zs = locate_zeros(f, SQUARE, 1e-12, lambda near: starts)
     assert_matches(zs, [(z, 1) for z in CUBIC], 1e-12)
 
 
@@ -271,7 +271,7 @@ def test_certify_counts_a_double_zero_on_its_square(monkeypatch):
     f = poly_from_roots([1.0, 1.0, 2.0])
     rect = Rectangle(0.5, 2.5, -0.5, 0.5)
     starts = [1.05 + 0.02j, 0.97 - 0.01j, 2.03]
-    zs = locate_zeros(f, rect, 1e-10, lambda: starts)
+    zs = locate_zeros(f, rect, 1e-10, lambda near: starts)
     assert_matches(zs, [(1.0, 2), (2.0, 1)], 1e-8)
 
 
@@ -285,18 +285,41 @@ def test_certify_keeps_no_zero_from_outside_the_counted_rectangle(
         1.0 + 0.3j, 1, 1e-12, 0.0, SQUARE)])
     assert abs(polished - outside) <= 1e-12
     no_search(monkeypatch)
-    zs = locate_zeros(f, SQUARE, 1e-12, lambda: [0.2 + 0.1j, 1.0 + 0.3j])
+    zs = locate_zeros(f, SQUARE, 1e-12, lambda near: [0.2 + 0.1j, 1.0 + 0.3j])
     assert_matches(zs, [(0.2 + 0.1j, 1)], 1e-12)
 
 
 def test_certify_of_a_zero_free_rectangle_asks_for_no_starts(monkeypatch):
     no_search(monkeypatch)
 
-    def starts():
+    def starts(near):
         raise AssertionError("starts asked for")
 
     zs = locate_zeros(poly_from_roots([2.0 + 2.0j]), SQUARE, 1e-10, starts)
     assert zs == ZeroSet(())
+
+
+def test_starts_are_asked_for_the_given_rectangle_with_its_margin(
+        monkeypatch):
+    # the zero on the right edge makes the count jitter outward, yet the
+    # starts are asked for on the square itself, inflated by the margin;
+    # only those inside that are polished, in the order given
+    no_search(monkeypatch)
+    poly, calls, asked = poly_from_roots(CUBIC + [1.0]), [], []
+
+    def f(z):
+        calls.append(np.array(z, copy=True))
+        return poly(z)
+
+    starts = [1.001, 2.9, CUBIC[2] + 1e-3, CUBIC[0] + 1e-3, 1.01j,
+              CUBIC[1] + 1e-3]
+    zs = locate_zeros(f, SQUARE, 1e-12,
+                      lambda near: asked.append(near) or starts)
+    assert asked == [SQUARE.inflated(
+        rootscan._START_MARGIN * SQUARE.diameter)]
+    first = next(c for c in calls if c[0] == starts[0])
+    assert first[::3].tolist() == [starts[i] for i in (0, 2, 3, 5)]
+    assert_matches(zs, [(z, 1) for z in CUBIC + [1.0]], 1e-12)
 
 
 # ------------------------------------------------------------------ ZeroSet

@@ -13,8 +13,9 @@ import pytest
 from resonlab import scatter
 from resonlab.potential import make_poly_bump, make_truncated_gaussian
 from resonlab.rootscan import Rectangle, ZeroSet, locate_zeros, match_zero_sets
-from resonlab.scatter import (_exact_memo, _magnus_m, resonances,
-                              spectral_resonances, xhat_function)
+from resonlab.scatter import (_magnus_m, resonances, spectral_resonances,
+                              xhat_function)
+from test_rootscan import no_search
 
 FROESE_SHARP = Rectangle(0.5, 72.0, -11.0, -0.05)
 
@@ -57,8 +58,7 @@ def test_spectral_resonances_takes_a_full_or_a_half_line():
 
 def test_certified_resonances_move_by_under_1e_10_from_the_search():
     v = make_truncated_gaussian(sharp_edge=True)
-    searched = locate_zeros(_exact_memo(xhat_function(v, rtol=1e-10)),
-                            FROESE_SHARP, 1e-6)
+    searched = locate_zeros(xhat_function(v, rtol=1e-10), FROESE_SHARP, 1e-6)
     certified = resonances(v, FROESE_SHARP, 1e-6)
     assert len(certified) == len(searched) == 22
     assert [m for _, m in certified] == [m for _, m in searched]
@@ -87,9 +87,9 @@ def test_resonances_on_the_froese_sharp_box_take_under_1600_momenta(
 def test_a_box_without_resonances_makes_no_eigen_solve(monkeypatch):
     solves = []
 
-    def spectral(v, line):
+    def spectral(v, line, k_max):
         solves.append(line)
-        return spectral_resonances(v, line)
+        return spectral_resonances(v, line, k_max)
 
     monkeypatch.setattr(scatter, "spectral_resonances", spectral)
     v = make_truncated_gaussian(sharp_edge=True)
@@ -97,3 +97,63 @@ def test_a_box_without_resonances_makes_no_eigen_solve(monkeypatch):
     assert solves == []
     assert len(resonances(v, Rectangle(0.5, 10.0, -8.0, -0.05), 1e-8)) == 2
     assert solves == ["full"]
+
+
+def recording_spectral(monkeypatch):
+    """The number of eigenvalues of each eigen-solve that resonances makes:
+    2n - 2 on the full line for n nodes."""
+    sizes = []
+
+    def spectral(*args):
+        ks = spectral_resonances(*args)
+        sizes.append(ks.size)
+        return ks
+
+    monkeypatch.setattr(scatter, "spectral_resonances", spectral)
+    return sizes
+
+
+def test_a_box_inside_the_reach_of_65_nodes_collocates_on_65(monkeypatch):
+    sizes = recording_spectral(monkeypatch)
+    zs = resonances(make_truncated_gaussian(sharp_edge=True), FROESE_SHARP,
+                    1e-6)
+    assert zs.total_multiplicity() == 22
+    assert sizes == [2 * 65 - 2]
+
+
+def test_a_box_past_the_reach_of_65_nodes_is_certified(monkeypatch):
+    # 65 nodes miss these zeros by up to 4% above |k| = 100; 97 resolve
+    # them, so no search runs, and every zero confirms on DOP853
+    no_search(monkeypatch)
+    sizes = recording_spectral(monkeypatch)
+    confirm, confirmed = scatter._confirm_on_ode, []
+
+    def recording_confirm(v, zs, *args):
+        confirm(v, zs, *args)
+        confirmed.append(len(zs))
+
+    monkeypatch.setattr(scatter, "_confirm_on_ode", recording_confirm)
+    zs = resonances(make_truncated_gaussian(sharp_edge=True),
+                    Rectangle(0.5, 120.0, -12.0, -0.05), 1e-6)
+    assert len(zs) == zs.total_multiplicity() == 37
+    assert sizes == [2 * 97 - 2]
+    assert confirmed == [37]
+
+
+@pytest.mark.parametrize("v, rect", [
+    (make_truncated_gaussian(sharp_edge=True),
+     Rectangle(72.0, 118.0, -12.0, -10.0)),
+    (make_poly_bump(), Rectangle(72.0, 118.0, -18.0, -15.0)),
+], ids=["gaussian-sharp", "poly-bump"])
+def test_97_nodes_hold_1e_6_up_to_their_reach(v, rect):
+    # the second rung of SPECTRAL_RUNGS, past the reach of 65 nodes
+    scanned = locate_zeros(xhat_function(v, rtol=1e-12, atol=1e-14), rect,
+                           1e-11)
+    ks = spectral_resonances(v, "full", 118.0)
+    assert ks.size == 2 * 97 - 2
+    inside = ks[(ks.real > rect.re_min) & (ks.real < rect.re_max)
+                & (ks.imag > rect.im_min) & (ks.imag < rect.im_max)]
+    assert inside.size == scanned.total_multiplicity() == 14
+    pairs = match_zero_sets(ZeroSet((k, 1) for k in inside), scanned).pairs
+    for k, z in pairs:
+        assert abs(k - z) <= 1e-6 * max(1.0, abs(z))
