@@ -136,8 +136,9 @@ class ExperimentConfig:
             if not 0.0 < getattr(self, key) < np.inf:
                 raise ValueError(f"{key} must be finite and positive, "
                                  f"got {getattr(self, key)!r}")
-        if not all(d >= 0.0 for d in self.deltas):
-            raise ValueError(f"deltas must be nonnegative, got {self.deltas!r}")
+        if not all(0.0 <= d < np.inf for d in self.deltas):
+            raise ValueError(
+                f"deltas must be finite and >= 0, got {self.deltas!r}")
         # a NaN grid end makes every momentum NaN, and an infinite bound
         # ends the winding sweep in an error that does not name it
         for key in ("re_min", "re_max", "im_min", "im_max", "grid_start",

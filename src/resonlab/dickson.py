@@ -338,7 +338,7 @@ def curvilinear_count(f, g: DicksonGeometry, k: int, j: int, alpha: float,
     strip = side.strips[j]
     count = wind_count(
         lambda w: f(_invert_zeta(w, side.e, strip.mu, side.phi)),
-        Rectangle(-H, H, alpha, alpha + s), n_initial=128)
+        Rectangle(-H, H, alpha, alpha + s))
     if alpha_floor is not None and alpha < alpha_floor:
         return CurvilinearCount(count, None)
     expected = s * strip.delta_omega / (2.0 * math.pi)

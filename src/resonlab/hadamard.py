@@ -273,8 +273,8 @@ def perturb_zeros(zero_set: ZeroSet, delta: float,
     Draws depend on the seed and the set but not on delta, so the same seed
     across a delta sweep scales one fixed displacement field linearly.
     """
-    if delta < 0.0:
-        raise ValueError("delta must be nonnegative")
+    if not 0.0 <= delta < math.inf:
+        raise ValueError(f"delta must be finite and >= 0, got {delta!r}")
     if mode not in PERTURB_MODES:
         raise ValueError(f"unknown perturbation mode {mode!r}; "
                          f"expected one of {PERTURB_MODES}")
@@ -391,9 +391,10 @@ def stability_experiment(v: Potential, rect: Rectangle,
     grid = np.asarray(grid, dtype=float).ravel()
     if grid.size == 0:
         raise ValueError("empty evaluation grid")
-    deltas = sorted((float(d) for d in deltas), reverse=True)
-    if deltas and deltas[-1] < 0.0:
-        raise ValueError("deltas must be nonnegative")
+    deltas = [float(d) for d in deltas]
+    if not all(0.0 <= d < math.inf for d in deltas):
+        raise ValueError(f"deltas must be finite and >= 0, got {deltas!r}")
+    deltas.sort(reverse=True)
 
     z1, c = mirrored_reconstruction(pair_function(v, quad_rtol), rect,
                                     scan_tol)

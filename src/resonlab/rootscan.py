@@ -44,18 +44,13 @@ still iterating, then counts the children of all other cells in one batched
 winding, and finally certifies every multiplicity square in one sweep.
 
 A rectangle is sampled per side, not by arc length along the whole path
-(_RectSides): each side gets its share of the density by length, and its
-samples and refinement midpoints are integer ticks counted from the side's
-lower or left end, whichever way the path runs. So the cells of a
-subdivision that share an edge sample it at the same bits: siblings on
-their inner edges, neighbours of the same depth, and (where the halving is
-exact) a child on the half-side that starts at a corner of its parent.
-Nothing now consumes those shared bits, but they stay, as the ticks and
-counts that keep the sampling per side give them at no cost. Successive
-densities have coprime counts on every side and share no sample but the
-corners, so their agreement stays an independent check; after the first
-density the counts of a rectangle are chosen jointly, the fewest that
-keep those rules.
+(_RectSides), so that a short side of a thin cell still gets samples: each
+side gets its share of the density by length, at float side parameters
+t = s + i / N_s on side s, and a refinement midpoint is (a + b) / 2.
+Successive densities have coprime counts on every side and share no
+sample but the corners, so their agreement stays an independent check;
+after the first density the counts of a rectangle are chosen jointly, the
+fewest that keep those rules.
 
 The scan settings are module constants: FLOOR_RATIO (a boundary sample below
 it times the sampled maximum is a zero on the boundary), MAX_BOUNDARY_POINTS
@@ -120,6 +115,9 @@ class Rectangle:
     im_max: float
 
     def __post_init__(self):
+        bounds = (self.re_min, self.re_max, self.im_min, self.im_max)
+        if not all(map(math.isfinite, bounds)):
+            raise ValueError(f"rectangle bounds must be finite, got {self!r}")
         if not (self.re_min < self.re_max and self.im_min < self.im_max):
             raise ValueError("rectangle must have positive width and height")
 
@@ -162,11 +160,6 @@ class Rectangle:
             Rectangle(self.re_min, xm, ym, self.im_max),
             Rectangle(xm, self.re_max, ym, self.im_max),
         )
-
-
-# A side's samples sit on integer ticks: a sample is side * _SIDE + r, r
-# ticks along the side in the direction the path runs (r < 2**52 <= _SIDE)
-_SIDE = 1 << 53
 
 
 def _side_counts(lengths: np.ndarray, n: int,
@@ -215,44 +208,31 @@ def _joint_counts(n: int, diff: float, prev_a: int, prev_b: int):
 
 
 class _RectSides:
-    """Rectangle boundaries sampled per side on canonical integer ticks.
+    """Rectangle boundaries sampled per side at float side parameters.
 
     Side s of a path runs from corner s to corner s + 1 (counterclockwise
-    from the lower-left) and carries N_s samples from _side_counts. Its
-    D = N_s 2**K ticks, K as large as keeps D below 2**52, are counted from
-    the side's lower or left end whichever way the path runs: tick J is the
-    point lo + (J / D)(hi - lo), one correctly rounded division of exact
-    integers, and a path's first sample on a side is its start corner
-    itself. The samples are the ticks i 2**K, and a refinement midpoint is
-    the integer midpoint of two ticks, rounded down in J. So two rectangles
-    with the same bounds and count on an edge sample it at the same bits,
-    however the paths run. Siblings of an even split get the same count on
-    their shared edge; a child's half-side gets its parent's count on the
-    whole side, so where the halving is exact in floating point, a half
-    that starts at a corner of the parent holds every parent sample on it.
-    A step between adjacent ticks cannot be split.
+    from the lower-left; corner 4 is corner 0) and carries N_s samples from
+    _side_counts. A sample is the parameter t = s + i / N_s, i < N_s, at the
+    point corner_s + (t - s)(corner_s+1 - corner_s), so a path's first
+    sample on a side is its start corner. A refinement midpoint is
+    (a + b) / 2, and the last step of a path ends at t = 4. A step whose
+    midpoint equals one of its ends cannot be split.
     """
 
     def __init__(self, bounds: np.ndarray, n: int):
         """bounds: (paths, 4) rows (re_min, re_max, im_min, im_max)."""
         bounds = np.asarray(bounds, dtype=float)
         re0, re1, im0, im1 = bounds.T
-        width, height = re1 - re0, im1 - im0
-        ll, lr = re0 + 1j * im0, re1 + 1j * im0
-        ur, ul = re1 + 1j * im1, re0 + 1j * im1
+        corners = np.stack([re0 + 1j * im0, re1 + 1j * im0, re1 + 1j * im1,
+                            re0 + 1j * im1], axis=1)
         # per (path, side), flattened as 4 * path + side
-        self.first = np.stack([ll, lr, ur, ul], axis=1).ravel()
-        self.base = np.stack([ll, lr, ul, ll], axis=1).ravel()
-        self.step = np.stack([width, 1j * height, width, 1j * height],
-                             axis=1).ravel()
-        self.lengths = np.stack([width, height, width, height], axis=1)
+        self.first = corners.ravel()
+        self.step = (np.roll(corners, -1, axis=1) - corners).ravel()
+        self.lengths = np.abs(self.step).reshape(-1, 4)
         # Rectangle.center's arithmetic, its signed zeros included
         self.centers = (0.5 * (bounds[:, ::2] + bounds[:, 1::2])).view(
             complex).ravel()
         self.n, self.counts = n, _side_counts(self.lengths, n)
-        self.scale = np.empty(self.counts.size, dtype=np.int64)
-        self.ticks = np.empty_like(self.scale)
-        self._ticks(np.arange(len(bounds)))
 
     def escalate(self, ids: np.ndarray | None = None) -> None:
         """Move the paths ids (default every path) on to the next density,
@@ -263,44 +243,27 @@ class _RectSides:
             ids = np.arange(len(self.counts))
         self.counts[ids] = _side_counts(self.lengths[ids], self.n,
                                         self.counts[ids])
-        self._ticks(ids)
-
-    def _ticks(self, ids: np.ndarray) -> None:
-        k = (4 * ids[:, None] + np.arange(4)).ravel()
-        counts = self.counts[ids].ravel()
-        # 2**K with K = 52 minus the bit length of the count, which is the
-        # exponent frexp gives for an integer below 2**53
-        scale = np.left_shift(np.int64(1), 52 - np.frexp(counts)[1])
-        self.scale[k], self.ticks[k] = scale, counts * scale
 
     def sizes(self, ids: np.ndarray) -> np.ndarray:
         return self.counts[ids].sum(axis=1)
 
     def start(self, ids: np.ndarray) -> np.ndarray:
         counts = self.counts[ids].ravel()
-        k = np.repeat((4 * ids[:, None] + np.arange(4)).ravel(), counts)
-        i = np.arange(k.size) - np.repeat(np.cumsum(counts) - counts, counts)
-        return (k % 4) * _SIDE + i * self.scale[k]
+        k = np.repeat(np.arange(counts.size), counts)
+        i = np.arange(k.size) - (np.cumsum(counts) - counts)[k]
+        return k % 4 + i / counts[k]
 
-    def points(self, ids: np.ndarray, u: np.ndarray) -> np.ndarray:
-        side = u // _SIDE
-        r = u - side * _SIDE
+    def points(self, ids: np.ndarray, t: np.ndarray) -> np.ndarray:
+        side = t.astype(np.intp)
         k = 4 * ids + side
-        d = self.ticks[k]
-        pts = self.base[k] + (np.where(side >= 2, d - r, r) / d) * self.step[k]
-        corner = np.flatnonzero(r == 0)
-        pts[corner] = self.first[k[corner]]
-        return pts
+        return self.first[k] + (t - side) * self.step[k]
 
-    def mids(self, ids: np.ndarray, a: np.ndarray, b: np.ndarray):
-        side = a // _SIDE
-        ra = a - side * _SIDE
-        # the step to the next side's corner (the first sample of the next
-        # side, or of the path) ends at the far tick D
-        rb = np.where(b // _SIDE == side, b - side * _SIDE,
-                      self.ticks[4 * ids + side])
-        # r runs down in J on the top and left sides: round up in r there
-        return side * _SIDE + (ra + rb + (side >= 2)) // 2, rb - ra > 1
+    @staticmethod
+    def mids(a: np.ndarray, b: np.ndarray):
+        # the step from a path's last sample to its first ends at t = 4
+        b = np.where(b > a, b, 4.0)
+        mid = 0.5 * (a + b)
+        return mid, (a < mid) & (mid < b)
 
 
 def _moments(paths: _RectSides, ids: np.ndarray, ts: np.ndarray,
@@ -405,7 +368,7 @@ def _sweep(f: Callable, paths: _RectSides, ids: np.ndarray,
         # it; the successor of a path's last sample is its first
         at = np.flatnonzero(bad)
         own = np.repeat(np.arange(rows.size), n_bad)
-        mids, split = paths.mids(ids[own], ts[at], ts[nxt[at]])
+        mids, split = paths.mids(ts[at], ts[nxt[at]])
         unsplit = np.zeros(rows.size, dtype=bool)
         unsplit[own[~split]] = True
         floored = (amaxs == 0.0) | (amins < FLOOR_RATIO * amaxs)
@@ -470,8 +433,7 @@ def _windings(f: Callable, paths: _RectSides, ids: Sequence[int], *,
     return out
 
 
-def _rect_windings(f: Callable, rects: Sequence[Rectangle], *,
-                   n_initial: int = 64) -> list:
+def _rect_windings(f: Callable, rects: Sequence[Rectangle]) -> list:
     """Density-certified winding counts over many rectangles at once.
 
     A uniform fast phase rotation along a long edge can alias to a slow
@@ -491,7 +453,7 @@ def _rect_windings(f: Callable, rects: Sequence[Rectangle], *,
     () unless the count is 2 .. _MAX_DIRECT_COUNT.
     """
     paths = _RectSides([(r.re_min, r.re_max, r.im_min, r.im_max)
-                        for r in rects], n_initial)
+                        for r in rects], 64)
     out: list = [None] * len(rects)
     pending: dict[int, tuple] = {}
     for i, res in enumerate(_windings(f, paths, range(len(rects)))):
@@ -520,7 +482,7 @@ def _rect_windings(f: Callable, rects: Sequence[Rectangle], *,
     return out
 
 
-def _rect_winding(f: Callable, rect: Rectangle, *, n_initial: int = 64):
+def _rect_winding(f: Callable, rect: Rectangle):
     """Winding count over a rectangle with the inflate/deflate jitter policy.
 
     The first attempt uses the exact rectangle; on boundary-zero trouble the
@@ -536,7 +498,7 @@ def _rect_winding(f: Callable, rect: Rectangle, *, n_initial: int = 64):
             sign = 1.0 if attempt % 2 == 1 else -1.0
             eps = sign * ((attempt + 1) // 2) * JITTER_SCALE * rect.diameter
             candidate = rect.inflated(eps)
-        result, = _rect_windings(f, [candidate], n_initial=n_initial)
+        result, = _rect_windings(f, [candidate])
         if not isinstance(result, BoundaryZeroError):
             break
         last = result
@@ -549,13 +511,13 @@ def _rect_winding(f: Callable, rect: Rectangle, *, n_initial: int = 64):
     return (candidate,) + result[:2]
 
 
-def wind_count(f: Callable, rect: Rectangle, *, n_initial: int = 64) -> int:
+def wind_count(f: Callable, rect: Rectangle) -> int:
     """Number of zeros of f inside the rectangle, counted with multiplicity.
 
-    The first sweep takes n_initial samples; FLOOR_RATIO decides a zero on
-    the boundary, which moves the rectangle along the jitter ladder.
+    The first sweep takes 64 samples; FLOOR_RATIO decides a zero on the
+    boundary, which moves the rectangle along the jitter ladder.
     """
-    return _rect_winding(f, rect, n_initial=n_initial)[1]
+    return _rect_winding(f, rect)[1]
 
 
 _SPLIT_JITTER = (0.0, 0.013, -0.013, 0.029, -0.029, 0.047, -0.047, 0.061, -0.061)

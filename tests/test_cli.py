@@ -299,12 +299,15 @@ def test_main_bad_config_field_diagnostic(tmp_path, capsys):
     ("[potential]\nsupport_length = -1\n", "support_length"),
     ("[reconstruction]\nradius = -1\n", "radius"),
     ("[reconstruction]\ndeltas = 0.1 -0.01\n", "deltas"),
+    ("[reconstruction]\ndeltas = 0.1 inf\n", "deltas"),
+    ("[reconstruction]\ndeltas = nan 0.1\n", "deltas"),
 ], ids=["unknown-perturb-mode", "zero-root-tol", "inf-root-tol",
         "negative-strip-height", "nan-strip-height", "inf-strip-height",
         "nan-ode-atol", "nan-ode-rtol", "inf-quad-rtol",
         "no-grid-points", "inverted-rectangle", "flat-rectangle",
         "inf-rectangle-bound", "nan-grid-start",
-        "negative-support-length", "negative-radius", "negative-delta"])
+        "negative-support-length", "negative-radius", "negative-delta",
+        "inf-delta", "nan-delta"])
 def test_main_rejects_a_value_that_would_break_the_run(tmp_path, capsys,
                                                        text, key):
     # an unknown perturb_mode or a strip_height that is not finite and > 0
@@ -312,7 +315,8 @@ def test_main_rejects_a_value_that_would_break_the_run(tmp_path, capsys,
     # root_tol = 0 and the first is accepted at root_tol = inf, DOP853
     # accepts no step at a NaN ODE tolerance or a NaN momentum (a NaN grid
     # end), and quad_rtol = inf or an infinite rectangle bound
-    # ends in an error that does not name it; the grid, rectangle,
+    # ends in an error that does not name it; an infinite delta fails its
+    # stability row on an infeasible cost matrix; the grid, rectangle,
     # support, radius and delta values stop a pipeline only once it reaches
     # them (and scatter-matrix never reads the rectangle)
     path = tmp_path / "bad.ini"

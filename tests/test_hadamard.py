@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from resonlab import hadamard
 from resonlab.cli import ExperimentConfig
 from resonlab.ftransform import pair_function
 from resonlab.hadamard import (
@@ -253,6 +254,12 @@ def test_count_difference_detects_a_migrated_zero():
     assert n == 1 == strip_count(z1, 10.5, 1.0) - strip_count(z2, 10.5, 1.0)
 
 
+def test_count_difference_names_an_infinite_strip():
+    z = sin_set(20)
+    with pytest.raises(ValueError, match="bounds must be finite"):
+        count_difference(z, z, math.inf, 1.0)
+
+
 def test_count_difference_no_crossing_under_small_perturbation():
     z1 = sin_set(20)
     z2 = perturb_zeros(z1, 1e-4, "random-in-disk", seed=3)
@@ -376,6 +383,9 @@ def test_perturb_validation():
     z = mixed_set()
     with pytest.raises(ValueError):
         perturb_zeros(z, -1e-3, "random-in-disk", seed=0)
+    for delta in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="delta must be finite"):
+            perturb_zeros(z, delta, "random-in-disk", seed=0)
     with pytest.raises(ValueError):
         perturb_zeros(z, 1e-3, "sideways", seed=0)
 
@@ -400,6 +410,23 @@ def test_stability_experiment_poly_bump():
     assert len(table.base_zeros) == 12
     c = table.prefactor
     assert type(c) is complex and abs(c.imag) < 1e-9
+
+
+@pytest.mark.parametrize("deltas", [
+    (0.1, math.inf), (math.nan, 0.1), (-0.1, math.nan, 0.1)],
+    ids=["inf", "nan", "negative-behind-nan"])
+def test_stability_experiment_rejects_bad_deltas_before_any_scan(
+        monkeypatch, deltas):
+    # NaN leaves sorted's order undefined: sorted((-0.1, nan, 0.1),
+    # reverse=True) keeps -0.1 first, where a check of the last element
+    # misses it
+    def no_scan(*args, **kwargs):
+        raise AssertionError("the zero set was scanned")
+
+    monkeypatch.setattr(hadamard, "mirrored_reconstruction", no_scan)
+    with pytest.raises(ValueError, match="deltas must be finite"):
+        stability_experiment(make_poly_bump(), Rectangle(0.5, 12.0, -4.0, 4.0),
+                             deltas, 12.5, np.linspace(0.0, 10.0, 11))
 
 
 def test_stability_table_serialization():

@@ -44,6 +44,15 @@ def test_rectangle_geometry():
         Rectangle(1.0, 1.0, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("bounds", [
+    (0.0, math.inf, -1.0, 1.0), (-math.inf, 1.0, -1.0, 1.0),
+    (0.0, 1.0, math.nan, 1.0), (0.0, 1.0, -1.0, math.inf)])
+def test_rectangle_rejects_non_finite_bounds(bounds):
+    with pytest.raises(ValueError, match=r"bounds must be finite, got "
+                       r"Rectangle\(re_min="):
+        Rectangle(*bounds)
+
+
 # ----------------------------------------------------------------- winding
 
 def test_wind_count_monomials():

@@ -74,28 +74,28 @@ def test_identical_zeros_merge_exactly():
 SINE_LATTICE_TEXT = (
     "# zeroset v1\n# count: 7\n# columns: re im multiplicity\n"
     "2.03473345377661e-25 -3.6059609668164e-25 1\n"
-    "1 1.23378766492787e-21 1\n"
+    "1 1.23378766413901e-21 1\n"
     "-1 6.22191374022146e-19 1\n"
     "2 4.78449451116516e-25 1\n"
     "-2 -9.5544454049873e-19 1\n"
     "3 -1.96548374742332e-19 1\n"
-    "-3 8.22576795066609e-19 1\n")
+    "-3 8.22580562615805e-19 1\n")
 # the sine lattice with every cell of two or three zeros split until each
 # zero sits alone (the poly-bump pair splits its cell of two zeros into
 # cells of one either way)
 SINE_LATTICE_SPLIT_TEXT = (
     "# zeroset v1\n# count: 7\n# columns: re im multiplicity\n"
     "-4.15216735514688e-22 -8.00849228184188e-21 1\n"
-    "1 2.98705165412606e-25 1\n"
-    "-1 -2.44097227378183e-21 1\n"
+    "1 2.98705536731899e-25 1\n"
+    "-1 -2.44097224853828e-21 1\n"
     "2 -2.02277110706873e-21 1\n"
-    "-2 -9.86197363670179e-22 1\n"
+    "-2 -9.86197351048405e-22 1\n"
     "3 -6.92847344403791e-22 1\n"
     "-3 -5.77897600386184e-22 1\n")
 POLY_BUMP_PAIR_TEXT = (
     "# zeroset v1\n# count: 2\n# columns: re im multiplicity\n"
-    "4.72674286592643 -1.62936353132447 1\n"
-    "4.72674286592643 1.62936353132447 1\n")
+    "4.72674286592644 -1.62936353132447 1\n"
+    "4.72674286592644 1.62936353132447 1\n")
 # the same two scans with every Newton run started at its cell's centre,
 # and every cell split until each zero sits alone
 SINE_LATTICE_CENTRE_START_TEXT = (
@@ -112,6 +112,31 @@ POLY_BUMP_PAIR_CENTRE_START_TEXT = (
     "4.72674286592644 -1.62936353132447 1\n"
     "4.72674286592643 1.62936353132447 1\n")
 
+# SINE_LATTICE_TEXT, SINE_LATTICE_SPLIT_TEXT and POLY_BUMP_PAIR_TEXT as the
+# scans found them when a side's samples sat on integer ticks counted from
+# its lower or left end
+SINE_LATTICE_TICKS_TEXT = (
+    "# zeroset v1\n# count: 7\n# columns: re im multiplicity\n"
+    "2.03473345377661e-25 -3.6059609668164e-25 1\n"
+    "1 1.23378766492787e-21 1\n"
+    "-1 6.22191374022146e-19 1\n"
+    "2 4.78449451116516e-25 1\n"
+    "-2 -9.5544454049873e-19 1\n"
+    "3 -1.96548374742332e-19 1\n"
+    "-3 8.22576795066609e-19 1\n")
+SINE_LATTICE_SPLIT_TICKS_TEXT = (
+    "# zeroset v1\n# count: 7\n# columns: re im multiplicity\n"
+    "-4.15216735514688e-22 -8.00849228184188e-21 1\n"
+    "1 2.98705165412606e-25 1\n"
+    "-1 -2.44097227378183e-21 1\n"
+    "2 -2.02277110706873e-21 1\n"
+    "-2 -9.86197363670179e-22 1\n"
+    "3 -6.92847344403791e-22 1\n"
+    "-3 -5.77897600386184e-22 1\n")
+POLY_BUMP_PAIR_TICKS_TEXT = (
+    "# zeroset v1\n# count: 2\n# columns: re im multiplicity\n"
+    "4.72674286592643 -1.62936353132447 1\n"
+    "4.72674286592643 1.62936353132447 1\n")
 
 def sine(z):
     return np.sin(np.pi * z)
@@ -145,6 +170,24 @@ def test_centroid_start_moves_the_zeros_by_roundoff_only(f, rect, text):
 def test_power_sum_starts_move_the_zeros_by_roundoff_only():
     old, _ = ZeroSet.from_text(SINE_LATTICE_SPLIT_TEXT)
     new = locate_zeros(sine, SINE_RECT)
+    assert [m for _, m in new] == [m for _, m in old]
+    for (z, _), (w, _) in zip(new, old):
+        assert abs(z - w) <= 1e-12 * max(1.0, abs(w))
+
+
+@pytest.mark.parametrize("f, rect, text, split", [
+    (sine, SINE_RECT, SINE_LATTICE_TICKS_TEXT, False),
+    (sine, SINE_RECT, SINE_LATTICE_SPLIT_TICKS_TEXT, True),
+    (pair_function(make_poly_bump(), 1e-10), Rectangle(0.5, 8.0, -6.0, 6.0),
+     POLY_BUMP_PAIR_TICKS_TEXT, False),
+], ids=["sine-lattice", "sine-lattice-split", "poly-bump-pair"])
+def test_float_side_parameters_move_the_zeros_by_roundoff_only(
+        monkeypatch, f, rect, text, split):
+    if split:
+        # no cell is polished from its power sums: every one is split
+        monkeypatch.setattr(rootscan, "_MAX_DIRECT_COUNT", 1)
+    old, _ = ZeroSet.from_text(text)
+    new = locate_zeros(f, rect)
     assert [m for _, m in new] == [m for _, m in old]
     for (z, _), (w, _) in zip(new, old):
         assert abs(z - w) <= 1e-12 * max(1.0, abs(w))

@@ -1,4 +1,5 @@
-"""Canonical per-side boundary samples: shared edges, densities, no spinning."""
+"""Per-side boundary samples at float side parameters: densities that share
+only the corners, the fewest samples, and no spinning."""
 
 import math
 import signal
@@ -10,78 +11,16 @@ import pytest
 
 from resonlab import rootscan
 from resonlab.dickson import two_cosine_model
-from resonlab.rootscan import BoundaryZeroError, Rectangle
+from resonlab.rootscan import BoundaryZeroError, Rectangle, wind_count
 
-# h = 10.5 and w = 71.5 halve exactly, so every halving below has
-# mid - lo == (hi - lo) / 2 in floating point
 BOX = Rectangle(0.5, 72.0, -11.0, -0.5)
 
 
-def far_line(z):
-    # no zero anywhere near, and too flat to trigger any refinement
-    return np.asarray(z) - (1e4 + 1e4j)
-
-
-def samples_by_density(rect):
-    """The points f sees in the winding of one rectangle, one array per
-    density; the first two densities agree on far_line, so there are two."""
-    calls = []
-
-    def f(z):
-        calls.append(np.array(z, copy=True))
-        return far_line(z)
-
-    result, = rootscan._rect_windings(f, [rect])
-    assert result[0] == 0 and len(calls) == 2
-    return calls
-
-
-def on_segment(pts, a, b):
-    """The points on the closed segment a -> b (a horizontal or vertical
-    edge), as sorted bytes."""
-    if a.imag == b.imag:
-        keep = ((pts.imag == a.imag) & (pts.real >= min(a.real, b.real))
-                & (pts.real <= max(a.real, b.real)))
-    else:
-        keep = ((pts.real == a.real) & (pts.imag >= min(a.imag, b.imag))
-                & (pts.imag <= max(a.imag, b.imag)))
-    return sorted(p.tobytes() for p in pts[keep])
-
-
-def test_siblings_sample_their_shared_edges_at_the_same_bits():
-    quad = BOX.quadrisect()
-    seen = [samples_by_density(child) for child in quad]
-    xm, ym = quad[0].re_max, quad[0].im_max
-    inner = [  # (sibling, sibling, edge)
-        (0, 1, (complex(xm, BOX.im_min), complex(xm, ym))),
-        (2, 3, (complex(xm, ym), complex(xm, BOX.im_max))),
-        (0, 2, (complex(BOX.re_min, ym), complex(xm, ym))),
-        (1, 3, (complex(xm, ym), complex(BOX.re_max, ym))),
-    ]
-    for density in range(2):
-        for a, b, edge in inner:
-            on_a = on_segment(seen[a][density], *edge)
-            on_b = on_segment(seen[b][density], *edge)
-            assert len(on_a) >= 3
-            assert on_a == on_b
-
-
-def test_a_half_side_from_a_parent_corner_keeps_every_parent_sample():
-    quad = BOX.quadrisect()
-    xm, ym = quad[0].re_max, quad[0].im_max
-    halves = [  # (child, half-side starting at a parent corner)
-        (0, (complex(BOX.re_min, BOX.im_min), complex(xm, BOX.im_min))),
-        (0, (complex(BOX.re_min, BOX.im_min), complex(BOX.re_min, ym))),
-        (1, (complex(BOX.re_max, BOX.im_min), complex(BOX.re_max, ym))),
-        (2, (complex(BOX.re_min, BOX.im_max), complex(xm, BOX.im_max))),
-    ]
-    parent = samples_by_density(BOX)
-    for child, half in halves:
-        seen = samples_by_density(quad[child])
-        for density in range(2):
-            from_parent = on_segment(parent[density], *half)
-            assert len(from_parent) >= 2
-            assert set(from_parent) <= set(on_segment(seen[density], *half))
+def sample_points(paths):
+    """The points of the one path of paths at its current density."""
+    ts = paths.start(np.array([0]))
+    return {(z.real, z.imag)
+            for z in paths.points(np.zeros(ts.size, dtype=np.intp), ts)}
 
 
 @pytest.mark.parametrize("rect", [
@@ -89,14 +28,20 @@ def test_a_half_side_from_a_parent_corner_keeps_every_parent_sample():
     Rectangle(0.0, 1.0, 0.0, 1.0), Rectangle(0.0, 1.0, 0.0, 37.0),
     Rectangle(-1.0, 1.0, 5.0, 5.0 + 1e-9)])
 def test_successive_densities_are_coprime_on_every_side(rect):
+    corners = {(x, y) for x in (rect.re_min, rect.re_max)
+               for y in (rect.im_min, rect.im_max)}
     paths = rootscan._RectSides([astuple(rect)], 64)
     assert paths.counts.sum() >= 64 - 2
+    points = sample_points(paths)
     for _ in range(rootscan.DENSITY_ESCALATIONS):
         prev, n = paths.counts.copy(), paths.n
         paths.escalate()
         assert paths.n == 2 * n + 17
         assert np.all(np.gcd(paths.counts, prev) == 1)
         assert paths.counts.sum() >= 2 * n + 17
+        # so the two samplings meet only at the corners
+        points, before = sample_points(paths), points
+        assert points & before == corners
     # opposite sides have the same length and so the same count
     assert np.array_equal(paths.counts[:, :2], paths.counts[:, 2:])
 
@@ -179,8 +124,8 @@ def counting(g):
 
 def test_zeros_on_an_edge_reach_the_floor():
     # the bottom edge runs through the ~190 real zeros of 2 cos 2z + 1/2;
-    # the ticks must let refinement close in on one of them until the floor
-    # test fires
+    # the side parameters must let refinement close in on one of them until
+    # the floor test fires
     f, seen = counting(two_cosine_model())
     with time_limit(30.0):
         result, = rootscan._rect_windings(
@@ -192,8 +137,9 @@ def test_zeros_on_an_edge_reach_the_floor():
 
 def test_a_step_that_cannot_be_split_ends_the_path():
     # a sign jump on the bottom and top edges: |f| = 1 never meets the
-    # floor, and the bad step closes in on x = 1/3 until its ends are
-    # adjacent ticks, where the path must stop instead of refining forever
+    # floor, and the bad step closes in on x = 1/3 until its midpoint
+    # rounds to one of its ends, where the path must stop instead of
+    # refining forever
     jump = lambda z: np.where(np.real(z) < 1.0 / 3.0, 1.0, -1.0) + 0j
     f, seen = counting(jump)
     with time_limit(30.0):
@@ -201,3 +147,17 @@ def test_a_step_that_cannot_be_split_ends_the_path():
     assert isinstance(result, BoundaryZeroError)
     assert "cannot be split" in str(result)
     assert seen[0] <= 1000
+
+
+@pytest.mark.parametrize("above", [1e-9, 1e-12])
+def test_a_zero_just_above_the_lower_left_corner_ends_the_wrap_step(above):
+    # the zero lies on the left side, where the step from the path's last
+    # sample back to its first ends at t = 4 and refines towards the corner;
+    # the exact square meets the floor, and the jitter ladder counts it
+    rect = Rectangle(0.0, 1.0, 0.0, 1.0)
+    f, seen = counting(lambda z: np.asarray(z) - 1j * above)
+    with time_limit(30.0):
+        result, = rootscan._rect_windings(f, [rect])
+        assert isinstance(result, BoundaryZeroError)
+        assert seen[0] <= 1000
+        assert wind_count(f, rect) == 1
