@@ -139,6 +139,9 @@ class ExperimentConfig:
         if not all(0.0 <= d < np.inf for d in self.deltas):
             raise ValueError(
                 f"deltas must be finite and >= 0, got {self.deltas!r}")
+        # numpy's generators take no negative seed, and the error names none
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         # a NaN grid end makes every momentum NaN, and an infinite bound
         # ends the winding sweep in an error that does not name it
         for key in ("re_min", "re_max", "im_min", "im_max", "grid_start",
@@ -466,13 +469,13 @@ def main(argv=None) -> int:
 
     try:
         cfg = ExperimentConfig.load(args.config)
+        if args.out is not None:
+            cfg = replace(cfg, out_dir=args.out)
+        if args.seed is not None:
+            cfg = replace(cfg, seed=args.seed)
     except ValueError as exc:
         print(f"resonlab: config error: {exc}", file=sys.stderr)
         return 2
-    if args.out is not None:
-        cfg = replace(cfg, out_dir=args.out)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
 
     try:
         return run_subcommand(args.subcommand, cfg)

@@ -47,10 +47,9 @@ A rectangle is sampled per side, not by arc length along the whole path
 (_RectSides), so that a short side of a thin cell still gets samples: each
 side gets its share of the density by length, at float side parameters
 t = s + i / N_s on side s, and a refinement midpoint is (a + b) / 2.
-Successive densities have coprime counts on every side and share no
-sample but the corners, so their agreement stays an independent check;
-after the first density the counts of a rectangle are chosen jointly, the
-fewest that keep those rules.
+At the next density a side that had N samples takes the least count
+>= 2 N + 4 coprime with N, so successive densities share no sample but the
+corners and their agreement stays an independent check.
 
 The scan settings are module constants: FLOOR_RATIO (a boundary sample below
 it times the sampled maximum is a zero on the boundary), MAX_BOUNDARY_POINTS
@@ -162,65 +161,22 @@ class Rectangle:
         )
 
 
-def _side_counts(lengths: np.ndarray, n: int,
-                 prev: np.ndarray | None = None) -> np.ndarray:
-    """Samples per side at density n, shape of lengths (paths, 4).
-
-    Opposite sides have the same length and get the same count. At the
-    first density a side gets its share of n by length, rounded. After it
-    (prev holds the counts of the density before) the counts a, b of a
-    bottom and a right side are chosen jointly: the smallest a + b with
-    2 (a + b) >= n, a and b at least 1 and each coprime with its side's
-    previous count, so the two samplings share no point but the corners;
-    among those, the one nearest the shares by length, the smaller a on a
-    tie. The choice depends only on the shares and prev, so rectangles of
-    one shape get the same counts at every density.
-    """
-    share = n * lengths / lengths.sum(axis=1, keepdims=True)
-    if prev is None:
-        return np.maximum(1, np.rint(share)).astype(np.int64)
-    keys = list(zip((share[:, 0] - share[:, 1]).tolist(),
-                    prev[:, 0].tolist(), prev[:, 1].tolist()))
-    shapes = {key: _joint_counts(n, *key) for key in set(keys)}
-    return np.tile(np.array([shapes[key] for key in keys], dtype=np.int64), 2)
-
-
-def _joint_counts(n: int, diff: float, prev_a: int, prev_b: int):
-    """The counts a, b of _side_counts for one shape, where diff is the
-    bottom side's share minus the right side's."""
-    total = (n + 1) // 2
-    if total % 2 and prev_a % 2 == 0 and prev_b % 2 == 0:
-        total += 1      # a and b must both be odd
-    while True:
-        # (a - sa)^2 + (b - sb)^2 with a + b = total is least at
-        # a = (total + sa - sb) / 2, so the a nearest that go first
-        centre = 0.5 * (total + diff)
-        lo = min(math.floor(centre), total - 1)
-        hi = max(math.floor(centre) + 1, 1)
-        while lo >= 1 or hi < total:
-            if hi >= total or (lo >= 1 and centre - lo <= hi - centre):
-                a, lo = lo, lo - 1
-            else:
-                a, hi = hi, hi + 1
-            if math.gcd(a, prev_a) == 1 and math.gcd(total - a, prev_b) == 1:
-                return a, total - a
-        total += 1
-
-
 class _RectSides:
     """Rectangle boundaries sampled per side at float side parameters.
 
     Side s of a path runs from corner s to corner s + 1 (counterclockwise
-    from the lower-left; corner 4 is corner 0) and carries N_s samples from
-    _side_counts. A sample is the parameter t = s + i / N_s, i < N_s, at the
-    point corner_s + (t - s)(corner_s+1 - corner_s), so a path's first
-    sample on a side is its start corner. A refinement midpoint is
-    (a + b) / 2, and the last step of a path ends at t = 4. A step whose
-    midpoint equals one of its ends cannot be split.
+    from the lower-left; corner 4 is corner 0) and carries N_s samples. A
+    sample is the parameter t = s + i / N_s, i < N_s, at the point
+    corner_s + (t - s)(corner_s+1 - corner_s), so a path's first sample on
+    a side is its start corner. A refinement midpoint is (a + b) / 2, and
+    the last step of a path ends at t = 4. A step whose midpoint equals one
+    of its ends cannot be split.
     """
 
     def __init__(self, bounds: np.ndarray, n: int):
-        """bounds: (paths, 4) rows (re_min, re_max, im_min, im_max)."""
+        """bounds: (paths, 4) rows (re_min, re_max, im_min, im_max); each
+        side gets its share of n samples by length, rounded, at least 1.
+        Opposite sides have the same length and so the same count."""
         bounds = np.asarray(bounds, dtype=float)
         re0, re1, im0, im1 = bounds.T
         corners = np.stack([re0 + 1j * im0, re1 + 1j * im0, re1 + 1j * im1,
@@ -228,21 +184,23 @@ class _RectSides:
         # per (path, side), flattened as 4 * path + side
         self.first = corners.ravel()
         self.step = (np.roll(corners, -1, axis=1) - corners).ravel()
-        self.lengths = np.abs(self.step).reshape(-1, 4)
+        lengths = np.abs(self.step).reshape(-1, 4)
         # Rectangle.center's arithmetic, its signed zeros included
         self.centers = (0.5 * (bounds[:, ::2] + bounds[:, 1::2])).view(
             complex).ravel()
-        self.n, self.counts = n, _side_counts(self.lengths, n)
+        share = n * lengths / lengths.sum(axis=1, keepdims=True)
+        self.counts = np.maximum(1, np.rint(share)).astype(np.int64)
 
-    def escalate(self, ids: np.ndarray | None = None) -> None:
-        """Move the paths ids (default every path) on to the next density,
-        2 n + 17. The other paths keep their counts and are not swept
-        again."""
-        self.n = 2 * self.n + 17
-        if ids is None:
-            ids = np.arange(len(self.counts))
-        self.counts[ids] = _side_counts(self.lengths[ids], self.n,
-                                        self.counts[ids])
+    def escalate(self, ids: np.ndarray) -> None:
+        """Move the paths ids on to the next density, where a side that had
+        N samples takes the least count >= 2 N + 4 coprime with N, so the two
+        samplings share no point but the corners. The other paths keep
+        their counts and are not swept again."""
+        prev = self.counts[ids]
+        counts = 2 * prev + 4
+        while (clash := np.gcd(counts, prev) != 1).any():
+            counts += clash
+        self.counts[ids] = counts
 
     def sizes(self, ids: np.ndarray) -> np.ndarray:
         return self.counts[ids].sum(axis=1)
@@ -440,11 +398,11 @@ def _rect_windings(f: Callable, rects: Sequence[Rectangle]) -> list:
     rotation that no local trigger sees (the sampled steps are all small and
     the modulus is flat), so a single density is never trusted: a count is
     accepted only once two successive sampling densities agree. Densifying
-    breaks any strobe, because near the alias threshold the true step
-    exceeds pi/2 and the phase trigger takes over; on each side the counts
-    of successive densities are coprime (_side_counts), so the two share no
-    sample but the corners. Each density is one batched sweep over the
-    rectangles still undecided. Returns one item per rectangle: (count, max
+    breaks a strobe, because near the alias threshold the true step exceeds
+    pi/2 and the phase trigger takes over; each side more than doubles its
+    count, coprime with the one before (_RectSides.escalate), so the two
+    share no sample but the corners. Each density is one batched sweep over
+    the rectangles still undecided. Returns one item per rectangle: (count, max
     |f| on its boundary, centroid, power sums), or the error it ended with.
     The centroid and the power sums P_2 .. P_count about the rectangle's
     centre (_moments) come from the last density, the one that confirmed
@@ -478,7 +436,7 @@ def _rect_windings(f: Callable, rects: Sequence[Rectangle]) -> list:
     for i in pending:
         out[i] = RootScanError(
             f"winding over {rects[i]} did not stabilize across sampling "
-            f"densities up to {paths.n}")
+            f"densities up to {int(paths.counts[i].sum())} samples")
     return out
 
 

@@ -281,35 +281,37 @@ def test_main_bad_config_field_diagnostic(tmp_path, capsys):
     assert "grid_points" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("text, key", [
-    ("[reconstruction]\nperturb_mode = uniform\n", "perturb_mode"),
-    ("[tolerances]\nroot_tol = 0\n", "root_tol"),
-    ("[tolerances]\nroot_tol = inf\n", "root_tol"),
-    ("[reconstruction]\nstrip_height = -1\n", "strip_height"),
-    ("[reconstruction]\nstrip_height = nan\n", "strip_height"),
-    ("[reconstruction]\nstrip_height = inf\n", "strip_height"),
-    ("[tolerances]\node_atol = nan\n", "ode_atol"),
-    ("[tolerances]\node_rtol = nan\n", "ode_rtol"),
-    ("[tolerances]\nquad_rtol = inf\n", "quad_rtol"),
-    ("[grid]\ngrid_points = 0\n", "grid_points"),
-    ("[rectangle]\nre_min = 12\nre_max = 0.5\n", "re_min"),
-    ("[rectangle]\nim_min = 4\nim_max = 4\n", "im_min"),
-    ("[rectangle]\nre_max = inf\n", "re_max"),
-    ("[grid]\ngrid_start = nan\n", "grid_start"),
-    ("[potential]\nsupport_length = -1\n", "support_length"),
-    ("[reconstruction]\nradius = -1\n", "radius"),
-    ("[reconstruction]\ndeltas = 0.1 -0.01\n", "deltas"),
-    ("[reconstruction]\ndeltas = 0.1 inf\n", "deltas"),
-    ("[reconstruction]\ndeltas = nan 0.1\n", "deltas"),
+@pytest.mark.parametrize("text, key, flags", [
+    ("[reconstruction]\nperturb_mode = uniform\n", "perturb_mode", []),
+    ("[tolerances]\nroot_tol = 0\n", "root_tol", []),
+    ("[tolerances]\nroot_tol = inf\n", "root_tol", []),
+    ("[reconstruction]\nstrip_height = -1\n", "strip_height", []),
+    ("[reconstruction]\nstrip_height = nan\n", "strip_height", []),
+    ("[reconstruction]\nstrip_height = inf\n", "strip_height", []),
+    ("[tolerances]\node_atol = nan\n", "ode_atol", []),
+    ("[tolerances]\node_rtol = nan\n", "ode_rtol", []),
+    ("[tolerances]\nquad_rtol = inf\n", "quad_rtol", []),
+    ("[grid]\ngrid_points = 0\n", "grid_points", []),
+    ("[rectangle]\nre_min = 12\nre_max = 0.5\n", "re_min", []),
+    ("[rectangle]\nim_min = 4\nim_max = 4\n", "im_min", []),
+    ("[rectangle]\nre_max = inf\n", "re_max", []),
+    ("[grid]\ngrid_start = nan\n", "grid_start", []),
+    ("[potential]\nsupport_length = -1\n", "support_length", []),
+    ("[reconstruction]\nradius = -1\n", "radius", []),
+    ("[reconstruction]\ndeltas = 0.1 -0.01\n", "deltas", []),
+    ("[reconstruction]\ndeltas = 0.1 inf\n", "deltas", []),
+    ("[reconstruction]\ndeltas = nan 0.1\n", "deltas", []),
+    ("[run]\nseed = -1\n", "seed", []),
+    ("", "seed", ["--seed", "-1"]),
 ], ids=["unknown-perturb-mode", "zero-root-tol", "inf-root-tol",
         "negative-strip-height", "nan-strip-height", "inf-strip-height",
         "nan-ode-atol", "nan-ode-rtol", "inf-quad-rtol",
         "no-grid-points", "inverted-rectangle", "flat-rectangle",
         "inf-rectangle-bound", "nan-grid-start",
         "negative-support-length", "negative-radius", "negative-delta",
-        "inf-delta", "nan-delta"])
+        "inf-delta", "nan-delta", "negative-seed", "negative-seed-flag"])
 def test_main_rejects_a_value_that_would_break_the_run(tmp_path, capsys,
-                                                       text, key):
+                                                       text, key, flags):
     # an unknown perturb_mode or a strip_height that is not finite and > 0
     # fails every stability row, a Newton step can never be accepted at
     # root_tol = 0 and the first is accepted at root_tol = inf, DOP853
@@ -318,11 +320,13 @@ def test_main_rejects_a_value_that_would_break_the_run(tmp_path, capsys,
     # ends in an error that does not name it; an infinite delta fails its
     # stability row on an infeasible cost matrix; the grid, rectangle,
     # support, radius and delta values stop a pipeline only once it reaches
-    # them (and scatter-matrix never reads the rectangle)
+    # them (and scatter-matrix never reads the rectangle); a negative seed
+    # fails every stability row on an error that names no key
     path = tmp_path / "bad.ini"
     path.write_text(text)
     out = tmp_path / "artifacts"
-    rc = main(["stability", "--config", str(path), "--out", str(out)])
+    rc = main(["stability", "--config", str(path), "--out", str(out)]
+              + flags)
     assert rc == 2
     err = capsys.readouterr().err
     assert "config error" in err and key in err

@@ -393,7 +393,7 @@ def test_model_zeros_rejects_other_models(terms, named):
 
 
 def test_the_wide_box_is_certified_from_its_model_starts(monkeypatch):
-    # dickson-check's scan: 21,470 points, against 223,085 for the search
+    # dickson-check's scan: 18,288 points, against 223,085 for the search
     no_search(monkeypatch)
     f, points = two_cosine_model(), []
 

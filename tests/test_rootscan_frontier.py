@@ -73,25 +73,25 @@ def test_identical_zeros_merge_exactly():
 # polishing a level's cells in lockstep keeps every bit
 SINE_LATTICE_TEXT = (
     "# zeroset v1\n# count: 7\n# columns: re im multiplicity\n"
-    "2.03473345377661e-25 -3.6059609668164e-25 1\n"
-    "1 1.23378766413901e-21 1\n"
-    "-1 6.22191374022146e-19 1\n"
-    "2 4.78449451116516e-25 1\n"
-    "-2 -9.5544454049873e-19 1\n"
-    "3 -1.96548374742332e-19 1\n"
-    "-3 8.22580562615805e-19 1\n")
+    "4.77336535164783e-25 -2.28130189831683e-25 1\n"
+    "1 3.77487536008618e-21 1\n"
+    "-1 1.19648046350858e-18 1\n"
+    "2 -4.65042074207091e-22 1\n"
+    "-2 -1.29835559154208e-18 1\n"
+    "3 -1.93837586796993e-22 1\n"
+    "-3 1.35444524838854e-18 1\n")
 # the sine lattice with every cell of two or three zeros split until each
 # zero sits alone (the poly-bump pair splits its cell of two zeros into
 # cells of one either way)
 SINE_LATTICE_SPLIT_TEXT = (
     "# zeroset v1\n# count: 7\n# columns: re im multiplicity\n"
-    "-4.15216735514688e-22 -8.00849228184188e-21 1\n"
-    "1 2.98705536731899e-25 1\n"
-    "-1 -2.44097224853828e-21 1\n"
-    "2 -2.02277110706873e-21 1\n"
-    "-2 -9.86197351048405e-22 1\n"
-    "3 -6.92847344403791e-22 1\n"
-    "-3 -5.77897600386184e-22 1\n")
+    "-7.65611337875961e-22 -7.62628899655746e-21 1\n"
+    "1 2.72297820120971e-25 1\n"
+    "-1 -2.3272822712101e-21 1\n"
+    "2 -1.96856331196523e-21 1\n"
+    "-2 -9.3225680939782e-22 1\n"
+    "3 -6.93006397694945e-22 1\n"
+    "-3 -5.21946795024494e-22 1\n")
 POLY_BUMP_PAIR_TEXT = (
     "# zeroset v1\n# count: 2\n# columns: re im multiplicity\n"
     "4.72674286592644 -1.62936353132447 1\n"
@@ -138,11 +138,44 @@ POLY_BUMP_PAIR_TICKS_TEXT = (
     "4.72674286592643 -1.62936353132447 1\n"
     "4.72674286592643 1.62936353132447 1\n")
 
+# SINE_LATTICE_TEXT and SINE_LATTICE_SPLIT_TEXT as the scans found them when
+# the counts of a rectangle's bottom and right sides after the first density
+# were chosen jointly, the fewest that kept successive densities coprime
+# (POLY_BUMP_PAIR_TEXT read the same)
+SINE_LATTICE_JOINT_TEXT = (
+    "# zeroset v1\n# count: 7\n# columns: re im multiplicity\n"
+    "2.03473345377661e-25 -3.6059609668164e-25 1\n"
+    "1 1.23378766413901e-21 1\n"
+    "-1 6.22191374022146e-19 1\n"
+    "2 4.78449451116516e-25 1\n"
+    "-2 -9.5544454049873e-19 1\n"
+    "3 -1.96548374742332e-19 1\n"
+    "-3 8.22580562615805e-19 1\n")
+SINE_LATTICE_SPLIT_JOINT_TEXT = (
+    "# zeroset v1\n# count: 7\n# columns: re im multiplicity\n"
+    "-4.15216735514688e-22 -8.00849228184188e-21 1\n"
+    "1 2.98705536731899e-25 1\n"
+    "-1 -2.44097224853828e-21 1\n"
+    "2 -2.02277110706873e-21 1\n"
+    "-2 -9.86197351048405e-22 1\n"
+    "3 -6.92847344403791e-22 1\n"
+    "-3 -5.77897600386184e-22 1\n")
+
+
 def sine(z):
     return np.sin(np.pi * z)
 
 
 SINE_RECT = Rectangle(-3.5, 3.5, -1.0, 1.0)
+
+
+def assert_moved_by_roundoff(new, text):
+    """new has the multiplicities of the zero set text, and each of its
+    zeros lies within 1e-12 max(1, |w|) of its w there."""
+    old, _ = ZeroSet.from_text(text)
+    assert [m for _, m in new] == [m for _, m in old]
+    for (z, _), (w, _) in zip(new, old):
+        assert abs(z - w) <= 1e-12 * max(1.0, abs(w))
 
 
 @pytest.mark.parametrize("f, rect, text", [
@@ -160,19 +193,12 @@ def test_lockstep_newton_keeps_the_bits(f, rect, text):
      POLY_BUMP_PAIR_CENTRE_START_TEXT),
 ], ids=["sine-lattice", "poly-bump-pair"])
 def test_centroid_start_moves_the_zeros_by_roundoff_only(f, rect, text):
-    old, _ = ZeroSet.from_text(text)
-    new = locate_zeros(f, rect)
-    assert [m for _, m in new] == [m for _, m in old]
-    for (z, _), (w, _) in zip(new, old):
-        assert abs(z - w) <= 1e-12 * max(1.0, abs(w))
+    assert_moved_by_roundoff(locate_zeros(f, rect), text)
 
 
 def test_power_sum_starts_move_the_zeros_by_roundoff_only():
-    old, _ = ZeroSet.from_text(SINE_LATTICE_SPLIT_TEXT)
-    new = locate_zeros(sine, SINE_RECT)
-    assert [m for _, m in new] == [m for _, m in old]
-    for (z, _), (w, _) in zip(new, old):
-        assert abs(z - w) <= 1e-12 * max(1.0, abs(w))
+    assert_moved_by_roundoff(locate_zeros(sine, SINE_RECT),
+                             SINE_LATTICE_SPLIT_TEXT)
 
 
 @pytest.mark.parametrize("f, rect, text, split", [
@@ -186,11 +212,17 @@ def test_float_side_parameters_move_the_zeros_by_roundoff_only(
     if split:
         # no cell is polished from its power sums: every one is split
         monkeypatch.setattr(rootscan, "_MAX_DIRECT_COUNT", 1)
-    old, _ = ZeroSet.from_text(text)
-    new = locate_zeros(f, rect)
-    assert [m for _, m in new] == [m for _, m in old]
-    for (z, _), (w, _) in zip(new, old):
-        assert abs(z - w) <= 1e-12 * max(1.0, abs(w))
+    assert_moved_by_roundoff(locate_zeros(f, rect), text)
+
+
+@pytest.mark.parametrize("text, split", [
+    (SINE_LATTICE_JOINT_TEXT, False), (SINE_LATTICE_SPLIT_JOINT_TEXT, True),
+], ids=["sine-lattice", "sine-lattice-split"])
+def test_per_side_escalation_moves_the_zeros_by_roundoff_only(monkeypatch,
+                                                              text, split):
+    if split:
+        monkeypatch.setattr(rootscan, "_MAX_DIRECT_COUNT", 1)
+    assert_moved_by_roundoff(locate_zeros(sine, SINE_RECT), text)
 
 
 @pytest.mark.parametrize("centroid", [np.nan, 1e6], ids=["nan", "far-off"])

@@ -1,5 +1,7 @@
 """Per-side boundary samples at float side parameters: densities that share
-only the corners, the fewest samples, and no spinning."""
+only the corners, each side more than doubling its count from one density
+to the next (the least count >= 2 N + 4 coprime with its N), a count
+trusted only once two densities agree, and no spinning."""
 
 import math
 import signal
@@ -11,6 +13,8 @@ import pytest
 
 from resonlab import rootscan
 from resonlab.dickson import two_cosine_model
+from resonlab.ftransform import pair_function
+from resonlab.potential import make_truncated_gaussian
 from resonlab.rootscan import BoundaryZeroError, Rectangle, wind_count
 
 BOX = Rectangle(0.5, 72.0, -11.0, -0.5)
@@ -23,22 +27,33 @@ def sample_points(paths):
             for z in paths.points(np.zeros(ts.size, dtype=np.intp), ts)}
 
 
-@pytest.mark.parametrize("rect", [
-    BOX, BOX.quadrisect()[3], Rectangle(-300.0, 300.0, -2.0, 2.0),
-    Rectangle(0.0, 1.0, 0.0, 1.0), Rectangle(0.0, 1.0, 0.0, 37.0),
-    Rectangle(-1.0, 1.0, 5.0, 5.0 + 1e-9)])
+RECTS = [BOX, BOX.quadrisect()[3], Rectangle(-300.0, 300.0, -2.0, 2.0),
+         Rectangle(0.0, 1.0, 0.0, 1.0), Rectangle(0.0, 1.0, 0.0, 37.0),
+         Rectangle(-1.0, 1.0, 5.0, 5.0 + 1e-9)]
+
+
+@pytest.mark.parametrize("rect", RECTS)
 def test_successive_densities_are_coprime_on_every_side(rect):
     corners = {(x, y) for x in (rect.re_min, rect.re_max)
                for y in (rect.im_min, rect.im_max)}
     paths = rootscan._RectSides([astuple(rect)], 64)
+    # the same rectangle in a batch with the others, the 6.5:1 froese-sharp
+    # cells and the 47 x 11 recon-bump box among them
+    batch = RECTS + [BOX.quadrisect()[0], Rectangle(0.5, 47.5, -5.5, 5.5),
+                     Rectangle(0.0, 3.0, 0.0, 1.7)]
+    together = rootscan._RectSides([astuple(r) for r in batch], 64)
+    at = RECTS.index(rect)
     assert paths.counts.sum() >= 64 - 2
     points = sample_points(paths)
     for _ in range(rootscan.DENSITY_ESCALATIONS):
-        prev, n = paths.counts.copy(), paths.n
-        paths.escalate()
-        assert paths.n == 2 * n + 17
-        assert np.all(np.gcd(paths.counts, prev) == 1)
-        assert paths.counts.sum() >= 2 * n + 17
+        prev = paths.counts[0].tolist()
+        paths.escalate(np.array([0]))
+        together.escalate(np.arange(len(batch)))
+        assert np.array_equal(paths.counts[0], together.counts[at])
+        # each side takes the least count >= 2 N + 4 coprime with its N
+        for n, m in zip(prev, paths.counts[0].tolist()):
+            assert m >= 2 * n + 4 and math.gcd(m, n) == 1
+            assert all(math.gcd(c, n) > 1 for c in range(2 * n + 4, m))
         # so the two samplings meet only at the corners
         points, before = sample_points(paths), points
         assert points & before == corners
@@ -46,56 +61,54 @@ def test_successive_densities_are_coprime_on_every_side(rect):
     assert np.array_equal(paths.counts[:, :2], paths.counts[:, 2:])
 
 
-def fewest_samples(n, prev_a, prev_b):
-    """The least a + b with 2 (a + b) >= n, each count coprime with its
-    previous one, by brute force."""
-    total = (n + 1) // 2
-    while not any(math.gcd(a, prev_a) == 1 and math.gcd(total - a, prev_b) == 1
-                  for a in range(1, total)):
-        total += 1
-    return total
-
-
-def test_later_densities_take_the_fewest_samples():
-    # the 6.5:1 froese-sharp cells, the 47 x 11 recon-bump box, and more
-    rects = [BOX.quadrisect()[0], Rectangle(0.5, 47.5, -5.5, 5.5), BOX,
-             Rectangle(-300.0, 300.0, -2.0, 2.0), Rectangle(0.0, 1.0, 0.0, 1.0),
-             Rectangle(0.0, 1.0, 0.0, 37.0), Rectangle(0.0, 3.0, 0.0, 1.7)]
-    together = rootscan._RectSides([astuple(r) for r in rects], 64)
-    alone = [rootscan._RectSides([astuple(r)], 64) for r in rects]
-    for density in range(rootscan.DENSITY_ESCALATIONS):
-        prev, n = together.counts.copy(), together.n
-        together.escalate()
-        for i, paths in enumerate(alone):
-            paths.escalate()
-            assert np.array_equal(paths.counts[0], together.counts[i])
-            a, b = together.counts[i, :2]
-            assert a + b == fewest_samples(2 * n + 17, *prev[i, :2])
-        if density == 0:
-            # raising each side on its own took 65 + 11 and 59 + 17
-            assert together.counts[0, :2].tolist() == [65, 9]
-            assert together.counts[1, :2].tolist() == [61, 13]
-
-
 def test_escalation_counts_only_undecided_rectangles(monkeypatch):
     # the first rectangle has the zero of f on its bottom side and fails at
     # the first density; only the second goes on to the next density
     rects = [Rectangle(0.0, 1.0, 0.0, 1.0), Rectangle(2.0, 4.0, 0.0, 1.0)]
     handed = []
-    side_counts = rootscan._side_counts
+    escalate = rootscan._RectSides.escalate
 
-    def recording_side_counts(lengths, n, prev=None):
-        if prev is not None:
-            handed.append(lengths.copy())
-        return side_counts(lengths, n, prev)
+    def recording_escalate(paths, ids):
+        handed.append(np.asarray(ids).tolist())
+        return escalate(paths, ids)
 
-    monkeypatch.setattr(rootscan, "_side_counts", recording_side_counts)
+    monkeypatch.setattr(rootscan._RectSides, "escalate", recording_escalate)
     out = rootscan._rect_windings(lambda z: z - 0.5, rects)
     assert isinstance(out[0], BoundaryZeroError)
     assert out[1][0] == 0
-    assert handed
-    for lengths in handed:
-        assert lengths.tolist() == [[2.0, 1.0, 2.0, 1.0]]
+    assert handed and all(ids == [1] for ids in handed)
+
+
+# the froese-sharp F box, whose first density counts -4 zeros of the 22
+FROESE_F = pair_function(make_truncated_gaussian(sharp_edge=True), 1e-12)
+FROESE_BOX = Rectangle(0.5, 72.0, -11.0, -0.05)
+
+
+def test_density_agreement_rejects_a_wrong_first_count(monkeypatch):
+    counts = []
+    windings = rootscan._windings
+
+    def recording_windings(f, paths, ids, **kwargs):
+        out = windings(f, paths, ids, **kwargs)
+        counts.append(out[0][0])
+        return out
+
+    monkeypatch.setattr(rootscan, "_windings", recording_windings)
+    result, = rootscan._rect_windings(FROESE_F, [FROESE_BOX])
+    assert counts == [-4, 22, 22]
+    assert result[0] == 22
+
+
+def test_a_count_that_never_settles_names_the_rectangle(monkeypatch):
+    # with one escalation the first density's -4 meets 22 and nothing more
+    monkeypatch.setattr(rootscan, "DENSITY_ESCALATIONS", 1)
+    with pytest.raises(rootscan.RootScanError) as err:
+        wind_count(FROESE_F, FROESE_BOX)
+    paths = rootscan._RectSides([astuple(FROESE_BOX)], 64)
+    paths.escalate(np.array([0]))
+    assert str(err.value) == (
+        f"winding over {FROESE_BOX} did not stabilize across sampling "
+        f"densities up to {paths.counts.sum()} samples")
 
 
 @contextmanager

@@ -68,8 +68,8 @@ def test_certified_resonances_move_by_under_1e_10_from_the_search():
 
 def test_resonances_on_the_froese_sharp_box_take_under_1600_momenta(
         monkeypatch):
-    # the search took 4,374 distinct momenta; one winding count of the box,
-    # one Newton round per start and the multiplicity squares take 1,390
+    # the search took 5,041 distinct momenta; one winding count of the box,
+    # one Newton round per start and the multiplicity squares take 1,372
     seen = []
     magnus = scatter._magnus_m
 
